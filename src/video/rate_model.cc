@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <mutex>
 #include <stdexcept>
 
 #include "video/codec.h"
@@ -98,7 +99,9 @@ int CalibratedRateModel::QpForTargetBps(double target_bps, double fps, int gop_l
 
 const CalibratedRateModel& CalibratedRateModel::For(Resolution resolution) {
   static std::map<std::pair<int, int>, std::unique_ptr<CalibratedRateModel>> cache;
+  static std::mutex cache_mutex;  // sessions on parallel threads share the cache
   const auto key = std::make_pair(resolution.width, resolution.height);
+  const std::lock_guard lock(cache_mutex);
   auto it = cache.find(key);
   if (it == cache.end()) {
     it = cache.emplace(key, std::make_unique<CalibratedRateModel>(resolution)).first;

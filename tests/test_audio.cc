@@ -134,6 +134,45 @@ TEST(AudioCodec, MalformedPayloadThrows) {
                compress::CorruptStream);
 }
 
+// Pins the vop bitstream and its decoded PCM. The digests were recorded from
+// the straightforward scalar transform; any change to the DCT loop, the
+// quantizer, the range-coding session, or the Rng beneath SpeechSource must
+// reproduce them exactly, on every SIMD backend.
+std::uint64_t Fnv1a(std::uint64_t h, const void* data, std::size_t size) {
+  const auto* p = static_cast<const std::uint8_t*>(data);
+  for (std::size_t i = 0; i < size; ++i) h = (h ^ p[i]) * 1099511628211ull;
+  return h;
+}
+
+TEST(AudioCodec, GoldenBitstreamAndPcmDigests) {
+  SpeechSource source({}, 11);  // default talk/pause mix, so DTX has silence to skip
+  std::vector<AudioFrame> frames;
+  for (int i = 0; i < 500; ++i) frames.push_back(source.Next());
+
+  std::uint64_t bytes_digest = 1469598103934665603ull;
+  std::uint64_t pcm_digest = 1469598103934665603ull;
+  std::size_t total_bytes = 0;
+  AudioDecoder decoder;
+  for (int quality = 0; quality <= 10; ++quality) {
+    for (const bool dtx : {false, true}) {
+      AudioEncoder encoder({.quality = quality, .dtx = dtx});
+      for (const AudioFrame& f : frames) {
+        const auto payload = encoder.EncodeFrame(f);
+        const std::uint64_t size = payload.size();
+        bytes_digest = Fnv1a(bytes_digest, &size, sizeof(size));
+        bytes_digest = Fnv1a(bytes_digest, payload.data(), payload.size());
+        total_bytes += payload.size();
+        const AudioFrame decoded = decoder.DecodeFrame(payload);
+        pcm_digest = Fnv1a(pcm_digest, decoded.samples.data(),
+                           decoded.samples.size() * sizeof(std::int16_t));
+      }
+    }
+  }
+  EXPECT_EQ(total_bytes, 1282025u);
+  EXPECT_EQ(bytes_digest, 10146155789837137158ull);
+  EXPECT_EQ(pcm_digest, 7222493387702786412ull);
+}
+
 TEST(AudioCodec, InvalidConfigThrows) {
   EXPECT_THROW(AudioEncoder({.quality = 11, .dtx = true}), std::invalid_argument);
   EXPECT_THROW(AudioEncoder({.quality = -1, .dtx = true}), std::invalid_argument);

@@ -1,12 +1,18 @@
 // Tests for the discrete-event network simulator.
 #include <gtest/gtest.h>
 
+#include <cstring>
+#include <limits>
+#include <random>
+#include <vector>
+
 #include "netsim/capture.h"
 #include "netsim/event_queue.h"
 #include "netsim/geo.h"
 #include "netsim/geoip.h"
 #include "netsim/netem.h"
 #include "netsim/network.h"
+#include "netsim/random.h"
 
 namespace vtp::net {
 namespace {
@@ -78,6 +84,111 @@ TEST(Rng, SeedDeterminism) {
   Rng a2(123);
   for (int i = 0; i < 10; ++i) any_diff |= a2.NextU64() != c.NextU64();
   EXPECT_TRUE(any_diff);
+}
+
+// Differential checks against the standard library, the oracle the in-repo
+// engine and distributions replicate bit for bit.
+
+TEST(Rng, EngineMatchesStdMt19937_64) {
+  const std::uint64_t seeds[] = {0, 1, 5489, ~std::uint64_t{0},
+                                 DeriveSeed(42, RngDomain::kLinkFaults, 7)};
+  for (const std::uint64_t seed : seeds) {
+    Mt19937_64 engine(seed);
+    std::mt19937_64 oracle(seed);
+    for (int i = 0; i < 1'000'000; ++i) {
+      const std::uint64_t got = engine(), want = oracle();
+      if (got != want) {
+        FAIL() << "seed " << seed << " diverges at draw " << i;
+      }
+    }
+  }
+}
+
+struct FixedBits {  // a UniformRandomBitGenerator that returns one value
+  using result_type = std::uint64_t;
+  static constexpr result_type min() { return 0; }
+  static constexpr result_type max() { return ~result_type{0}; }
+  result_type value;
+  result_type operator()() const { return value; }
+};
+
+bool SameBits(double a, double b) { return std::memcmp(&a, &b, sizeof a) == 0; }
+
+TEST(Rng, CanonicalMatchesGenerateCanonical) {
+  std::vector<std::uint64_t> values = {0,
+                                       1,
+                                       (1ull << 53) - 1,
+                                       (1ull << 53) + 1,
+                                       (1ull << 63) - 1,
+                                       1ull << 63,
+                                       (1ull << 63) + 1,
+                                       (1ull << 63) + (1ull << 10),  // a rounding tie
+                                       (1ull << 63) + (3ull << 10),  // a tie that rounds up
+                                       ~std::uint64_t{0} - (1ull << 10),
+                                       ~std::uint64_t{0} - (1ull << 10) + 1,
+                                       ~std::uint64_t{0}};  // rounds to 1: clamped
+  std::mt19937_64 source(9);
+  for (int i = 0; i < 100'000; ++i) values.push_back(source());
+  for (const std::uint64_t v : values) {
+    FixedBits bits{v};
+    const double want = std::generate_canonical<double, 53>(bits);
+    ASSERT_TRUE(SameBits(Rng::Canonical(v), want)) << v;
+    ASSERT_LT(Rng::Canonical(v), 1.0) << v;
+  }
+}
+
+TEST(Rng, DistributionsMatchStdBitForBit) {
+  const std::uint64_t seeds[] = {0, 1, 5489, ~std::uint64_t{0},
+                                 DeriveSeed(42, RngDomain::kArrivals, 3)};
+  constexpr std::int64_t kMin = std::numeric_limits<std::int64_t>::min();
+  constexpr std::int64_t kMax = std::numeric_limits<std::int64_t>::max();
+  for (const std::uint64_t seed : seeds) {
+    Rng rng(seed);
+    std::mt19937_64 oracle(seed);
+    for (int i = 0; i < 200'000; ++i) {
+      const double param = 0.25 + static_cast<double>(i % 13);
+      double got = 0, want = 0;
+      switch (i % 9) {
+        case 0:
+          got = rng.Uniform();
+          want = std::uniform_real_distribution<double>(0.0, 1.0)(oracle);
+          break;
+        case 1:
+          got = rng.Normal(-param, param);
+          want = std::normal_distribution<double>(-param, param)(oracle);
+          break;
+        case 2:
+          got = rng.Exponential(param);
+          want = std::exponential_distribution<double>(param)(oracle);
+          break;
+        case 3:
+          ASSERT_EQ(rng.UniformInt(-3, 1000 + i),
+                    std::uniform_int_distribution<std::int64_t>(-3, 1000 + i)(oracle));
+          break;
+        case 4:
+          ASSERT_EQ(rng.UniformInt(kMin, kMax),
+                    std::uniform_int_distribution<std::int64_t>(kMin, kMax)(oracle));
+          break;
+        case 5:
+          got = rng.Chance(param / 13.0);
+          want = std::uniform_real_distribution<double>(0.0, 1.0)(oracle) < param / 13.0;
+          break;
+        case 6:
+          ASSERT_EQ(rng.NextU64(), oracle());
+          break;
+        case 7:
+          got = rng.Normal(0.0, 1.0);
+          want = std::normal_distribution<double>(0.0, 1.0)(oracle);
+          break;
+        default:
+          got = rng.Uniform(-param, 2 * param);
+          want = std::uniform_real_distribution<double>(-param, 2 * param)(oracle);
+          break;
+      }
+      ASSERT_TRUE(SameBits(got, want)) << "seed " << seed << " op " << i << ": " << got
+                                       << " vs " << want;
+    }
+  }
 }
 
 // --- geography ----------------------------------------------------------------

@@ -2,6 +2,10 @@
 // the calibrated rate model.
 #include <gtest/gtest.h>
 
+#include <array>
+#include <thread>
+#include <vector>
+
 #include "compress/bitstream.h"
 #include "netsim/random.h"
 #include "video/codec.h"
@@ -217,6 +221,20 @@ TEST(RateModel, ProcessWideCacheReturnsSameInstance) {
   const CalibratedRateModel& a = CalibratedRateModel::For(kSmall);
   const CalibratedRateModel& b = CalibratedRateModel::For(kSmall);
   EXPECT_EQ(&a, &b);
+}
+
+TEST(RateModel, ConcurrentColdLookupsShareOneInstance) {
+  constexpr Resolution kCold{64, 48};  // used by no other test, so the first For() calibrates
+  constexpr int kThreads = 4;
+  std::array<const CalibratedRateModel*, kThreads> seen{};
+  std::vector<std::thread> threads;
+  for (int i = 0; i < kThreads; ++i) {
+    threads.emplace_back(
+        [&seen, i] { seen[static_cast<std::size_t>(i)] = &CalibratedRateModel::For(kCold); });
+  }
+  for (auto& t : threads) t.join();
+  for (const auto* model : seen) EXPECT_EQ(model, seen[0]);
+  EXPECT_EQ(&CalibratedRateModel::For(kCold), seen[0]);
 }
 
 TEST(RateModel, InvalidConfigThrows) {
