@@ -11,6 +11,7 @@
 #include "mesh/generator.h"
 #include "mesh/simplify.h"
 #include "netsim/network.h"
+#include "render/lod.h"
 #include "semantic/codec.h"
 #include "semantic/generator.h"
 #include "semantic/reconstruct.h"
@@ -103,6 +104,17 @@ void BM_MeshSimplifyPersona(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_MeshSimplifyPersona)->Unit(benchmark::kMillisecond);
+
+// One persona's whole asset build as session setup runs it: the generator,
+// both bisected LODs and the 36-triangle proxy.
+void BM_PersonaLodLadder(benchmark::State& state) {
+  const render::LodPolicy policy;
+  for (auto _ : state) {
+    const render::PersonaLodLadder ladder(1000, policy);
+    benchmark::DoNotOptimize(ladder.TriangleCount(render::LodClass::kPeripheral));
+  }
+}
+BENCHMARK(BM_PersonaLodLadder)->Unit(benchmark::kMillisecond);
 
 void BM_SemanticEncodeFrame(benchmark::State& state) {
   semantic::KeypointTrackGenerator gen({}, 3);

@@ -1,7 +1,10 @@
 #include "mesh/generator.h"
 
+#include <algorithm>
+#include <array>
 #include <cmath>
 #include <numbers>
+#include <vector>
 
 #include "netsim/random.h"
 
@@ -13,8 +16,12 @@ constexpr double kPi = std::numbers::pi;
 
 /// Smooth organic pseudo-noise over the sphere: a small sum of seeded
 /// sinusoids. Cheap, deterministic, and C1-smooth like scanned surfaces.
+/// Each term is weight·sin(θ-phase)·sin(φ-phase), so it is evaluated as a
+/// per-ring factor times a per-column factor.
 class SphereNoise {
  public:
+  using Factors = std::array<double, 6>;
+
   SphereNoise(std::uint64_t seed, double amplitude) : amplitude_(amplitude) {
     net::Rng rng(seed);
     for (auto& h : harmonics_) {
@@ -23,12 +30,30 @@ class SphereNoise {
     }
   }
 
-  double At(double theta, double phi) const {
-    double n = 0;
-    for (const auto& h : harmonics_) {
-      n += h.weight * std::sin(h.f_theta * theta + h.p_theta) *
-           std::sin(h.f_phi * phi + h.p_phi);
+  /// The θ-only factor of each term: weight·sin(f_θ·θ + p_θ).
+  Factors Ring(double theta) const {
+    Factors f;
+    for (std::size_t i = 0; i < f.size(); ++i) {
+      const Harmonic& h = harmonics_[i];
+      f[i] = h.weight * std::sin(h.f_theta * theta + h.p_theta);
     }
+    return f;
+  }
+
+  /// The φ-only factor of each term: sin(f_φ·φ + p_φ).
+  Factors Column(double phi) const {
+    Factors f;
+    for (std::size_t i = 0; i < f.size(); ++i) {
+      const Harmonic& h = harmonics_[i];
+      f[i] = std::sin(h.f_phi * phi + h.p_phi);
+    }
+    return f;
+  }
+
+  /// The noise at the point with these ring and column factors.
+  double At(const Factors& ring, const Factors& column) const {
+    double n = 0;
+    for (std::size_t i = 0; i < ring.size(); ++i) n += ring[i] * column[i];
     return amplitude_ * n / static_cast<double>(harmonics_.size());
   }
 
@@ -43,25 +68,45 @@ class SphereNoise {
 /// UV-sphere with a caller-supplied radius field. `segments` is the
 /// longitude count; `rings` the latitude count. Produces exactly
 /// 2 * segments * (rings - 1) triangles.
-template <typename RadiusFn>
-TriangleMesh UvSphere(std::size_t segments, std::size_t rings, RadiusFn&& radius) {
+///
+/// The field is separable: `field.Ring(θ)` and `field.Column(φ)` hold every
+/// term that depends on one angle only, and `field.Radius(ring, column)`
+/// combines them per vertex. Each ring and column is evaluated once.
+template <typename Field>
+TriangleMesh UvSphere(std::size_t segments, std::size_t rings, const Field& field) {
   TriangleMesh m;
   m.positions.reserve(2 + segments * (rings - 1));
 
-  // Poles + interior rings.
-  m.positions.push_back(Vec3{0, static_cast<float>(radius(0.0, 0.0).y), 0});
+  using Column = decltype(field.Column(0.0));
+  std::vector<Column> columns;
+  std::vector<double> cos_phi, sin_phi;
+  columns.reserve(segments);
+  cos_phi.reserve(segments);
+  sin_phi.reserve(segments);
+  for (std::size_t s = 0; s < segments; ++s) {
+    const double phi = 2 * kPi * static_cast<double>(s) / static_cast<double>(segments);
+    columns.push_back(field.Column(phi));
+    cos_phi.push_back(std::cos(phi));
+    sin_phi.push_back(std::sin(phi));
+  }
+
+  // Poles (at φ = 0, column 0) + interior rings.
+  m.positions.push_back(
+      Vec3{0, static_cast<float>(field.Radius(field.Ring(0.0), columns[0]).y), 0});
   for (std::size_t r = 1; r < rings; ++r) {
     const double theta = kPi * static_cast<double>(r) / static_cast<double>(rings);
+    const auto ring = field.Ring(theta);
+    const double sin_theta = std::sin(theta);
+    const float cos_theta = static_cast<float>(std::cos(theta));
     for (std::size_t s = 0; s < segments; ++s) {
-      const double phi = 2 * kPi * static_cast<double>(s) / static_cast<double>(segments);
-      const Vec3 scale = radius(theta, phi);
-      m.positions.push_back(Vec3{
-          static_cast<float>(std::sin(theta) * std::cos(phi)) * scale.x,
-          static_cast<float>(std::cos(theta)) * scale.y,
-          static_cast<float>(std::sin(theta) * std::sin(phi)) * scale.z});
+      const Vec3 scale = field.Radius(ring, columns[s]);
+      m.positions.push_back(Vec3{static_cast<float>(sin_theta * cos_phi[s]) * scale.x,
+                                 cos_theta * scale.y,
+                                 static_cast<float>(sin_theta * sin_phi[s]) * scale.z});
     }
   }
-  m.positions.push_back(Vec3{0, -static_cast<float>(radius(kPi, 0.0).y), 0});
+  m.positions.push_back(
+      Vec3{0, -static_cast<float>(field.Radius(field.Ring(kPi), columns[0]).y), 0});
 
   const auto ring_vertex = [&](std::size_t r, std::size_t s) -> std::uint32_t {
     return static_cast<std::uint32_t>(1 + (r - 1) * segments + (s % segments));
@@ -112,37 +157,76 @@ std::pair<std::size_t, std::size_t> SphereDims(std::size_t target) {
   return {best_segments, best_rings};
 }
 
+/// Head half-extents ~8 x 11 x 9.5 cm, noised, with a nose and a chin taper.
+struct HeadField {
+  SphereNoise noise;
+
+  struct RingTerms {
+    SphereNoise::Factors noise;
+    double nose;   // θ part of the nose exponent
+    double taper;  // chin taper
+  };
+  struct ColumnTerms {
+    SphereNoise::Factors noise;
+    double nose;  // φ part of the nose exponent
+  };
+
+  RingTerms Ring(double theta) const {
+    return {noise.Ring(theta), std::pow((theta - kPi * 0.52) / 0.14, 2.0),
+            1.0 - 0.18 * std::pow(std::max(0.0, theta / kPi - 0.55), 1.5)};
+  }
+  ColumnTerms Column(double phi) const {
+    return {noise.Column(phi), std::pow((phi - kPi / 2) / 0.18, 2.0)};
+  }
+  Vec3 Radius(const RingTerms& ring, const ColumnTerms& column) const {
+    double bump = noise.At(ring.noise, column.noise);
+    // Nose: a localized bump facing +z at eye-ish height.
+    const double face = std::exp(-ring.nose - column.nose);
+    bump += 0.02 * face;
+    const float s = static_cast<float>(1.0 + bump / 0.09);
+    return Vec3{0.080f * s * static_cast<float>(ring.taper), 0.110f * s,
+                0.095f * s * static_cast<float>(ring.taper)};
+  }
+};
+
+/// Flattened palm, with finger-like ridges along one edge (small θ).
+struct HandField {
+  SphereNoise noise;
+
+  struct RingTerms {
+    SphereNoise::Factors noise;
+    double finger_zone;  // ridge weight, fading away from the edge
+  };
+  struct ColumnTerms {
+    SphereNoise::Factors noise;
+    double ridge;  // five ridges around the edge
+  };
+
+  RingTerms Ring(double theta) const {
+    return {noise.Ring(theta), 0.012 * std::exp(-std::pow(theta / 0.55, 2.0))};
+  }
+  ColumnTerms Column(double phi) const {
+    return {noise.Column(phi), std::pow(std::sin(5.0 * phi), 8.0)};
+  }
+  Vec3 Radius(const RingTerms& ring, const ColumnTerms& column) const {
+    double bump = noise.At(ring.noise, column.noise);
+    bump += ring.finger_zone * column.ridge;
+    const float s = static_cast<float>(1.0 + bump / 0.05);
+    return Vec3{0.045f * s, 0.085f * s, 0.015f * s};
+  }
+};
+
 }  // namespace
 
 TriangleMesh GenerateHead(std::size_t target_triangles, std::uint64_t seed) {
   const auto [segments, rings] = SphereDims(target_triangles);
-  const SphereNoise noise(seed, 0.004);  // ~4 mm of organic relief
-  return UvSphere(segments, rings, [&](double theta, double phi) {
-    // Head half-extents ~8 x 11 x 9.5 cm, noised.
-    double bump = noise.At(theta, phi);
-    // Nose: a localized bump facing +z at eye-ish height.
-    const double face = std::exp(-std::pow((theta - kPi * 0.52) / 0.14, 2.0) -
-                                 std::pow((phi - kPi / 2) / 0.18, 2.0));
-    bump += 0.02 * face;
-    // Chin taper.
-    const double taper = 1.0 - 0.18 * std::pow(std::max(0.0, theta / kPi - 0.55), 1.5);
-    const float s = static_cast<float>(1.0 + bump / 0.09);
-    return Vec3{0.080f * s * static_cast<float>(taper), 0.110f * s,
-                0.095f * s * static_cast<float>(taper)};
-  });
+  return UvSphere(segments, rings, HeadField{SphereNoise(seed, 0.004)});  // ~4 mm relief
 }
 
 TriangleMesh GenerateHand(std::size_t target_triangles, std::uint64_t seed) {
   const auto [segments, rings] = SphereDims(target_triangles);
-  const SphereNoise noise(seed ^ 0x9E3779B97F4A7C15ull, 0.002);
-  return UvSphere(segments, rings, [&](double theta, double phi) {
-    // Flattened palm, with finger-like ridges along one edge (small theta).
-    double bump = noise.At(theta, phi);
-    const double finger_zone = std::exp(-std::pow(theta / 0.55, 2.0));
-    bump += 0.012 * finger_zone * std::pow(std::sin(5.0 * phi), 8.0);
-    const float s = static_cast<float>(1.0 + bump / 0.05);
-    return Vec3{0.045f * s, 0.085f * s, 0.015f * s};
-  });
+  return UvSphere(segments, rings,
+                  HandField{SphereNoise(seed ^ 0x9E3779B97F4A7C15ull, 0.002)});
 }
 
 TriangleMesh GeneratePersona(std::uint64_t seed, std::size_t target) {

@@ -22,7 +22,8 @@ inline constexpr std::size_t kPersonaTriangles = 78030;
 /// distinct "users"/"scans" differ.
 TriangleMesh GenerateHead(std::size_t target_triangles, std::uint64_t seed);
 
-/// Generates a hand-like mesh (palm ellipsoid + five finger capsules).
+/// Generates a hand-like mesh: a flattened, noised ellipsoid (the palm) with
+/// five finger-like ridges raised along one edge.
 TriangleMesh GenerateHand(std::size_t target_triangles, std::uint64_t seed);
 
 /// A full spatial persona: head plus two hands, budgeted to `target`

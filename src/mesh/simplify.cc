@@ -3,35 +3,55 @@
 #include <algorithm>
 #include <cmath>
 #include <unordered_map>
+#include <vector>
 
 namespace vtp::mesh {
 
 namespace {
 
+/// 21 bits per axis; kMaxGridCellsPerAxis keeps every index inside its field.
 std::uint64_t CellKey(std::uint32_t x, std::uint32_t y, std::uint32_t z) {
   return (static_cast<std::uint64_t>(x) << 42) | (static_cast<std::uint64_t>(y) << 21) | z;
+}
+
+/// The grid cell key of every vertex of `input` at `cells_per_axis`.
+void CellKeys(const TriangleMesh& input, std::size_t cells_per_axis,
+              std::vector<std::uint64_t>& keys) {
+  cells_per_axis = std::clamp<std::size_t>(cells_per_axis, 1, kMaxGridCellsPerAxis);
+  const Aabb box = input.Bounds();
+  const Vec3 size = box.Size();
+  const float n = static_cast<float>(cells_per_axis);
+  const auto axis = [n](float v, float lo, float extent) -> std::uint32_t {
+    if (extent <= 0) return 0;
+    const float t = (v - lo) / extent * n;
+    return static_cast<std::uint32_t>(std::clamp(t, 0.0f, n - 1.0f));
+  };
+  keys.resize(input.vertex_count());
+  for (std::size_t i = 0; i < keys.size(); ++i) {
+    const Vec3 p = input.positions[i];
+    keys[i] = CellKey(axis(p.x, box.min.x, size.x), axis(p.y, box.min.y, size.y),
+                      axis(p.z, box.min.z, size.z));
+  }
+}
+
+/// Triangles SimplifyGrid keeps: those whose three vertices land in three
+/// distinct cells.
+std::size_t SurvivingTriangles(const TriangleMesh& input, const std::vector<std::uint64_t>& keys) {
+  std::size_t count = 0;
+  for (const auto& t : input.triangles) {
+    const std::uint64_t a = keys[t[0]], b = keys[t[1]], c = keys[t[2]];
+    count += (a != b && b != c && a != c) ? 1 : 0;
+  }
+  return count;
 }
 
 }  // namespace
 
 TriangleMesh SimplifyGrid(const TriangleMesh& input, std::size_t cells_per_axis) {
-  if (cells_per_axis < 1) cells_per_axis = 1;
-  const Aabb box = input.Bounds();
-  const Vec3 size = box.Size();
-  const float n = static_cast<float>(cells_per_axis);
+  std::vector<std::uint64_t> keys;
+  CellKeys(input, cells_per_axis, keys);
 
-  const auto cell_of = [&](Vec3 p) -> std::uint64_t {
-    const auto axis = [&](float v, float lo, float extent) -> std::uint32_t {
-      if (extent <= 0) return 0;
-      const float t = (v - lo) / extent * n;
-      return static_cast<std::uint32_t>(
-          std::clamp(t, 0.0f, n - 1.0f));
-    };
-    return CellKey(axis(p.x, box.min.x, size.x), axis(p.y, box.min.y, size.y),
-                   axis(p.z, box.min.z, size.z));
-  };
-
-  // First pass: centroid per occupied cell.
+  // First pass: centroid per occupied cell, hashing each vertex once.
   struct Accum {
     Vec3 sum;
     std::uint32_t count = 0;
@@ -39,10 +59,12 @@ TriangleMesh SimplifyGrid(const TriangleMesh& input, std::size_t cells_per_axis)
   };
   std::unordered_map<std::uint64_t, Accum> cells;
   cells.reserve(input.vertex_count());
-  for (const Vec3& p : input.positions) {
-    Accum& a = cells[cell_of(p)];
-    a.sum = a.sum + p;
+  std::vector<const Accum*> cell_of(input.vertex_count());  // map nodes never move
+  for (std::size_t i = 0; i < keys.size(); ++i) {
+    Accum& a = cells[keys[i]];
+    a.sum = a.sum + input.positions[i];
     ++a.count;
+    cell_of[i] = &a;
   }
 
   TriangleMesh out;
@@ -53,11 +75,11 @@ TriangleMesh SimplifyGrid(const TriangleMesh& input, std::size_t cells_per_axis)
   }
 
   // Second pass: remap triangles, dropping collapsed ones.
-  out.triangles.reserve(input.triangle_count());
+  out.triangles.reserve(SurvivingTriangles(input, keys));
   for (const auto& t : input.triangles) {
-    const std::uint32_t a = cells[cell_of(input.positions[t[0]])].index;
-    const std::uint32_t b = cells[cell_of(input.positions[t[1]])].index;
-    const std::uint32_t c = cells[cell_of(input.positions[t[2]])].index;
+    const std::uint32_t a = cell_of[t[0]]->index;
+    const std::uint32_t b = cell_of[t[1]]->index;
+    const std::uint32_t c = cell_of[t[2]]->index;
     if (a == b || b == c || a == c) continue;
     out.triangles.push_back({a, b, c});
   }
@@ -71,23 +93,34 @@ TriangleMesh SimplifyToFraction(const TriangleMesh& input, double fraction) {
   if (fraction >= 0.999) return input;
 
   // Triangle yield grows with grid resolution; bisect on cells_per_axis.
+  // A probe needs only the count SimplifyGrid would keep, so only the chosen
+  // grid is ever built.
+  std::vector<std::uint64_t> keys;
+  const auto yield = [&](std::size_t cells) {
+    CellKeys(input, cells, keys);
+    return SurvivingTriangles(input, keys);
+  };
   std::size_t lo = 2, hi = 4096;
-  TriangleMesh best = SimplifyGrid(input, lo);
+  std::size_t best = lo, best_count = yield(lo);
   while (lo + 1 < hi) {
     const std::size_t mid = (lo + hi) / 2;
-    TriangleMesh candidate = SimplifyGrid(input, mid);
-    if (candidate.triangle_count() < target) {
+    const std::size_t count = yield(mid);
+    if (count < target) {
       lo = mid;
-      best = std::move(candidate);
+      best = mid;
+      best_count = count;
     } else {
       hi = mid;
       // Keep the closer of the two bounds.
-      const auto err_hi = candidate.triangle_count() - target;
-      const auto err_lo = target > best.triangle_count() ? target - best.triangle_count() : 0;
-      if (err_hi < err_lo) best = std::move(candidate);
+      const auto err_hi = count - target;
+      const auto err_lo = target > best_count ? target - best_count : 0;
+      if (err_hi < err_lo) {
+        best = mid;
+        best_count = count;
+      }
     }
   }
-  return best;
+  return SimplifyGrid(input, best);
 }
 
 TriangleMesh BoundingBoxProxy(const TriangleMesh& input) {

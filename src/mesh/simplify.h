@@ -13,10 +13,16 @@
 
 namespace vtp::mesh {
 
+/// Finest grid SimplifyGrid builds. A cell key packs 21 bits per axis, so a
+/// finer grid would let one axis index spill into the next and merge
+/// distinct cells; larger `cells_per_axis` values are clamped to this.
+inline constexpr std::size_t kMaxGridCellsPerAxis = std::size_t{1} << 21;
+
 /// Clusters vertices onto a `cells_per_axis`^3 grid over the mesh bounds,
 /// merging each cell's vertices at their centroid and dropping triangles
 /// that collapse. Preserves overall shape; output triangle count decreases
-/// monotonically as the grid coarsens.
+/// monotonically as the grid coarsens. `cells_per_axis` is clamped to
+/// [1, kMaxGridCellsPerAxis].
 TriangleMesh SimplifyGrid(const TriangleMesh& input, std::size_t cells_per_axis);
 
 /// Binary-searches the grid resolution so the output has approximately

@@ -7,7 +7,13 @@
 namespace vtp::semantic {
 
 PersonaReconstructor::PersonaReconstructor(mesh::TriangleMesh base, ReconstructorConfig config)
-    : base_(std::move(base)), current_(base_) {
+    : current_(std::move(base)) {
+  if (!(std::isfinite(config.influence_sigma_m) && config.influence_sigma_m > 0)) {
+    throw std::invalid_argument("influence_sigma_m must be finite and positive");
+  }
+  if (!(config.max_influence_m >= 0)) {
+    throw std::invalid_argument("max_influence_m must be non-negative");
+  }
   neutral_points_ = ExtractSemanticSubset(NeutralLayout());
   const float sigma2 = 2.0f * config.influence_sigma_m * config.influence_sigma_m;
   const float max_d2 = config.max_influence_m * config.max_influence_m;
@@ -18,9 +24,9 @@ PersonaReconstructor::PersonaReconstructor(mesh::TriangleMesh base, Reconstructo
     std::uint16_t keypoint;
   };
   std::vector<Candidate> candidates;
-  for (std::uint32_t vi = 0; vi < base_.positions.size(); ++vi) {
+  for (std::uint32_t vi = 0; vi < current_.positions.size(); ++vi) {
     candidates.clear();
-    const Vec3 v = base_.positions[vi];
+    const Vec3 v = current_.positions[vi];
     for (std::size_t k = 0; k < neutral_points_.size(); ++k) {
       const Vec3 d = v - neutral_points_[k];
       const float d2 = d.Dot(d);
@@ -39,6 +45,7 @@ PersonaReconstructor::PersonaReconstructor(mesh::TriangleMesh base, Reconstructo
     for (const Candidate& c : candidates) total += c.weight;
     VertexInfluence inf{};
     inf.vertex = vi;
+    inf.base = v;
     for (std::size_t i = 0; i < candidates.size(); ++i) {
       inf.keypoint[i] = candidates[i].keypoint;
       inf.weight[i] = candidates[i].weight / total;
@@ -63,7 +70,7 @@ const mesh::TriangleMesh& PersonaReconstructor::Apply(std::span<const Vec3> poin
       if (inf.weight[i] == 0) break;
       offset = offset + delta[inf.keypoint[i]] * inf.weight[i];
     }
-    current_.positions[inf.vertex] = base_.positions[inf.vertex] + offset;
+    current_.positions[inf.vertex] = inf.base + offset;
   }
   return current_;
 }

@@ -18,7 +18,9 @@
 
 namespace vtp::semantic {
 
-/// Deformation tunables.
+/// Deformation tunables. PersonaReconstructor throws std::invalid_argument
+/// unless `influence_sigma_m` is finite and positive and `max_influence_m`
+/// is non-negative.
 struct ReconstructorConfig {
   float influence_sigma_m = 0.02f;  ///< Gaussian falloff of keypoint pull
   float max_influence_m = 0.05f;    ///< vertices farther than this are static
@@ -49,9 +51,11 @@ class PersonaReconstructor {
     std::uint32_t vertex;
     std::array<std::uint16_t, 4> keypoint;
     std::array<float, 4> weight;  // normalized; unused slots zero
+    Vec3 base;                    // the vertex's enrollment position
   };
 
-  mesh::TriangleMesh base_;
+  // Starts as the base mesh; Apply rewrites only the influenced vertices,
+  // whose base positions live in `influences_`.
   mesh::TriangleMesh current_;
   std::vector<Vec3> neutral_points_;
   std::vector<VertexInfluence> influences_;

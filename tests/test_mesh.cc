@@ -2,7 +2,10 @@
 // LOD simplifier.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <cstdint>
+#include <cstring>
 
 #include "compress/bitstream.h"
 #include "mesh/codec.h"
@@ -12,6 +15,32 @@
 
 namespace vtp::mesh {
 namespace {
+
+// FNV-1a over a mesh's counts, position bytes and triangle bytes: equal
+// digests mean the same vertices, the same vertex order and the same
+// triangles.
+constexpr std::uint64_t kFnvBasis = 1469598103934665603ull;
+
+std::uint64_t Fnv1a(std::uint64_t h, const void* data, std::size_t size) {
+  const auto* p = static_cast<const std::uint8_t*>(data);
+  for (std::size_t i = 0; i < size; ++i) h = (h ^ p[i]) * 1099511628211ull;
+  return h;
+}
+
+std::uint64_t MeshDigest(std::uint64_t h, const TriangleMesh& m) {
+  const std::uint64_t counts[2] = {m.vertex_count(), m.triangle_count()};
+  h = Fnv1a(h, counts, sizeof(counts));
+  h = Fnv1a(h, m.positions.data(), m.positions.size() * sizeof(Vec3));
+  return Fnv1a(h, m.triangles.data(), m.triangles.size() * sizeof(m.triangles[0]));
+}
+
+bool SameBytes(const TriangleMesh& a, const TriangleMesh& b) {
+  return a.vertex_count() == b.vertex_count() && a.triangle_count() == b.triangle_count() &&
+         std::memcmp(a.positions.data(), b.positions.data(),
+                     a.positions.size() * sizeof(Vec3)) == 0 &&
+         std::memcmp(a.triangles.data(), b.triangles.data(),
+                     a.triangles.size() * sizeof(a.triangles[0])) == 0;
+}
 
 // --- basic mesh type ---------------------------------------------------------
 
@@ -95,6 +124,21 @@ TEST(Generator, HeadHasHumanScale) {
   EXPECT_LT(box.Size().y, 0.30f);
   EXPECT_GT(head.SurfaceArea(), 0.05);  // a head is a few hundred cm^2
   EXPECT_LT(head.SurfaceArea(), 0.5);
+}
+
+// Pins the generator's output bytes. The digests were recorded from the
+// per-vertex evaluation of every sin/cos/pow term; the per-ring and
+// per-column factoring must reproduce them exactly.
+TEST(Generator, GoldenPersonaDigests) {
+  std::uint64_t persona = kFnvBasis;
+  for (const std::uint64_t seed : {0ull, 1ull, 1000ull, 1004ull}) {
+    for (const std::size_t target : {std::size_t{78030}, std::size_t{20000}, std::size_t{600}}) {
+      persona = MeshDigest(persona, GeneratePersona(seed, target));
+    }
+  }
+  EXPECT_EQ(persona, 1156568349348183409ull);
+  EXPECT_EQ(MeshDigest(kFnvBasis, GenerateHead(20000, 5)), 16049213134523292411ull);
+  EXPECT_EQ(MeshDigest(kFnvBasis, GenerateHand(3000, 5)), 3771780279424765926ull);
 }
 
 // --- codec ------------------------------------------------------------------------
@@ -202,6 +246,73 @@ TEST_P(SimplifyFraction, LandsNearRequestedFraction) {
 
 // The paper's ratios: peripheral 21036/78030 = 0.27, distance 45036/78030 = 0.577.
 INSTANTIATE_TEST_SUITE_P(Fractions, SimplifyFraction, ::testing::Values(0.27, 0.577, 0.8, 0.1));
+
+// Pins the LOD meshes the ladder builds (the paper's 45,036 and 21,036
+// ratios) plus two further fractions, on two full-size personas. Recorded
+// from the bisection that built a full grid mesh at every probe.
+TEST(Simplify, GoldenFractionDigest) {
+  std::uint64_t h = kFnvBasis;
+  for (const std::uint64_t seed : {7ull, 42ull}) {
+    const TriangleMesh persona = GeneratePersona(seed);
+    for (const double fraction : {45036.0 / 78030.0, 21036.0 / 78030.0, 0.1, 0.8}) {
+      h = MeshDigest(h, SimplifyToFraction(persona, fraction));
+    }
+  }
+  EXPECT_EQ(h, 9814652329875187848ull);
+}
+
+// The reference bisection: a full SimplifyGrid mesh at every probe, keeping
+// the closer of the two bounds. SimplifyToFraction must return the very same
+// mesh, byte for byte.
+TriangleMesh ReferenceSimplifyToFraction(const TriangleMesh& input, double fraction) {
+  fraction = std::clamp(fraction, 1e-6, 1.0);
+  const auto target = static_cast<std::size_t>(
+      static_cast<double>(input.triangle_count()) * fraction);
+  if (fraction >= 0.999) return input;
+  std::size_t lo = 2, hi = 4096;
+  TriangleMesh best = SimplifyGrid(input, lo);
+  while (lo + 1 < hi) {
+    const std::size_t mid = (lo + hi) / 2;
+    TriangleMesh candidate = SimplifyGrid(input, mid);
+    if (candidate.triangle_count() < target) {
+      lo = mid;
+      best = std::move(candidate);
+    } else {
+      hi = mid;
+      const auto err_hi = candidate.triangle_count() - target;
+      const auto err_lo = target > best.triangle_count() ? target - best.triangle_count() : 0;
+      if (err_hi < err_lo) best = std::move(candidate);
+    }
+  }
+  return best;
+}
+
+TEST(Simplify, FractionMatchesReferenceBisection) {
+  for (const std::size_t triangles : {std::size_t{600}, std::size_t{20000}, std::size_t{78030}}) {
+    const TriangleMesh persona = GeneratePersona(11, triangles);
+    for (const double fraction : {0.05, 0.1, 0.27, 0.577, 0.8, 0.998}) {
+      EXPECT_TRUE(SameBytes(SimplifyToFraction(persona, fraction),
+                            ReferenceSimplifyToFraction(persona, fraction)))
+          << triangles << " triangles at fraction " << fraction;
+    }
+  }
+}
+
+// At 2^22 cells per axis the vertex at z = 0.5 sits in z cell 2^21, one past
+// the 21-bit field, and an unclamped key would merge it with the vertex in
+// y cell 1. The grid is clamped to 2^21 cells, where the two stay apart and
+// the triangle through them survives.
+TEST(Simplify, GridFinerThanTheKeyIsClamped) {
+  TriangleMesh mesh;
+  mesh.positions = {{0, 0, 0}, {1, 1, 1}, {0, 0x1p-22f, 0}, {0, 0, 0.5f}};
+  mesh.triangles = {{1, 2, 3}};
+  const TriangleMesh fine = SimplifyGrid(mesh, std::size_t{1} << 22);
+  EXPECT_TRUE(SameBytes(fine, SimplifyGrid(mesh, kMaxGridCellsPerAxis)));
+  ASSERT_EQ(fine.triangle_count(), 1u);
+  EXPECT_TRUE(fine.IsValid());
+  EXPECT_EQ(fine.vertex_count(), 3u);  // (0,0,0) and (0,2^-22,0) share a cell
+  EXPECT_FLOAT_EQ(fine.positions[fine.triangles[0][2]].z, 0.5f);
+}
 
 TEST(Simplify, BoundingBoxProxyIsTwelveTriangles) {
   const TriangleMesh mesh = GenerateHead(5000, 2);

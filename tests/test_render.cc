@@ -2,6 +2,7 @@
 // calibrated cost model, scenarios, and the frame loop.
 #include <gtest/gtest.h>
 
+#include <array>
 #include <cmath>
 #include <set>
 #include <vector>
@@ -134,6 +135,30 @@ TEST(LodLadder, TriangleCountsMatchPaperRatios) {
   EXPECT_NEAR(distance_ratio, 0.577, 0.2);
   EXPECT_NEAR(peripheral_ratio, 0.27, 0.12);
   EXPECT_LT(peripheral_ratio, distance_ratio);
+}
+
+// Pins the exact triangle count of every LOD class for five personas under
+// the default (FaceTime) policy, as built by the real simplifier.
+TEST(LodLadder, GoldenTriangleCounts) {
+  const LodPolicy policy;
+  std::vector<std::array<std::size_t, 5>> counts;
+  for (std::uint64_t seed = 1000; seed <= 1004; ++seed) {
+    const PersonaLodLadder ladder(seed, policy);
+    std::array<std::size_t, 5> row{};
+    for (std::size_t c = 0; c < row.size(); ++c) {
+      row[c] = ladder.TriangleCount(static_cast<LodClass>(c));
+    }
+    counts.push_back(row);
+  }
+  // Columns: kFull, kDistance, kPeripheral, kProxy, kCulledOccluded.
+  const std::vector<std::array<std::size_t, 5>> expected = {
+      {78028, 45076, 21140, 36, 0},
+      {78028, 44920, 21160, 36, 0},
+      {78028, 44888, 21194, 36, 0},
+      {78028, 44982, 20970, 36, 0},
+      {78028, 45086, 20888, 36, 0},
+  };
+  EXPECT_EQ(counts, expected);
 }
 
 // --- cost model ----------------------------------------------------------------------

@@ -3,6 +3,8 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdint>
+#include <limits>
 
 #include "compress/bitstream.h"
 #include "mesh/generator.h"
@@ -249,6 +251,38 @@ TEST(Reconstructor, NeutralInputIsIdentity) {
   for (std::size_t i = 0; i < persona.vertex_count(); ++i) {
     EXPECT_NEAR((out.positions[i] - persona.positions[i]).Length(), 0.0f, 1e-6f);
   }
+}
+
+// Pins 200 reconstructions of a full-size persona driven by a behavioural
+// track. Recorded while the reconstructor kept a whole copy of the base mesh.
+TEST(Reconstructor, GoldenApplyDigest) {
+  PersonaReconstructor recon(mesh::GeneratePersona(1000));
+  KeypointTrackGenerator track({}, 77);
+  std::uint64_t h = 1469598103934665603ull;
+  for (int f = 0; f < 200; ++f) {
+    const mesh::TriangleMesh& out = recon.Apply(ExtractSemanticSubset(track.Next()));
+    const auto* p = reinterpret_cast<const std::uint8_t*>(out.positions.data());
+    for (std::size_t i = 0; i < out.positions.size() * sizeof(Vec3); ++i) {
+      h = (h ^ p[i]) * 1099511628211ull;
+    }
+  }
+  EXPECT_EQ(recon.influenced_vertex_count(), 11536u);
+  EXPECT_EQ(h, 9288102567650967682ull);
+}
+
+TEST(Reconstructor, InvalidConfigThrows) {
+  const mesh::TriangleMesh persona = mesh::GeneratePersona(4, 600);
+  const float inf = std::numeric_limits<float>::infinity();
+  const float nan = std::numeric_limits<float>::quiet_NaN();
+  for (const float sigma : {0.0f, -0.02f, inf, nan}) {
+    EXPECT_THROW(PersonaReconstructor(persona, {.influence_sigma_m = sigma}),
+                 std::invalid_argument)
+        << sigma;
+  }
+  EXPECT_THROW(PersonaReconstructor(persona, {.max_influence_m = -0.01f}),
+               std::invalid_argument);
+  // The limits themselves are accepted: a zero radius leaves nothing animated.
+  EXPECT_EQ(PersonaReconstructor(persona, {.max_influence_m = 0}).influenced_vertex_count(), 0u);
 }
 
 TEST(Reconstructor, WrongPointCountThrows) {
