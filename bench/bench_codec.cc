@@ -1,31 +1,23 @@
-// SIMD/batch codec engine benchmark: the multi-lane rANS entropy stage and
-// the vectorized video codec against their serial predecessors.
+// Video codec engine benchmark: the vectorized video encoder against its
+// serial predecessor.
 //
-//   1. entropy lanes A/B — the keypoint workload of bench_compress (11-bit
-//      quantized temporal deltas @ 90 FPS), compressed with VTP_ENTROPY=
-//      legacy (serial range coder) and lanes (interleaved rANS) through the
-//      same parse. Baseline is the legacy per-call compressor, as in
-//      bench_compress; decode timings ride along because the forward
-//      single-pass rANS decode is where interleaving pays most;
-//   2. video encode A/B — a talking-head sequence through (a) a pinned
+//   1. video encode A/B — a talking-head sequence through (a) a pinned
 //      replica of the pre-SIMD scalar encoder (per-call recon allocation,
 //      double SAD with per-pixel clamping, divide-based quantization) and
-//      (b) the vectorized encoder in legacy and lanes entropy modes;
-//   3. steady-state allocations — warm EncodeInto/DecodeInto and lanes
-//      CompressInto loops must not touch the heap.
+//      (b) the vectorized encoder;
+//   2. steady-state allocations — warm EncodeInto/DecodeInto loops must not
+//      touch the heap.
 //
 // Results go to BENCH_codec.json (override with VTP_BENCH_JSON) including
 // the compile-time SIMD ISA; `--smoke` shrinks the run for CI. Exit is
 // nonzero on any correctness failure, steady-state allocation, or an A/B
-// speedup below 1.0 (the 2x/3x targets are recorded in the JSON and
-// enforced out-of-band — CI boxes share cores, so the hard gate is
-// regression-only).
+// speedup below 1.0 (the 3x target is recorded in the JSON and enforced
+// out-of-band — CI boxes share cores, so the hard gate is regression-only).
 #include <algorithm>
 #include <array>
 #include <atomic>
 #include <cmath>
 #include <cstdlib>
-#include <cstring>
 #include <iostream>
 #include <new>
 #include <numbers>
@@ -36,16 +28,11 @@
 #include "bench/bench_util.h"
 #include "bench/report.h"
 #include "compress/entropy.h"
-#include "compress/lzr.h"
-#include "compress/lzr_stream.h"
 #include "compress/range_coder.h"
 #include "compress/varint.h"
 #include "core/json.h"
 #include "core/simd.h"
 #include "core/table.h"
-#include "semantic/codec.h"
-#include "semantic/generator.h"
-#include "semantic/keypoints.h"
 #include "video/codec.h"
 #include "video/frame.h"
 #include "video/talking_head.h"
@@ -323,150 +310,20 @@ class Encoder {
 
 namespace {
 
-using Chunks = std::vector<std::vector<std::uint8_t>>;
-
-compress::LzParams EntropyParams(compress::EntropyMode mode) {
-  compress::LzParams p;
-  p.entropy = mode;
-  return p;
-}
-
-Chunks KeypointPayloads(int frames) {
-  semantic::KeypointTrackGenerator generator({}, 9);
-  semantic::SemanticEncoder encoder(
-      {.quantize_bits = 11, .temporal_delta = true, .lz_compress = false});
-  Chunks out;
-  out.reserve(static_cast<std::size_t>(frames));
-  for (int i = 0; i < frames; ++i) {
-    out.push_back(encoder.EncodeFrame(semantic::ExtractSemanticSubset(generator.Next())));
-  }
-  return out;
-}
-
-// ---- entropy lanes A/B ------------------------------------------------------
-
-struct EntropyResult {
-  std::size_t input_bytes = 0;
-  std::size_t legacy_bytes = 0;
-  std::size_t lanes_bytes = 0;
-  double baseline_wall_s = 0;      ///< legacy per-call compressor (bench_compress A-side)
-  double legacy_wall_s = 0;        ///< streaming encoder, serial range coder
-  double lanes_wall_s = 0;         ///< streaming encoder, interleaved rANS
-  double legacy_decode_wall_s = 0;
-  double lanes_decode_wall_s = 0;
-  bool roundtrip_ok = true;
-
-  double lanes_speedup() const { return lanes_wall_s > 0 ? baseline_wall_s / lanes_wall_s : 0; }
-  double legacy_speedup() const { return legacy_wall_s > 0 ? baseline_wall_s / legacy_wall_s : 0; }
-  double decode_speedup() const {
-    return lanes_decode_wall_s > 0 ? legacy_decode_wall_s / lanes_decode_wall_s : 0;
-  }
-};
-
-EntropyResult RunEntropyAb(const Chunks& chunks, int reps) {
-  EntropyResult r;
-  const compress::LzParams legacy = EntropyParams(compress::EntropyMode::kLegacy);
-  const compress::LzParams lanes = EntropyParams(compress::EntropyMode::kLanes);
-
-  // Correctness pass (untimed): both modes round-trip every chunk.
-  compress::LzrEncoder encoder;
-  std::vector<std::uint8_t> packed, unpacked;
-  for (const auto& chunk : chunks) {
-    r.input_bytes += chunk.size();
-    for (const compress::LzParams* params : {&legacy, &lanes}) {
-      packed.clear();
-      encoder.CompressInto(chunk, packed, *params);
-      (params == &legacy ? r.legacy_bytes : r.lanes_bytes) += packed.size();
-      compress::LzrDecompressInto(packed, unpacked);
-      if (unpacked.size() != chunk.size() ||
-          (!chunk.empty() && std::memcmp(unpacked.data(), chunk.data(), chunk.size()) != 0)) {
-        r.roundtrip_ok = false;
-      }
-    }
-  }
-
-  // Timed sweeps, interleaved, best-of-reps (shared-core CI box).
-  std::size_t sink = 0;
-  compress::LzrEncoder hot;
-  std::vector<std::uint8_t> out;
-  hot.CompressInto(chunks.front(), out, lanes);  // warm arena + rANS scratch
-  // Pre-compressed streams for the decode sweeps (one buffer per chunk).
-  Chunks legacy_streams, lanes_streams;
-  for (const auto& chunk : chunks) {
-    out.clear();
-    hot.CompressInto(chunk, out, legacy);
-    legacy_streams.push_back(out);
-    out.clear();
-    hot.CompressInto(chunk, out, lanes);
-    lanes_streams.push_back(out);
-  }
-  for (int rep = 0; rep < reps; ++rep) {
-    {
-      const bench::WallTimer timer;
-      for (const auto& chunk : chunks) sink += compress::LzrCompressLegacy(chunk, legacy).size();
-      const double s = timer.seconds();
-      if (rep == 0 || s < r.baseline_wall_s) r.baseline_wall_s = s;
-    }
-    {
-      const bench::WallTimer timer;
-      for (const auto& chunk : chunks) {
-        out.clear();
-        hot.CompressInto(chunk, out, legacy);
-        sink += out.size();
-      }
-      const double s = timer.seconds();
-      if (rep == 0 || s < r.legacy_wall_s) r.legacy_wall_s = s;
-    }
-    {
-      const bench::WallTimer timer;
-      for (const auto& chunk : chunks) {
-        out.clear();
-        hot.CompressInto(chunk, out, lanes);
-        sink += out.size();
-      }
-      const double s = timer.seconds();
-      if (rep == 0 || s < r.lanes_wall_s) r.lanes_wall_s = s;
-    }
-    {
-      const bench::WallTimer timer;
-      for (const auto& stream : legacy_streams) {
-        compress::LzrDecompressInto(stream, unpacked);
-        sink += unpacked.size();
-      }
-      const double s = timer.seconds();
-      if (rep == 0 || s < r.legacy_decode_wall_s) r.legacy_decode_wall_s = s;
-    }
-    {
-      const bench::WallTimer timer;
-      for (const auto& stream : lanes_streams) {
-        compress::LzrDecompressInto(stream, unpacked);
-        sink += unpacked.size();
-      }
-      const double s = timer.seconds();
-      if (rep == 0 || s < r.lanes_decode_wall_s) r.lanes_decode_wall_s = s;
-    }
-  }
-  if (sink == 0) std::cout << "";
-  return r;
-}
-
 // ---- video encode A/B -------------------------------------------------------
 
 struct VideoResult {
   std::size_t frames = 0;
   std::size_t seed_bytes = 0;
   std::size_t new_bytes = 0;
-  std::size_t lanes_bytes = 0;
   double seed_wall_s = 0;
-  double new_wall_s = 0;    ///< vectorized encoder, legacy entropy
-  double lanes_wall_s = 0;  ///< vectorized encoder, rANS lanes
+  double new_wall_s = 0;    ///< vectorized encoder
   double psnr_db = 0;       ///< decoded new stream vs source, last frame
   bool decode_ok = true;
   bool size_parity = true;  ///< new <= 110% of seed (smaller is fine: the
                             ///< sig-bit AC scheme beats the seed layout)
 
   double speedup() const { return new_wall_s > 0 ? seed_wall_s / new_wall_s : 0; }
-  double lanes_speedup() const { return lanes_wall_s > 0 ? seed_wall_s / lanes_wall_s : 0; }
 };
 
 VideoResult RunVideoAb(video::Resolution res, int frames, int reps, int qp, int gop) {
@@ -480,27 +337,18 @@ VideoResult RunVideoAb(video::Resolution res, int frames, int reps, int qp, int 
     for (int i = 0; i < frames; ++i) sequence.push_back(source.Next());
   }
 
-  // Correctness pass: the new encoder's streams decode, and both entropy
-  // modes reconstruct identical pixels (checked via decoded luma).
+  // Correctness pass: the new encoder's streams decode.
   {
-    video::VideoCodecConfig legacy_cfg{.gop_length = gop,
-                                       .entropy = compress::EntropyMode::kLegacy};
-    video::VideoCodecConfig lanes_cfg{.gop_length = gop,
-                                      .entropy = compress::EntropyMode::kLanes};
     seedvideo::Encoder seed(res, gop);
-    video::VideoEncoder enc(res, legacy_cfg), enc_lanes(res, lanes_cfg);
-    video::VideoDecoder dec(res), dec_lanes(res);
+    video::VideoEncoder enc(res, {.gop_length = gop});
+    video::VideoDecoder dec(res);
     video::EncodedFrame out;
-    video::VideoFrame decoded, decoded_lanes;
+    video::VideoFrame decoded;
     for (int i = 0; i < frames; ++i) {
       r.seed_bytes += seed.Encode(sequence[static_cast<std::size_t>(i)], qp).bytes.size();
       enc.EncodeInto(sequence[static_cast<std::size_t>(i)], qp, out);
       r.new_bytes += out.bytes.size();
       if (!dec.DecodeInto(out.bytes, decoded)) r.decode_ok = false;
-      enc_lanes.EncodeInto(sequence[static_cast<std::size_t>(i)], qp, out);
-      r.lanes_bytes += out.bytes.size();
-      if (!dec_lanes.DecodeInto(out.bytes, decoded_lanes)) r.decode_ok = false;
-      if (decoded.luma != decoded_lanes.luma) r.decode_ok = false;
     }
     r.psnr_db = video::Psnr(sequence.back(), decoded);
     r.size_parity =
@@ -508,7 +356,7 @@ VideoResult RunVideoAb(video::Resolution res, int frames, int reps, int qp, int 
   }
 
   // Timed sweeps. Fresh encoders per sweep so every rep pays the same
-  // keyframe/GOP schedule; interleaved best-of-reps as above.
+  // keyframe/GOP schedule; interleaved best-of-reps (shared-core CI box).
   std::size_t sink = 0;
   video::EncodedFrame out;
   for (int rep = 0; rep < reps; ++rep) {
@@ -520,11 +368,9 @@ VideoResult RunVideoAb(video::Resolution res, int frames, int reps, int qp, int 
       if (rep == 0 || s < r.seed_wall_s) r.seed_wall_s = s;
     }
     {
-      video::VideoEncoder enc(res, {.gop_length = gop,
-                                    .entropy = compress::EntropyMode::kLegacy});
+      video::VideoEncoder enc(res, {.gop_length = gop});
       enc.EncodeInto(sequence.front(), qp, out);  // warm buffers (untimed)
-      video::VideoEncoder timed(res, {.gop_length = gop,
-                                      .entropy = compress::EntropyMode::kLegacy});
+      video::VideoEncoder timed(res, {.gop_length = gop});
       const bench::WallTimer timer;
       for (const auto& f : sequence) {
         timed.EncodeInto(f, qp, out);
@@ -532,17 +378,6 @@ VideoResult RunVideoAb(video::Resolution res, int frames, int reps, int qp, int 
       }
       const double s = timer.seconds();
       if (rep == 0 || s < r.new_wall_s) r.new_wall_s = s;
-    }
-    {
-      video::VideoEncoder timed(res, {.gop_length = gop,
-                                      .entropy = compress::EntropyMode::kLanes});
-      const bench::WallTimer timer;
-      for (const auto& f : sequence) {
-        timed.EncodeInto(f, qp, out);
-        sink += out.bytes.size();
-      }
-      const double s = timer.seconds();
-      if (rep == 0 || s < r.lanes_wall_s) r.lanes_wall_s = s;
     }
   }
   if (sink == 0) std::cout << "";
@@ -552,35 +387,19 @@ VideoResult RunVideoAb(video::Resolution res, int frames, int reps, int qp, int 
 // ---- steady-state allocations ----------------------------------------------
 
 struct AllocResult {
-  std::uint64_t lanes_encode_allocs = 0;  ///< warm lanes CompressInto
   std::uint64_t video_encode_allocs = 0;  ///< warm VideoEncoder::EncodeInto
   std::uint64_t video_decode_allocs = 0;  ///< warm VideoDecoder::DecodeInto
 };
 
-AllocResult MeasureAllocs(const Chunks& payloads, video::Resolution res, int frames) {
+AllocResult MeasureAllocs(video::Resolution res, int frames) {
   AllocResult r;
-  const compress::LzParams lanes = EntropyParams(compress::EntropyMode::kLanes);
-
-  compress::LzrEncoder encoder;
-  std::vector<std::uint8_t> out;
-  for (const auto& p : payloads) {  // warm
-    out.clear();
-    encoder.CompressInto(p, out, lanes);
-  }
-  g_allocs.store(0, std::memory_order_relaxed);
-  for (const auto& p : payloads) {
-    out.clear();
-    encoder.CompressInto(p, out, lanes);
-  }
-  r.lanes_encode_allocs = g_allocs.load(std::memory_order_relaxed);
-
   video::TalkingHeadConfig src_config;
   src_config.resolution = res;
   video::TalkingHeadSource source(src_config, 31);
   std::vector<video::VideoFrame> sequence;
   for (int i = 0; i < frames; ++i) sequence.push_back(source.Next());
 
-  video::VideoEncoder enc(res, {.gop_length = 10, .entropy = compress::EntropyMode::kLanes});
+  video::VideoEncoder enc(res, {.gop_length = 10});
   video::VideoDecoder dec(res);
   video::EncodedFrame frame;
   video::VideoFrame decoded;
@@ -604,51 +423,30 @@ AllocResult MeasureAllocs(const Chunks& payloads, video::Resolution res, int fra
 
 int main(int argc, char** argv) {
   const bool smoke = argc > 1 && std::string(argv[1]) == "--smoke";
-  const int kp_frames = smoke ? 300 : 2000;
   const int reps = smoke ? 3 : 10;
   const video::Resolution res = smoke ? video::Resolution{160, 96} : video::Resolution{320, 192};
   const int video_frames = smoke ? 30 : 90;
 
-  std::cout << "Codec engine benchmark: rANS lanes + SIMD video (isa: " << simd::kIsaName
-            << ")" << (smoke ? " (smoke)" : "") << "\n";
+  std::cout << "Codec engine benchmark: SIMD video (isa: " << simd::kIsaName << ")"
+            << (smoke ? " (smoke)" : "") << "\n";
 
-  bench::Banner("1. entropy lanes A/B (keypoint deltas, " + std::to_string(kp_frames) +
-                " frames, " + std::to_string(reps) + " reps)");
-  const Chunks keypoints = KeypointPayloads(kp_frames);
-  const EntropyResult ent = RunEntropyAb(keypoints, reps);
-  std::cout << "baseline (legacy per-call):   " << core::Fmt(ent.baseline_wall_s, 4) << " s\n"
-            << "streaming, serial range coder: " << core::Fmt(ent.legacy_wall_s, 4) << " s ("
-            << core::Fmt(ent.legacy_speedup(), 2) << "x)\n"
-            << "streaming, rANS lanes:         " << core::Fmt(ent.lanes_wall_s, 4) << " s ("
-            << core::Fmt(ent.lanes_speedup(), 2) << "x, target >=2x)\n"
-            << "decode legacy vs lanes:        " << core::Fmt(ent.legacy_decode_wall_s, 4)
-            << " s vs " << core::Fmt(ent.lanes_decode_wall_s, 4) << " s ("
-            << core::Fmt(ent.decode_speedup(), 2) << "x)\n"
-            << "sizes: legacy " << ent.legacy_bytes << " B, lanes " << ent.lanes_bytes
-            << " B, roundtrip " << (ent.roundtrip_ok ? "ok" : "FAILED") << "\n";
-
-  bench::Banner("2. video encode A/B (" + std::to_string(res.width) + "x" +
+  bench::Banner("1. video encode A/B (" + std::to_string(res.width) + "x" +
                 std::to_string(res.height) + ", " + std::to_string(video_frames) + " frames)");
   const VideoResult vid = RunVideoAb(res, video_frames, reps, 14, 10);
-  std::cout << "seed scalar encoder:  " << core::Fmt(vid.seed_wall_s, 4) << " s\n"
-            << "SIMD encoder (legacy): " << core::Fmt(vid.new_wall_s, 4) << " s ("
+  std::cout << "seed scalar encoder: " << core::Fmt(vid.seed_wall_s, 4) << " s\n"
+            << "SIMD encoder:        " << core::Fmt(vid.new_wall_s, 4) << " s ("
             << core::Fmt(vid.speedup(), 2) << "x, target >=3x)\n"
-            << "SIMD encoder (lanes):  " << core::Fmt(vid.lanes_wall_s, 4) << " s ("
-            << core::Fmt(vid.lanes_speedup(), 2) << "x)\n"
             << "decoded PSNR " << core::Fmt(vid.psnr_db, 1) << " dB, decode "
             << (vid.decode_ok ? "ok" : "FAILED") << ", size parity "
             << (vid.size_parity ? "ok" : "FAILED") << "\n";
 
-  bench::Banner("3. steady-state allocations (warm buffers)");
-  const AllocResult allocs = MeasureAllocs(keypoints, res, smoke ? 10 : 30);
-  std::cout << "lanes CompressInto:        " << allocs.lanes_encode_allocs << " allocs\n"
-            << "VideoEncoder::EncodeInto:  " << allocs.video_encode_allocs << " allocs\n"
+  bench::Banner("2. steady-state allocations (warm buffers)");
+  const AllocResult allocs = MeasureAllocs(res, smoke ? 10 : 30);
+  std::cout << "VideoEncoder::EncodeInto:  " << allocs.video_encode_allocs << " allocs\n"
             << "VideoDecoder::DecodeInto:  " << allocs.video_decode_allocs << " allocs\n";
-  const bool alloc_free = allocs.lanes_encode_allocs == 0 && allocs.video_encode_allocs == 0 &&
-                          allocs.video_decode_allocs == 0;
+  const bool alloc_free = allocs.video_encode_allocs == 0 && allocs.video_decode_allocs == 0;
 
-  const bool correctness_ok =
-      ent.roundtrip_ok && vid.decode_ok && vid.size_parity && vid.psnr_db >= 40.0;
+  const bool correctness_ok = vid.decode_ok && vid.size_parity && vid.psnr_db >= 40.0;
 
   // ---- JSON ---------------------------------------------------------------
   bench::JsonReport report("codec");
@@ -656,22 +454,6 @@ int main(int argc, char** argv) {
   w.Key("smoke"); w.Bool(smoke);
   w.Key("isa"); w.String(simd::kIsaName);
   w.Key("vector_isa"); w.Bool(simd::kVectorIsa);
-  w.Key("entropy");
-  w.BeginObject();
-  w.Key("frames"); w.Int(kp_frames);
-  w.Key("input_bytes"); w.Int(static_cast<std::int64_t>(ent.input_bytes));
-  w.Key("legacy_bytes"); w.Int(static_cast<std::int64_t>(ent.legacy_bytes));
-  w.Key("lanes_bytes"); w.Int(static_cast<std::int64_t>(ent.lanes_bytes));
-  w.Key("baseline_wall_s"); w.Number(ent.baseline_wall_s);
-  w.Key("legacy_wall_s"); w.Number(ent.legacy_wall_s);
-  w.Key("lanes_wall_s"); w.Number(ent.lanes_wall_s);
-  w.Key("legacy_decode_wall_s"); w.Number(ent.legacy_decode_wall_s);
-  w.Key("lanes_decode_wall_s"); w.Number(ent.lanes_decode_wall_s);
-  w.Key("lanes_speedup"); w.Number(ent.lanes_speedup());
-  w.Key("decode_speedup"); w.Number(ent.decode_speedup());
-  w.Key("speedup_target"); w.Number(2.0);
-  w.Key("roundtrip_ok"); w.Bool(ent.roundtrip_ok);
-  w.EndObject();
   w.Key("video");
   w.BeginObject();
   w.Key("width"); w.Int(res.width);
@@ -679,12 +461,9 @@ int main(int argc, char** argv) {
   w.Key("frames"); w.Int(static_cast<std::int64_t>(vid.frames));
   w.Key("seed_bytes"); w.Int(static_cast<std::int64_t>(vid.seed_bytes));
   w.Key("new_bytes"); w.Int(static_cast<std::int64_t>(vid.new_bytes));
-  w.Key("lanes_bytes"); w.Int(static_cast<std::int64_t>(vid.lanes_bytes));
   w.Key("seed_wall_s"); w.Number(vid.seed_wall_s);
   w.Key("new_wall_s"); w.Number(vid.new_wall_s);
-  w.Key("lanes_wall_s"); w.Number(vid.lanes_wall_s);
   w.Key("speedup"); w.Number(vid.speedup());
-  w.Key("lanes_speedup"); w.Number(vid.lanes_speedup());
   w.Key("speedup_target"); w.Number(3.0);
   w.Key("psnr_db"); w.Number(vid.psnr_db);
   w.Key("decode_ok"); w.Bool(vid.decode_ok);
@@ -692,7 +471,6 @@ int main(int argc, char** argv) {
   w.EndObject();
   w.Key("steady_state");
   w.BeginObject();
-  w.Key("lanes_encode_allocs"); w.Int(static_cast<std::int64_t>(allocs.lanes_encode_allocs));
   w.Key("video_encode_allocs"); w.Int(static_cast<std::int64_t>(allocs.video_encode_allocs));
   w.Key("video_decode_allocs"); w.Int(static_cast<std::int64_t>(allocs.video_decode_allocs));
   w.EndObject();
@@ -704,9 +482,6 @@ int main(int argc, char** argv) {
 
   if (!correctness_ok) std::cout << "FAIL: correctness checks failed\n";
   if (!alloc_free) std::cout << "FAIL: steady-state codec path allocated\n";
-  if (ent.lanes_speedup() < 1.0) std::cout << "FAIL: lanes slower than legacy baseline\n";
   if (vid.speedup() < 1.0) std::cout << "FAIL: SIMD video encode slower than seed\n";
-  return correctness_ok && alloc_free && ent.lanes_speedup() >= 1.0 && vid.speedup() >= 1.0
-             ? 0
-             : 1;
+  return correctness_ok && alloc_free && vid.speedup() >= 1.0 ? 0 : 1;
 }

@@ -9,12 +9,11 @@
 //   2. corpora — random / repetitive / constant / text / mesh-residual
 //      streams, checking byte-identity and round-trips away from the sweet
 //      spot;
-//   3. lazy parser — compressed-size ratios of kLazy vs kGreedy per corpus;
-//   4. steady-state allocations — a global operator-new counter around the
+//   3. steady-state allocations — a global operator-new counter around the
 //      warm encode loops (EncodeFrameInto and LzrEncoder::CompressInto must
 //      not touch the heap once buffers are warm).
 //
-// Every mode asserts byte-identical decompressed output, and greedy asserts
+// Every workload asserts byte-identical decompressed output and
 // byte-identical *compressed* output vs legacy. Results go to
 // BENCH_compress.json (override with VTP_BENCH_JSON); `--smoke` shrinks the
 // run for CI. Exit is nonzero on any correctness failure, steady-state
@@ -62,18 +61,6 @@ void operator delete[](void* p, std::size_t) noexcept { std::free(p); }
 namespace {
 
 using Chunks = std::vector<std::vector<std::uint8_t>>;
-
-compress::LzParams GreedyParams() {
-  compress::LzParams p;
-  p.parser = compress::LzParser::kGreedy;
-  return p;
-}
-
-compress::LzParams LazyParams() {
-  compress::LzParams p;
-  p.parser = compress::LzParser::kLazy;
-  return p;
-}
 
 // ---- workloads --------------------------------------------------------------
 
@@ -186,21 +173,15 @@ struct WorkloadResult {
   std::size_t chunks = 0;
   std::size_t input_bytes = 0;
   std::size_t greedy_bytes = 0;
-  std::size_t lazy_bytes = 0;
   double legacy_wall_s = 0;
   double new_wall_s = 0;
   bool greedy_identical = true;  ///< new greedy bytes == legacy bytes
-  bool roundtrip_ok = true;      ///< greedy + lazy both decode to the input
-  bool lazy_not_worse = true;    ///< lazy_bytes <= greedy_bytes
+  bool roundtrip_ok = true;      ///< greedy stream decodes to the input
   bool size_exact = true;        ///< CompressedSize == Compress().size()
 
   double speedup() const { return new_wall_s > 0 ? legacy_wall_s / new_wall_s : 0; }
   double greedy_ratio() const {
     return input_bytes > 0 ? static_cast<double>(greedy_bytes) / static_cast<double>(input_bytes)
-                           : 0;
-  }
-  double lazy_ratio() const {
-    return input_bytes > 0 ? static_cast<double>(lazy_bytes) / static_cast<double>(input_bytes)
                            : 0;
   }
 };
@@ -209,10 +190,9 @@ WorkloadResult RunWorkload(const std::string& name, const Chunks& chunks, int re
   WorkloadResult r;
   r.name = name;
   r.chunks = chunks.size();
-  const compress::LzParams greedy = GreedyParams();
-  const compress::LzParams lazy = LazyParams();
+  const compress::LzParams greedy;
 
-  // Correctness pass (untimed): greedy byte-identity, both round-trips,
+  // Correctness pass (untimed): byte-identity with legacy, round-trip,
   // counting-sink exactness.
   compress::LzrEncoder encoder;
   std::vector<std::uint8_t> packed, unpacked;
@@ -229,16 +209,7 @@ WorkloadResult RunWorkload(const std::string& name, const Chunks& chunks, int re
         (!chunk.empty() && std::memcmp(unpacked.data(), chunk.data(), chunk.size()) != 0)) {
       r.roundtrip_ok = false;
     }
-    packed.clear();
-    encoder.CompressInto(chunk, packed, lazy);
-    r.lazy_bytes += packed.size();
-    compress::LzrDecompressInto(packed, unpacked);
-    if (unpacked.size() != chunk.size() ||
-        (!chunk.empty() && std::memcmp(unpacked.data(), chunk.data(), chunk.size()) != 0)) {
-      r.roundtrip_ok = false;
-    }
   }
-  r.lazy_not_worse = r.lazy_bytes <= r.greedy_bytes;
 
   // Timed A/B. Both sides do identical greedy work; only the machinery
   // (per-call tables + token vector vs persistent arena + fused coder)
@@ -336,15 +307,12 @@ void WriteWorkload(core::JsonWriter& w, const WorkloadResult& r) {
   w.Key("chunks"); w.Int(static_cast<std::int64_t>(r.chunks));
   w.Key("input_bytes"); w.Int(static_cast<std::int64_t>(r.input_bytes));
   w.Key("greedy_bytes"); w.Int(static_cast<std::int64_t>(r.greedy_bytes));
-  w.Key("lazy_bytes"); w.Int(static_cast<std::int64_t>(r.lazy_bytes));
   w.Key("greedy_ratio"); w.Number(r.greedy_ratio());
-  w.Key("lazy_ratio"); w.Number(r.lazy_ratio());
   w.Key("legacy_wall_s"); w.Number(r.legacy_wall_s);
   w.Key("new_wall_s"); w.Number(r.new_wall_s);
   w.Key("speedup"); w.Number(r.speedup());
   w.Key("greedy_identical"); w.Bool(r.greedy_identical);
   w.Key("roundtrip_ok"); w.Bool(r.roundtrip_ok);
-  w.Key("lazy_not_worse"); w.Bool(r.lazy_not_worse);
   w.Key("counting_size_exact"); w.Bool(r.size_exact);
   w.EndObject();
 }
@@ -382,15 +350,14 @@ int main(int argc, char** argv) {
       RunWorkload("mesh_residuals", MeshResidualChunks(smoke ? 10000 : 30000, 16), reps));
 
   core::TextTable table;
-  table.SetHeader({"workload", "in (KB)", "greedy ratio", "lazy ratio", "legacy (s)", "new (s)",
-                   "speedup", "identical", "roundtrip"});
+  table.SetHeader({"workload", "in (KB)", "greedy ratio", "legacy (s)", "new (s)", "speedup",
+                   "identical", "roundtrip"});
   bool correctness_ok = true;
   for (const WorkloadResult& r : results) {
-    correctness_ok = correctness_ok && r.greedy_identical && r.roundtrip_ok &&
-                     r.lazy_not_worse && r.size_exact;
+    correctness_ok = correctness_ok && r.greedy_identical && r.roundtrip_ok && r.size_exact;
     table.AddRow({r.name, core::Fmt(static_cast<double>(r.input_bytes) / 1024.0, 0),
-                  core::Fmt(r.greedy_ratio(), 3), core::Fmt(r.lazy_ratio(), 3),
-                  core::Fmt(r.legacy_wall_s, 3), core::Fmt(r.new_wall_s, 3),
+                  core::Fmt(r.greedy_ratio(), 3), core::Fmt(r.legacy_wall_s, 3),
+                  core::Fmt(r.new_wall_s, 3),
                   core::Fmt(r.speedup(), 2) + "x", r.greedy_identical ? "yes" : "NO",
                   r.roundtrip_ok ? "yes" : "NO"});
   }

@@ -56,24 +56,6 @@ void BM_LzrEncoderCompressKeypointFrame(benchmark::State& state) {
 }
 BENCHMARK(BM_LzrEncoderCompressKeypointFrame);
 
-void BM_LzrEncoderCompressKeypointFrameLazy(benchmark::State& state) {
-  semantic::KeypointTrackGenerator gen({}, 1);
-  semantic::SemanticEncoder enc(
-      {.quantize_bits = 11, .temporal_delta = true, .lz_compress = false});
-  const auto raw = enc.EncodeFrame(semantic::ExtractSemanticSubset(gen.Next()));
-  compress::LzrEncoder lzr;
-  compress::LzParams params;
-  params.parser = compress::LzParser::kLazy;
-  std::vector<std::uint8_t> out;
-  for (auto _ : state) {
-    out.clear();
-    lzr.CompressInto(raw, out, params);
-    benchmark::DoNotOptimize(out.data());
-  }
-  state.SetBytesProcessed(static_cast<std::int64_t>(state.iterations() * raw.size()));
-}
-BENCHMARK(BM_LzrEncoderCompressKeypointFrameLazy);
-
 void BM_LzrRoundTripText(benchmark::State& state) {
   std::vector<std::uint8_t> data;
   for (int i = 0; i < 1000; ++i) {

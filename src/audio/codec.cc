@@ -68,7 +68,7 @@ const std::array<float, kBlock>& StepsFor(int quality) {
 /// every output is the float the plain `acc += in[i] * m[i][j]` loop gives.
 /// Six vectors (24 outputs) stay in registers across the whole i loop.
 void Transform(const float* in, const Basis::Matrix& m, float* out) {
-  constexpr int kLanes = 4, kVectors = 6, kSpan = kLanes * kVectors;
+  constexpr int kWidth = 4, kVectors = 6, kSpan = kWidth * kVectors;
   static_assert(kBlock % kSpan == 0);
   for (int j = 0; j < kBlock; j += kSpan) {
     simd::F32x4 acc[kVectors];
@@ -77,10 +77,10 @@ void Transform(const float* in, const Basis::Matrix& m, float* out) {
       const simd::F32x4 s = simd::Broadcast(in[i]);
       const float* row = &m[static_cast<std::size_t>(i)][static_cast<std::size_t>(j)];
       for (int v = 0; v < kVectors; ++v) {
-        acc[v] = simd::Madd(s, simd::Load(row + kLanes * v), acc[v]);
+        acc[v] = simd::Madd(s, simd::Load(row + kWidth * v), acc[v]);
       }
     }
-    for (int v = 0; v < kVectors; ++v) simd::Store(out + j + kLanes * v, acc[v]);
+    for (int v = 0; v < kVectors; ++v) simd::Store(out + j + kWidth * v, acc[v]);
   }
 }
 

@@ -2,25 +2,13 @@
 
 namespace vtp::compress {
 
-CodecEngine::CodecEngine(LzParams params) : params_(params) {}
-
 void CodecEngine::CompressInto(std::span<const std::uint8_t> data,
                                std::vector<std::uint8_t>& out) {
   const std::size_t before = out.size();
-  lzr_.CompressInto(data, out, params_);
+  lzr_.CompressInto(data, out);
   ++stats_.frames;
   stats_.bytes_in += data.size();
   stats_.bytes_out += out.size() - before;
-}
-
-void CodecEngine::CompressBatch(std::span<const std::span<const std::uint8_t>> inputs,
-                                std::vector<std::vector<std::uint8_t>>& outputs) {
-  outputs.resize(inputs.size());
-  for (std::size_t i = 0; i < inputs.size(); ++i) {
-    outputs[i].clear();
-    CompressInto(inputs[i], outputs[i]);
-  }
-  NoteBatch();
 }
 
 }  // namespace vtp::compress

@@ -8,11 +8,9 @@
 // clearing between personas) and byte-identical to per-sender encoding,
 // which tests pin via ReuseAcrossInputsMatchesFreshEncoder.
 //
-// The engine also fixes the entropy stage once at construction (resolving
-// VTP_ENTROPY at session setup rather than per frame) and is the natural
-// place for batch-level counters: frames batched, lanes active, bytes
-// in/out. The vca session exposes these through the metric registry under
-// the "codec.engine" scope.
+// The engine is also where the session-level counters live: frames and
+// bytes in/out. The vca session exposes these through the metric registry
+// under the "codec.engine" scope.
 //
 // Not thread-safe — one engine per session/thread, like the encoders it
 // replaces.
@@ -28,49 +26,22 @@ namespace vtp::compress {
 
 class CodecEngine {
  public:
-  /// `params` fixes the parse and entropy configuration for every payload
-  /// the engine compresses (defaults resolve the VTP_LZ_PARSER and
-  /// VTP_ENTROPY knobs at construction).
-  explicit CodecEngine(LzParams params = {});
-
   /// Compresses one payload through the shared arena, appending to `out`.
   void CompressInto(std::span<const std::uint8_t> data, std::vector<std::uint8_t>& out);
-
-  /// Batch entry point: compresses inputs[i] into outputs[i] (each
-  /// replaced) back to back through the one warm arena. outputs is resized
-  /// to match. This is the whole-call encode step: all personas' frames go
-  /// through here once per tick instead of round-robining cold encoders.
-  void CompressBatch(std::span<const std::span<const std::uint8_t>> inputs,
-                     std::vector<std::vector<std::uint8_t>>& outputs);
-
-  /// Tallies one batch. Batch front-ends that assemble their own payload
-  /// headers (e.g. semantic::SemanticBatchEncoder) call CompressInto per
-  /// frame and mark the batch boundary here; CompressBatch does both.
-  void NoteBatch() { ++stats_.batches; }
 
   /// Engine-level tallies (the "codec.engine" metric scope).
   struct Stats {
     std::uint64_t frames = 0;    ///< payloads compressed through the engine
-    std::uint64_t batches = 0;   ///< CompressBatch calls
     std::uint64_t bytes_in = 0;  ///< raw payload bytes in
     std::uint64_t bytes_out = 0; ///< compressed bytes out
   };
   const Stats& stats() const { return stats_; }
-
-  /// rANS lanes the entropy stage interleaves, or 0 in legacy mode.
-  int lanes_active() const {
-    if (params_.entropy != EntropyMode::kLanes) return 0;
-    return RansValidLanes(params_.entropy_lanes) ? params_.entropy_lanes : kRansDefaultLanes;
-  }
-
-  const LzParams& params() const { return params_; }
 
   /// The shared hot path (arena/token stats for benches and probes).
   LzrEncoder& lzr() { return lzr_; }
   const LzrEncoder& lzr() const { return lzr_; }
 
  private:
-  LzParams params_;
   LzrEncoder lzr_;
   Stats stats_;
 };

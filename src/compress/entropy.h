@@ -13,9 +13,9 @@ namespace vtp::compress {
 /// through an adaptive bit tree, then the value's trailing bits at
 /// probability 1/2. Small magnitudes cost ~2-4 bits after adaptation.
 /// Used by the mesh codec (position/index residuals) and the video codec
-/// (quantized DCT coefficients). Encode/Decode template over the coder so
-/// the same tree drives the serial range coder and the multi-lane rANS
-/// stage (rans.h) interchangeably.
+/// (quantized DCT coefficients). Encode templates over the coder so the
+/// same tree drives a RangeEncoder and its register-resident
+/// RangeEncoder::Hot session.
 class SignedValueCoder {
  public:
   template <class Encoder>

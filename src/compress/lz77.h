@@ -4,15 +4,11 @@
 // container entropy-codes. Kept separate from the container so other codecs
 // can reuse the matcher (e.g. for byte-plane compression experiments).
 //
-// Two parsers are available (LzParams::parser, overridable with the
-// VTP_LZ_PARSER environment variable):
-//   * greedy — take the longest match at every position; the historical
-//     default, and the mode whose output is frozen for format stability;
-//   * lazy   — zlib/LZMA-style one-step deferral: prefer a longer match at
-//     pos+1 over a match at pos. Denser parses on structured data.
+// The parser is greedy: it takes the longest match at every position, and
+// its output is frozen for format stability.
 //
 // The hot-path implementation lives in match_finder.h (a persistent,
-// allocation-free MatchFinder plus template parse drivers); the free
+// allocation-free MatchFinder plus a template parse driver); the free
 // functions here are convenience wrappers that allocate per call. The
 // original per-call tokenizer is retained verbatim as LzTokenizeLegacy —
 // it is the differential baseline for tests and bench_compress.
@@ -22,8 +18,6 @@
 #include <cstring>
 #include <span>
 #include <vector>
-
-#include "core/knobs.h"
 
 namespace vtp::compress {
 
@@ -35,27 +29,6 @@ struct LzToken {
   std::uint32_t distance = 0;   // valid when is_match; >= 1
 };
 
-/// Match-parsing strategy (see file comment).
-enum class LzParser : std::uint8_t { kGreedy, kLazy };
-
-/// Parser selected by VTP_LZ_PARSER ("greedy"/"lazy"); greedy when unset or
-/// unrecognized. Allocation-free so it can run per frame.
-inline LzParser DefaultLzParser() {
-  return core::knobs::kLzParser.Is("lazy") ? LzParser::kLazy : LzParser::kGreedy;
-}
-
-/// Entropy stage for the lzr container: the legacy serial adaptive range
-/// coder (LZR1, seed byte-identical) or the interleaved multi-lane rANS
-/// coder (LZR2, see compress/rans.h). Decode sniffs the container magic, so
-/// the choice only affects encoders.
-enum class EntropyMode : std::uint8_t { kLegacy, kLanes };
-
-/// Mode selected by VTP_ENTROPY ("legacy"/"lanes"); legacy when unset or
-/// unrecognized (malformed values are inert). Allocation-free.
-inline EntropyMode DefaultEntropyMode() {
-  return core::knobs::kEntropy.Is("lanes") ? EntropyMode::kLanes : EntropyMode::kLegacy;
-}
-
 /// Tunables for the match finder.
 struct LzParams {
   static constexpr std::uint32_t kMinMatch = 3;
@@ -63,18 +36,15 @@ struct LzParams {
 
   std::uint32_t window_size = 1u << 20;  ///< max back-reference distance
   int max_chain_length = 64;             ///< hash-chain probes per position
-  LzParser parser = DefaultLzParser();   ///< parse strategy (VTP_LZ_PARSER)
-  EntropyMode entropy = DefaultEntropyMode();  ///< entropy stage (VTP_ENTROPY)
-  int entropy_lanes = 8;  ///< rANS lane count; powers of two in [1, 16]
 };
 
-/// Tokenises `data` with the configured parser. Deterministic for identical
+/// Tokenises `data` with the greedy parser. Deterministic for identical
 /// inputs and params. Convenience wrapper over MatchFinder; allocates the
 /// finder per call — per-frame callers should hold an LzrEncoder instead.
 std::vector<LzToken> LzTokenize(std::span<const std::uint8_t> data, const LzParams& params = {});
 
 /// The pre-arena greedy tokenizer, kept verbatim as the differential
-/// baseline: LzTokenize in greedy mode must reproduce its output exactly.
+/// baseline: LzTokenize must reproduce its output exactly.
 std::vector<LzToken> LzTokenizeLegacy(std::span<const std::uint8_t> data,
                                       const LzParams& params = {});
 

@@ -5,7 +5,6 @@
 #include "compress/bitstream.h"
 #include "compress/lzr_stream.h"
 #include "compress/range_coder.h"
-#include "compress/rans.h"
 #include "compress/varint.h"
 
 namespace vtp::compress {
@@ -125,12 +124,9 @@ std::vector<std::uint8_t> LzrCompressLegacy(std::span<const std::uint8_t> data,
 
 namespace {
 
-/// The token decode loop, shared by both containers: the legacy stream
-/// drives it with a RangeDecoder, the lanes stream with a RansLaneDecoder.
-/// Fast path either way: the output is sized once, literals write in place
+/// The token decode loop. The output is sized once, literals write in place
 /// and matches block-copy (LzCopyMatch handles overlapping RLE-style ones).
-template <class Decoder>
-void DecodeTokens(Decoder& rc, std::uint64_t original_size, std::vector<std::uint8_t>& out) {
+void DecodeTokens(RangeDecoder& rc, std::uint64_t original_size, std::vector<std::uint8_t>& out) {
   out.resize(original_size);
   std::size_t wr = 0;
 
@@ -161,11 +157,8 @@ void DecodeTokens(Decoder& rc, std::uint64_t original_size, std::vector<std::uin
 
 void LzrDecompressInto(std::span<const std::uint8_t> data, std::vector<std::uint8_t>& out) {
   out.clear();
-  const bool lanes =
-      data.size() >= detail::kLzrLanesMagic.size() &&
-      std::equal(detail::kLzrLanesMagic.begin(), detail::kLzrLanesMagic.end(), data.begin());
-  if (!lanes && (data.size() < detail::kLzrMagic.size() ||
-                 !std::equal(detail::kLzrMagic.begin(), detail::kLzrMagic.end(), data.begin()))) {
+  if (data.size() < detail::kLzrMagic.size() ||
+      !std::equal(detail::kLzrMagic.begin(), detail::kLzrMagic.end(), data.begin())) {
     throw CorruptStream("lzr: bad magic");
   }
   std::size_t pos = detail::kLzrMagic.size();
@@ -177,15 +170,6 @@ void LzrDecompressInto(std::span<const std::uint8_t> data, std::vector<std::uint
   const std::uint64_t max_plausible = static_cast<std::uint64_t>(data.size()) * 16384 + 4096;
   if (original_size > max_plausible) throw CorruptStream("lzr: implausible original size");
   if (original_size == 0) return;
-
-  if (lanes) {
-    if (pos >= data.size()) throw CorruptStream("lzr: missing lane count");
-    const int lane_count = data[pos++];
-    RansLaneDecoder rc(data.subspan(pos), lane_count);  // validates lane_count
-    DecodeTokens(rc, original_size, out);
-    rc.Finish();
-    return;
-  }
 
   RangeDecoder rc(data.subspan(pos));
   DecodeTokens(rc, original_size, out);

@@ -1,17 +1,14 @@
 // "lzr" — a general-purpose LZ77 + adaptive-range-coder compressor.
 //
 // This is the repository's stand-in for LZMA (the paper compresses keypoint
-// streams with LZMA in §4.3). Two containers share one token model
-// (selected per LzParams::entropy / VTP_ENTROPY; decode sniffs the magic):
+// streams with LZMA in §4.3). The container is
 //
 //   magic "LZR1" | uleb128 original_size | range-coded token stream
-//   magic "LZR2" | uleb128 original_size | u8 lanes | interleaved rANS stream
 //
 // Tokens are entropy-coded with adaptive bit models: a match/literal flag,
 // order-0 context literals, a length bit tree, and distance slots with direct
-// bits (the LZMA distance scheme, simplified). LZR1 runs them through the
-// serial adaptive range coder; LZR2 through the multi-lane rANS stage
-// (compress/rans.h), which breaks the serial per-bit dependency chain.
+// bits (the LZMA distance scheme, simplified), all through the serial
+// adaptive range coder.
 //
 // The functions here are convenience wrappers for tests and tools. Per-frame
 // callers (semantic codec, pipelines, benches) hold a compress::LzrEncoder
@@ -34,12 +31,13 @@ std::vector<std::uint8_t> LzrCompress(std::span<const std::uint8_t> data, const 
 
 /// The pre-arena compressor (token vector + fresh tables per call), kept
 /// verbatim as the A/B baseline for bench_compress and differential tests.
-/// Greedy-mode LzrCompress must produce identical bytes.
+/// LzrCompress must produce identical bytes.
 std::vector<std::uint8_t> LzrCompressLegacy(std::span<const std::uint8_t> data,
                                             const LzParams& params = {});
 
 /// Decompresses an LzrCompress stream.
-/// Throws CorruptStream on bad magic, truncation, or invalid tokens.
+/// Throws CorruptStream on bad magic (anything but LZR1), truncation, or
+/// invalid tokens.
 std::vector<std::uint8_t> LzrDecompress(std::span<const std::uint8_t> data);
 
 /// Decompresses into `out` (replacing its contents), reusing its capacity —

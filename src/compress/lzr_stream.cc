@@ -2,41 +2,10 @@
 
 namespace vtp::compress {
 
-namespace {
-
-/// Lane counts outside the format's set (powers of two in [1, 16]) fall
-/// back to the default rather than producing an undecodable stream.
-int SanitizeLanes(int lanes) {
-  return RansValidLanes(lanes) ? lanes : kRansDefaultLanes;
-}
-
-}  // namespace
-
-std::size_t LzrEncoder::CompressLanes(std::span<const std::uint8_t> data, const LzParams& params,
-                                      std::vector<std::uint8_t>* out, std::uint64_t* literals,
-                                      std::uint64_t* matches) {
-  const int lanes = SanitizeLanes(params.entropy_lanes);
-
-  // Pass 1: parse + adapt models forward, recording one (freq, start) entry
-  // per binary decision.
-  records_.clear();
-  RansRecordCoder rec(records_);
-  detail::LzrModels m;
-  LzParse(finder_, data, params, detail::LzrTokenCoder<RansRecordCoder>{rec, m, literals, matches});
-
-  if (out == nullptr) return 1 + RansPayloadSize(records_, lanes);
-  out->push_back(static_cast<std::uint8_t>(lanes));
-  const std::size_t before = out->size();
-  RansEncodeRecords(records_, lanes, rans_tmp_, *out);
-  return 1 + (out->size() - before);
-}
-
 void LzrEncoder::CompressInto(std::span<const std::uint8_t> data, std::vector<std::uint8_t>& out,
                               const LzParams& params) {
   const std::size_t out_before = out.size();
-  const bool lanes_mode = params.entropy == EntropyMode::kLanes;
-  const auto& magic = lanes_mode ? detail::kLzrLanesMagic : detail::kLzrMagic;
-  for (const std::uint8_t b : magic) out.push_back(b);
+  for (const std::uint8_t b : detail::kLzrMagic) out.push_back(b);
   PutUleb128(out, data.size());
   ++frames_;
   io_.bytes_in += data.size();
@@ -45,18 +14,11 @@ void LzrEncoder::CompressInto(std::span<const std::uint8_t> data, std::vector<st
     return;
   }
 
-  if (lanes_mode) {
-    CompressLanes(data, params, &out, &io_.literals, &io_.matches);
-    io_.bytes_out += out.size() - out_before;
-    return;
-  }
-
   RangeEncoder rc(&out);
   detail::LzrModels m;
   {
     RangeEncoder::Hot hot(rc);
-    LzParse(finder_, data, params,
-            detail::LzrTokenCoder<RangeEncoder::Hot>{hot, m, &io_.literals, &io_.matches});
+    LzParse(finder_, data, params, detail::LzrTokenCoder{hot, m, &io_.literals, &io_.matches});
   }
   rc.Flush();
   io_.bytes_out += out.size() - out_before;
@@ -76,16 +38,11 @@ std::size_t LzrEncoder::CompressedSize(std::span<const std::uint8_t> data,
   if (data.empty()) return header;
 
   std::uint64_t discard_lit = 0, discard_match = 0;  // sizing probe: not real output
-  if (params.entropy == EntropyMode::kLanes) {
-    return header + CompressLanes(data, params, nullptr, &discard_lit, &discard_match);
-  }
-
   RangeEncoder rc;  // counting sink: nothing is stored
   detail::LzrModels m;
   {
     RangeEncoder::Hot hot(rc);
-    LzParse(finder_, data, params,
-            detail::LzrTokenCoder<RangeEncoder::Hot>{hot, m, &discard_lit, &discard_match});
+    LzParse(finder_, data, params, detail::LzrTokenCoder{hot, m, &discard_lit, &discard_match});
   }
   rc.Flush();
   return header + rc.bytes_emitted();

@@ -10,7 +10,7 @@
 // LzrCompress free functions remain as thin wrappers for tests and tools.
 //
 // Output is bit-identical to LzrCompress for the same data and params: the
-// container format (magic | uleb128 size | range-coded tokens) and the
+// LZR1 container (magic | uleb128 size | range-coded tokens) and the
 // adaptive models reset per frame, so streams stay self-contained.
 #pragma once
 
@@ -22,7 +22,6 @@
 
 #include "compress/match_finder.h"
 #include "compress/range_coder.h"
-#include "compress/rans.h"
 #include "compress/varint.h"
 
 namespace vtp::compress {
@@ -30,11 +29,6 @@ namespace vtp::compress {
 namespace detail {
 
 inline constexpr std::array<std::uint8_t, 4> kLzrMagic = {'L', 'Z', 'R', '1'};
-
-/// The multi-lane rANS container (EntropyMode::kLanes):
-///   magic "LZR2" | uleb128 original_size | u8 lane_count | rANS payload
-/// Decoders sniff the magic, so decode needs no knob.
-inline constexpr std::array<std::uint8_t, 4> kLzrLanesMagic = {'L', 'Z', 'R', '2'};
 
 // Distance encoding: a 6-bit "slot" bit tree selects a power-of-two bucket,
 // then (slot/2 - 1) direct bits give the offset within the bucket.
@@ -56,13 +50,10 @@ struct LzrModels {
 };
 
 /// Parse sink that entropy-codes tokens as they are found (the fusion
-/// point). Templated on the coder: the legacy path passes a
-/// RangeEncoder::Hot session (low/range stay in registers across the
-/// parse); the lanes path passes a RansRecordCoder, whose pass-1 records
-/// feed the interleaved rANS encoder afterwards.
-template <class Coder>
+/// point). Codes through a RangeEncoder::Hot session, so low/range stay in
+/// registers across the parse.
 struct LzrTokenCoder {
-  Coder& rc;
+  RangeEncoder::Hot& rc;
   LzrModels& m;
   std::uint64_t* literals;  ///< token tally (match-finder hit-rate metric)
   std::uint64_t* matches;
@@ -129,19 +120,10 @@ class LzrEncoder {
   std::size_t scratch_capacity() const { return scratch_.capacity(); }
 
  private:
-  /// Lanes-mode pass 1+2 (see compress/rans.h); appends payload to `out`
-  /// after the shared header, or only counts bytes when `out` is null.
-  std::size_t CompressLanes(std::span<const std::uint8_t> data, const LzParams& params,
-                            std::vector<std::uint8_t>* out, std::uint64_t* literals,
-                            std::uint64_t* matches);
-
   MatchFinder finder_;
   std::vector<std::uint8_t> scratch_;
   std::uint64_t frames_ = 0;
   IoStats io_;
-  // Lanes-mode scratch, persistent so steady-state frames allocate nothing.
-  std::vector<detail::RansRecord> records_;
-  std::vector<std::uint8_t> rans_tmp_;
 };
 
 }  // namespace vtp::compress

@@ -14,18 +14,12 @@
 //   * match extension compares 8 bytes at a time (memcpy loads + countr_zero
 //     on the XOR), falling back to bytes near the tail.
 //
-// Two parse drivers sit on top, selected by LzParams::parser:
-//
-//   * kGreedy — byte-for-byte the legacy algorithm (same probe order, same
-//     tie-breaks, same chain insertions), so greedy streams stay
-//     bit-identical to the pre-arena compressor;
-//   * kLazy — zlib/LZMA-style one-step lazy matching: before committing to a
-//     match, peek at the next position; if it matches longer, emit a literal
-//     and defer. Denser parses on structured data for one extra probe pass.
-//
-// Both drivers emit through a Sink (Literal/Match callbacks), which is what
-// lets LzrEncoder fuse tokenization straight into range coding with no
-// intermediate token vector.
+// The greedy parse driver on top, LzParse, is byte-for-byte the legacy
+// algorithm (same probe order, same tie-breaks, same chain insertions), so
+// its streams stay bit-identical to the pre-arena compressor. It emits
+// through a Sink (Literal/Match callbacks), which is what lets LzrEncoder
+// fuse tokenization straight into range coding with no intermediate token
+// vector.
 #pragma once
 
 #include <algorithm>
@@ -183,8 +177,8 @@ class MatchFinder {
 
 /// Drives `finder` over `data` and emits tokens into `sink`, which must
 /// provide `Literal(std::uint8_t)` and `Match(std::uint32_t length,
-/// std::uint32_t distance)`. Parser selected by params.parser; greedy
-/// reproduces the legacy token stream exactly.
+/// std::uint32_t distance)`. Greedy: takes the longest match at every
+/// position, reproducing the legacy token stream exactly.
 template <class Sink>
 void LzParse(MatchFinder& finder, std::span<const std::uint8_t> data, const LzParams& params,
              Sink&& sink) {
@@ -192,36 +186,9 @@ void LzParse(MatchFinder& finder, std::span<const std::uint8_t> data, const LzPa
   const std::size_t n = data.size();
   std::size_t pos = 0;
 
-  // Both drivers hash each position once and share it between FindBest and
+  // Each position is hashed once and the hash shared between FindBest and
   // Insert. A position is hashable iff pos < last_hashable(), which is also
   // exactly when a match could start there.
-  if (params.parser == LzParser::kGreedy) {
-    while (pos < n) {
-      MatchFinder::Match m;
-      std::uint32_t h = 0;
-      const bool hashable = pos < finder.last_hashable();
-      if (hashable) {
-        h = LzHash3(data.data() + pos, MatchFinder::kHashBits);
-        m = finder.FindBest(pos, h, params);
-      }
-      if (m.length >= LzParams::kMinMatch) {
-        sink.Match(m.length, m.distance);
-        const std::size_t end = pos + m.length;
-        finder.InsertRange(pos, end);
-        pos = end;
-      } else {
-        sink.Literal(data[pos]);
-        if (hashable) finder.Insert(pos, h);
-        ++pos;
-      }
-    }
-    return;
-  }
-
-  // One-step lazy matching. A pending match at pos-1 is held back until the
-  // match at pos is known; a strictly longer one demotes the pending match
-  // to a literal. Pending positions are already inserted into the chains.
-  MatchFinder::Match pending;  // match starting at pos - 1 when length > 0
   while (pos < n) {
     MatchFinder::Match m;
     std::uint32_t h = 0;
@@ -230,27 +197,7 @@ void LzParse(MatchFinder& finder, std::span<const std::uint8_t> data, const LzPa
       h = LzHash3(data.data() + pos, MatchFinder::kHashBits);
       m = finder.FindBest(pos, h, params);
     }
-    if (pending.length > 0) {
-      if (m.length > pending.length) {
-        sink.Literal(data[pos - 1]);
-        pending = m;
-        if (hashable) finder.Insert(pos, h);
-        ++pos;
-      } else {
-        sink.Match(pending.length, pending.distance);
-        const std::size_t end = (pos - 1) + pending.length;
-        finder.InsertRange(pos, end);  // pos - 1 was inserted when deferred
-        pos = end;
-        pending = {};
-      }
-      continue;
-    }
-    if (m.length >= LzParams::kMinMatch && m.length < LzParams::kMaxMatch &&
-        pos + 1 < finder.last_hashable()) {
-      pending = m;  // defer: maybe pos + 1 matches longer
-      finder.Insert(pos, h);
-      ++pos;
-    } else if (m.length >= LzParams::kMinMatch) {
+    if (m.length >= LzParams::kMinMatch) {
       sink.Match(m.length, m.distance);
       const std::size_t end = pos + m.length;
       finder.InsertRange(pos, end);
@@ -261,8 +208,6 @@ void LzParse(MatchFinder& finder, std::span<const std::uint8_t> data, const LzPa
       ++pos;
     }
   }
-  // A pending match always resolves inside the loop: it implies at least
-  // kMinMatch bytes ahead of pos - 1, so pos < n held on the next iteration.
 }
 
 }  // namespace vtp::compress

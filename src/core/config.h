@@ -11,7 +11,7 @@
 // *call time* with the same parsing rules as core/env.h (the benches mutate
 // VTP_QUIC_PATH / VTP_SIM_SCHEDULER per session via setenv, so values must
 // never be cached), and ChoiceKnob::Is() keeps the allocation-free compare
-// that hot-path defaults (DefaultLzParser, the QUIC path pick) rely on.
+// that hot-path defaults (the QUIC path pick) rely on.
 //
 // Header-only (like env.h) so low-level libraries can consult knobs without
 // a link dependency on vtp_core.

@@ -42,7 +42,7 @@ inline std::string EnvString(const char* name, const char* fallback) {
 }
 
 /// True when `name` is set to exactly `value`. Allocation-free, so hot-path
-/// defaults (e.g. LzParams::parser from VTP_LZ_PARSER) can consult it per
+/// defaults (e.g. the QUIC path pick from VTP_QUIC_PATH) can consult it per
 /// call without heap traffic.
 inline bool EnvEquals(const char* name, const char* value) {
   const char* env = std::getenv(name);

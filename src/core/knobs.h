@@ -38,19 +38,6 @@ inline const ChoiceKnob kQuicPath{
     "VTP_QUIC_PATH", "default", {"default", "legacy"},
     "QUIC hot path: pooled packet writer + sent-packet ring, or the legacy per-frame buffers"};
 
-/// LZ parse strategy used by compress::DefaultLzParser().
-inline const ChoiceKnob kLzParser{"VTP_LZ_PARSER", "greedy", {"greedy", "lazy"},
-                                  "LZ parser: greedy (seed-exact) or one-step-lazy"};
-
-/// Entropy stage used by compress::DefaultEntropyMode(). Legacy keeps the
-/// serial adaptive range coder and its seed-byte-identical streams; lanes
-/// switches to the interleaved multi-lane rANS format (LZR2 container).
-/// Unrecognized values resolve to legacy (ChoiceKnob::Is semantics).
-inline const ChoiceKnob kEntropy{
-    "VTP_ENTROPY", "legacy", {"legacy", "lanes"},
-    "entropy coder: legacy serial range coder (seed byte-identical) or interleaved "
-    "multi-lane rANS"};
-
 /// Frame-lifecycle tracing (obs::FrameTracer). Registry counters are always
 /// on — they replace the bespoke stats structs at identical cost — but span
 /// stamping is armed per session from this knob.

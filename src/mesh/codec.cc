@@ -169,7 +169,17 @@ TriangleMesh DecodeMesh(std::span<const std::uint8_t> data) {
   for (std::uint64_t i = 0; i < vertices; ++i) {
     Vec3 p;
     for (int c = 0; c < 3; ++c) {
-      prev[static_cast<std::size_t>(c)] += pos_coder[static_cast<std::size_t>(c)].Decode(rc);
+      const auto sc = static_cast<std::size_t>(c);
+      // Valid streams stay on the grid, so a residual never exceeds it;
+      // bounding it first keeps a hostile one from overflowing the sum.
+      const std::int64_t residual = pos_coder[sc].Decode(rc);
+      if (residual < -std::int64_t{grid} || residual > std::int64_t{grid}) {
+        throw compress::CorruptStream("mesh: position residual out of range");
+      }
+      prev[sc] += residual;
+      if (prev[sc] < 0 || prev[sc] > std::int64_t{grid}) {
+        throw compress::CorruptStream("mesh: position off the grid");
+      }
     }
     p.x = dequantize(prev[0], box.min.x, size.x);
     p.y = dequantize(prev[1], box.min.y, size.y);

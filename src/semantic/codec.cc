@@ -118,25 +118,6 @@ const compress::LzrEncoder& SemanticEncoder::lzr() const {
   return engine_ != nullptr ? engine_->lzr() : lzr_;
 }
 
-std::size_t SemanticBatchEncoder::AddStream(SemanticCodecConfig config) {
-  streams_.emplace_back(config);
-  streams_.back().AttachEngine(engine_);
-  return streams_.size() - 1;
-}
-
-void SemanticBatchEncoder::EncodeBatch(std::span<const std::span<const Vec3>> frames,
-                                       std::vector<std::vector<std::uint8_t>>& outputs) {
-  if (frames.size() != streams_.size()) {
-    throw std::invalid_argument("SemanticBatchEncoder: one frame per stream required");
-  }
-  outputs.resize(streams_.size());
-  for (std::size_t i = 0; i < streams_.size(); ++i) {
-    outputs[i].clear();
-    streams_[i].EncodeFrameInto(frames[i], outputs[i]);
-  }
-  engine_->NoteBatch();
-}
-
 SemanticDecoder::SemanticDecoder() = default;
 
 std::optional<SemanticFrame> SemanticDecoder::DecodeFrame(std::span<const std::uint8_t> payload) {

@@ -104,38 +104,6 @@ class SemanticEncoder {
   compress::CodecEngine* engine_ = nullptr;  ///< optional shared LZ stage
 };
 
-/// Batch front-end over a shared CodecEngine: one encoder per persona
-/// stream, every frame's LZ stage funnelled through the engine's single
-/// warm arena. EncodeBatch is the per-tick entry point — all personas'
-/// captures go through the codec back to back (one pass over a hot match
-/// finder and entropy stage) instead of round-robining cold per-sender
-/// state. Wire bytes are identical to per-encoder compression.
-class SemanticBatchEncoder {
- public:
-  /// The engine must outlive this batch encoder.
-  explicit SemanticBatchEncoder(compress::CodecEngine& engine) : engine_(&engine) {}
-
-  /// Adds a persona stream; returns its index. References returned by
-  /// stream() are invalidated by further AddStream calls.
-  std::size_t AddStream(SemanticCodecConfig config = {});
-
-  SemanticEncoder& stream(std::size_t i) { return streams_[i]; }
-  const SemanticEncoder& stream(std::size_t i) const { return streams_[i]; }
-  std::size_t stream_count() const { return streams_.size(); }
-
-  /// Encodes frames[i] through stream i (frames.size() must equal
-  /// stream_count()); outputs is resized and each payload replaced.
-  /// Allocation-free in steady state once outputs' capacities are warm.
-  void EncodeBatch(std::span<const std::span<const Vec3>> frames,
-                   std::vector<std::vector<std::uint8_t>>& outputs);
-
-  compress::CodecEngine& engine() { return *engine_; }
-
- private:
-  compress::CodecEngine* engine_;
-  std::vector<SemanticEncoder> streams_;
-};
-
 /// Decoded frame.
 struct SemanticFrame {
   std::uint64_t frame_index = 0;

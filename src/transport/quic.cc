@@ -670,9 +670,13 @@ void QuicConnection::HandleAckFrame(std::span<const std::uint8_t> payload, std::
   // RTT sample from the largest acked, if it is newly acknowledged.
   if (SentPacketInfo* info = FindSent(largest);
       info != nullptr && !info->acked && !info->lost) {
-    const net::SimTime now = endpoint_->medium().sim().now();
-    net::SimTime sample = now - info->sent_time -
-                          static_cast<net::SimTime>(ack_delay_us) * net::kMicrosecond;
+    const net::SimTime raw = endpoint_->medium().sim().now() - info->sent_time;
+    // The peer-reported delay is up to 2^62 us; anything above the raw
+    // sample floors it to 1 us either way, so clamp before the multiply
+    // can overflow.
+    const std::uint64_t delay_us =
+        std::min(ack_delay_us, static_cast<std::uint64_t>(raw / net::kMicrosecond));
+    net::SimTime sample = raw - static_cast<net::SimTime>(delay_us) * net::kMicrosecond;
     if (sample < net::Micros(1)) sample = net::Micros(1);
     UpdateRtt(sample);
   }

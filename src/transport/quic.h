@@ -83,6 +83,7 @@ class QuicPacketWriter {
   }
   void append(const std::uint8_t* p, std::size_t n) {
     assert(len_ + n <= buf_.size());
+    if (n == 0) return;  // p may be null for an empty span; memcpy forbids it
     std::memcpy(data_ + len_, p, n);
     len_ += n;
   }

@@ -227,17 +227,14 @@ void TelepresenceSession::SetupSpatialPipelines() {
   }
 
   // One codec engine for the whole session: every spatial sender's LZ
-  // stage shares a single warm match-finder arena and entropy
-  // configuration (VTP_ENTROPY resolved here, once). Engine-level batch
-  // counters surface in snapshots under "codec.engine".
+  // stage shares a single warm match-finder arena. Engine-level counters
+  // surface in snapshots under "codec.engine".
   codec_engine_ = std::make_unique<compress::CodecEngine>();
   {
     obs::MetricRegistry& reg = sim_->metrics();
     compress::CodecEngine* eng = codec_engine_.get();
     reg.NewProbe("codec.engine.frames",
                  [eng] { return static_cast<double>(eng->stats().frames); });
-    reg.NewProbe("codec.engine.lanes_active",
-                 [eng] { return static_cast<double>(eng->lanes_active()); });
     reg.NewProbe("codec.engine.bytes_in",
                  [eng] { return static_cast<double>(eng->stats().bytes_in); });
     reg.NewProbe("codec.engine.bytes_out",

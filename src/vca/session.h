@@ -215,8 +215,8 @@ class TelepresenceSession {
   /// the demux/adapt/subscription machinery needs.
   std::vector<std::unique_ptr<transport::taps::Connection>> connections_;
   std::vector<transport::QuicConnection*> quic_conns_;
-  /// Session-shared codec engine: one lzr arena + entropy stage for every
-  /// spatial sender (metrics under "codec.engine").
+  /// Session-shared codec engine: one lzr arena for every spatial sender
+  /// (metrics under "codec.engine").
   std::unique_ptr<compress::CodecEngine> codec_engine_;
   std::vector<std::unique_ptr<SpatialPersonaSender>> spatial_senders_;
   std::vector<std::unique_ptr<SpatialPersonaReceiver>> spatial_receivers_;

@@ -9,7 +9,6 @@
 #include "compress/bitstream.h"
 #include "compress/entropy.h"
 #include "compress/range_coder.h"
-#include "compress/rans.h"
 #include "compress/varint.h"
 #include "core/simd.h"
 
@@ -18,8 +17,7 @@ namespace vtp::video {
 namespace {
 
 constexpr int kBlock = 8;
-constexpr std::uint8_t kFlagKeyframe = 0x01;
-constexpr std::uint8_t kFlagLanes = 0x02;  ///< coefficients are rANS-coded
+constexpr std::uint8_t kFlagKeyframe = 0x01;  ///< the only defined header flag bit
 
 /// Orthonormal 8x8 DCT-II basis plus its transpose, computed once and shared
 /// by encode and decode. Both layouts are kept so each DCT pass streams a
@@ -248,14 +246,11 @@ compress::SignedValueCoder& AcCoder(CoeffModels& m, int zz) {
   return zz < 16 ? m.ac_low : m.ac_high;
 }
 
-/// The per-frame encode loop, templated on the entropy coder (the legacy
-/// path passes a RangeEncoder::Hot session, the lanes path a
-/// RansRecordCoder). Fills `recon` with the decoder-identical
-/// reconstruction.
-template <class Coder>
+/// The per-frame encode loop, coding through a RangeEncoder::Hot session.
+/// Fills `recon` with the decoder-identical reconstruction.
 void EncodeBlocks(const VideoFrame& frame, const VideoFrame& reference, VideoFrame& recon,
                   bool keyframe, const detail::QuantLut& lut, detail::CodecScratch& s,
-                  Coder& rc) {
+                  compress::RangeEncoder::Hot& rc) {
   const int w = frame.width, h = frame.height;
   const int bw = (w + kBlock - 1) / kBlock;
   const int bh = (h + kBlock - 1) / kBlock;
@@ -433,11 +428,10 @@ void EncodeBlocks(const VideoFrame& frame, const VideoFrame& reference, VideoFra
   }
 }
 
-/// The per-frame decode loop, templated on the entropy decoder
-/// (RangeDecoder for LZR1-style streams, RansLaneDecoder for lanes).
-template <class Decoder>
+/// The per-frame decode loop.
 void DecodeBlocks(VideoFrame& frame, const VideoFrame& reference, bool keyframe,
-                  const detail::QuantLut& lut, detail::CodecScratch& s, Decoder& rc) {
+                  const detail::QuantLut& lut, detail::CodecScratch& s,
+                  compress::RangeDecoder& rc) {
   const int w = frame.width, h = frame.height;
   const int bw = (w + kBlock - 1) / kBlock;
   const int bh = (h + kBlock - 1) / kBlock;
@@ -570,13 +564,11 @@ void VideoEncoder::EncodeInto(const VideoFrame& frame, int qp, EncodedFrame& out
                         frame_index_ % static_cast<std::uint64_t>(config_.gop_length) == 0;
   force_keyframe_ = false;
   ++frame_index_;
-  const bool lanes = config_.entropy == compress::EntropyMode::kLanes;
 
   out.keyframe = keyframe;
   out.qp = qp;
   out.bytes.clear();
-  out.bytes.push_back(static_cast<std::uint8_t>((keyframe ? kFlagKeyframe : 0) |
-                                                (lanes ? kFlagLanes : 0)));
+  out.bytes.push_back(keyframe ? kFlagKeyframe : 0);
   out.bytes.push_back(static_cast<std::uint8_t>(qp));
   compress::PutUleb128(out.bytes, static_cast<std::uint64_t>(frame.width));
   compress::PutUleb128(out.bytes, static_cast<std::uint64_t>(frame.height));
@@ -589,23 +581,12 @@ void VideoEncoder::EncodeInto(const VideoFrame& frame, int qp, EncodedFrame& out
   }
   BuildQuantLut(lut_, qp);
 
-  if (lanes) {
-    const int lane_count = compress::RansValidLanes(config_.entropy_lanes)
-                               ? config_.entropy_lanes
-                               : compress::kRansDefaultLanes;
-    out.bytes.push_back(static_cast<std::uint8_t>(lane_count));
-    records_.clear();
-    compress::RansRecordCoder rec(records_);
-    EncodeBlocks(frame, reference_, recon_, keyframe, lut_, scratch_, rec);
-    compress::RansEncodeRecords(records_, lane_count, rans_tmp_, out.bytes);
-  } else {
-    compress::RangeEncoder rc(&out.bytes);
-    {
-      compress::RangeEncoder::Hot hot(rc);
-      EncodeBlocks(frame, reference_, recon_, keyframe, lut_, scratch_, hot);
-    }
-    rc.Flush();
+  compress::RangeEncoder rc(&out.bytes);
+  {
+    compress::RangeEncoder::Hot hot(rc);
+    EncodeBlocks(frame, reference_, recon_, keyframe, lut_, scratch_, hot);
   }
+  rc.Flush();
   // Every pixel of recon_ was written above, so the old reference's bytes
   // never leak; the swap recycles its buffer as next frame's target.
   std::swap(reference_, recon_);
@@ -624,8 +605,8 @@ bool VideoDecoder::DecodeInto(std::span<const std::uint8_t> bytes, VideoFrame& o
   std::size_t pos = 0;
   if (bytes.size() < 2) throw compress::CorruptStream("video: truncated header");
   const std::uint8_t flags = bytes[pos++];
+  if ((flags & ~kFlagKeyframe) != 0) throw compress::CorruptStream("video: unknown header flag");
   const bool keyframe = (flags & kFlagKeyframe) != 0;
-  const bool lanes = (flags & kFlagLanes) != 0;
   const int qp = bytes[pos++];
   if (qp < 1 || qp > 51) throw compress::CorruptStream("video: bad qp");
   const auto width = static_cast<int>(compress::GetUleb128(bytes, &pos));
@@ -640,16 +621,8 @@ bool VideoDecoder::DecodeInto(std::span<const std::uint8_t> bytes, VideoFrame& o
     out = VideoFrame(width, height);
   }
 
-  if (lanes) {
-    if (pos >= bytes.size()) throw compress::CorruptStream("video: missing lane count");
-    const int lane_count = bytes[pos++];
-    compress::RansLaneDecoder rc(bytes.subspan(pos), lane_count);  // validates lane_count
-    DecodeBlocks(out, reference_, keyframe, lut_, scratch_, rc);
-    rc.Finish();
-  } else {
-    compress::RangeDecoder rc(bytes.subspan(pos));
-    DecodeBlocks(out, reference_, keyframe, lut_, scratch_, rc);
-  }
+  compress::RangeDecoder rc(bytes.subspan(pos));
+  DecodeBlocks(out, reference_, keyframe, lut_, scratch_, rc);
   reference_ = out;  // copy-assign: reuses the reference buffer once warm
   have_reference_ = true;
   return true;

@@ -10,11 +10,9 @@
 // The hot path is vectorized through core/simd.h: float DCT passes as
 // broadcast-madd sweeps over a shared basis table, quant/dequant as packed
 // multiplies against per-QP step tables (hoisted — rebuilt only when QP
-// changes), SAD-based motion probes 8 bytes a row. The entropy stage follows
-// VideoCodecConfig::entropy: the serial range coder, or the interleaved
-// multi-lane rANS stage (compress/rans.h) flagged in the frame header so
-// decode is self-describing. All per-frame buffers (reconstruction frame,
-// coefficient blocks, rANS records) persist across calls — steady-state
+// changes), SAD-based motion probes 8 bytes a row. Coefficients go through
+// the serial adaptive range coder. All per-frame buffers (reconstruction
+// frame, coefficient blocks) persist across calls — steady-state
 // EncodeInto/DecodeInto perform no heap allocation.
 //
 // The encoder is a real codec (decodable, tested for rate/distortion
@@ -28,7 +26,6 @@
 #include <span>
 #include <vector>
 
-#include "compress/lz77.h"
 #include "video/frame.h"
 
 namespace vtp::video {
@@ -36,10 +33,6 @@ namespace vtp::video {
 /// Codec parameters.
 struct VideoCodecConfig {
   int gop_length = 30;  ///< distance between keyframes
-  /// Coefficient entropy stage (VTP_ENTROPY by default). Decoders sniff the
-  /// frame-header flag, so streams from either mode always decode.
-  compress::EntropyMode entropy = compress::DefaultEntropyMode();
-  int entropy_lanes = 8;  ///< rANS lane count; powers of two in [1, 16]
 };
 
 /// One encoded access unit.
@@ -96,13 +89,10 @@ class VideoEncoder {
   VideoFrame reference_;
   bool have_reference_ = false;
   // Persistent hot-path state: the reconstruction target swaps with
-  // reference_ each frame, quant tables persist across same-QP frames, and
-  // the rANS record/byte scratch is reused in lanes mode.
+  // reference_ each frame and quant tables persist across same-QP frames.
   VideoFrame recon_;
   detail::QuantLut lut_;
   detail::CodecScratch scratch_;
-  std::vector<std::uint32_t> records_;
-  std::vector<std::uint8_t> rans_tmp_;
 };
 
 /// Stateful decoder.
@@ -112,7 +102,8 @@ class VideoDecoder {
 
   /// Decodes one access unit. Returns nullopt for a P-frame without a
   /// reference (e.g. after joining mid-stream before a keyframe).
-  /// Throws compress::CorruptStream on malformed data.
+  /// Throws compress::CorruptStream on malformed data, including a header
+  /// flag bit other than the keyframe bit.
   std::optional<VideoFrame> Decode(std::span<const std::uint8_t> bytes);
 
   /// Same, into `out` (replaced; resized to the stream's resolution).

@@ -304,6 +304,14 @@ TEST(Lzr, BadMagicThrows) {
   EXPECT_THROW(LzrDecompress(junk), CorruptStream);
 }
 
+TEST(Lzr, LanesMagicThrows) {
+  // Only LZR1 is a valid magic; '2' was the retired multi-lane container.
+  auto stream = LzrCompress(std::vector<std::uint8_t>(512, 7));
+  ASSERT_EQ(stream[3], '1');
+  stream[3] = '2';
+  EXPECT_THROW(LzrDecompress(stream), CorruptStream);
+}
+
 TEST(Lzr, TruncatedBodyThrows) {
   std::vector<std::uint8_t> data(5000);
   for (std::size_t i = 0; i < data.size(); ++i) data[i] = static_cast<std::uint8_t>(i * 31);

@@ -1,8 +1,8 @@
 // Tests for the streaming compression hot path: LzrEncoder / MatchFinder /
-// lazy parsing / counting-sink sizes. The core contract under test is
-// differential: the fused streaming encoder must be byte-identical to the
-// legacy tokenize-then-encode compressor in greedy mode, and every mode must
-// round-trip exactly.
+// counting-sink sizes / the shared CodecEngine. The core contract under test
+// is differential: the fused streaming encoder must be byte-identical to the
+// legacy tokenize-then-encode compressor, and every stream must round-trip
+// exactly.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -50,12 +50,6 @@ namespace vtp::compress {
 namespace {
 
 LzParams Greedy() { return {}; }
-
-LzParams Lazy() {
-  LzParams p;
-  p.parser = LzParser::kLazy;
-  return p;
-}
 
 // ---- corpora ----------------------------------------------------------------
 
@@ -123,67 +117,10 @@ TEST(LzrStream, FreeFunctionWrapperMatchesEncoder) {
   }
 }
 
-// ---- lazy parsing -----------------------------------------------------------
-
-TEST(LzrStream, LazyRoundTripsAndNeverBeatenByGreedy) {
-  LzrEncoder encoder;
-  std::vector<std::uint8_t> greedy_out, lazy_out, decoded;
-  for (const auto& data : AllCorpora()) {
-    greedy_out.clear();
-    encoder.CompressInto(data, greedy_out, Greedy());
-    lazy_out.clear();
-    encoder.CompressInto(data, lazy_out, Lazy());
-
-    // One extra lookahead probe can only tighten the parse.
-    EXPECT_LE(lazy_out.size(), greedy_out.size());
-
-    LzrDecompressInto(greedy_out, decoded);
-    EXPECT_EQ(decoded, data);
-    LzrDecompressInto(lazy_out, decoded);
-    EXPECT_EQ(decoded, data);
-  }
-}
-
-TEST(LzrStream, LazyTightensRepetitiveParses) {
-  // On match-rich data the lazy parser should find at least one deferral
-  // that pays off; if it never does, it silently degenerated to greedy.
-  LzrEncoder encoder;
-  const auto data = RepetitiveCorpus(1 << 15, 17);
-  const std::size_t greedy = encoder.CompressedSize(data, Greedy());
-  const std::size_t lazy = encoder.CompressedSize(data, Lazy());
-  EXPECT_LT(lazy, greedy);
-}
-
-TEST(LzrStream, DefaultParserFollowsEnv) {
-  ASSERT_EQ(DefaultLzParser(), LzParser::kGreedy);
-  ::setenv("VTP_LZ_PARSER", "lazy", 1);
-  EXPECT_EQ(DefaultLzParser(), LzParser::kLazy);
-  ::setenv("VTP_LZ_PARSER", "greedy", 1);
-  EXPECT_EQ(DefaultLzParser(), LzParser::kGreedy);
-  ::unsetenv("VTP_LZ_PARSER");
-}
-
-TEST(LzrStream, DefaultEntropyFollowsEnvAndIgnoresGarbage) {
-  ASSERT_EQ(DefaultEntropyMode(), EntropyMode::kLegacy);
-  ::setenv("VTP_ENTROPY", "lanes", 1);
-  EXPECT_EQ(DefaultEntropyMode(), EntropyMode::kLanes);
-  ::setenv("VTP_ENTROPY", "legacy", 1);
-  EXPECT_EQ(DefaultEntropyMode(), EntropyMode::kLegacy);
-  // Unknown values must resolve to the legacy default, not throw or
-  // half-enable the new coder.
-  ::setenv("VTP_ENTROPY", "rans", 1);
-  EXPECT_EQ(DefaultEntropyMode(), EntropyMode::kLegacy);
-  ::setenv("VTP_ENTROPY", "", 1);
-  EXPECT_EQ(DefaultEntropyMode(), EntropyMode::kLegacy);
-  ::unsetenv("VTP_ENTROPY");
-  EXPECT_EQ(DefaultEntropyMode(), EntropyMode::kLegacy);
-}
-
 TEST(LzrStream, LegacyGoldenStreamsPinned) {
   // Hard pins of the legacy (LZR1) container: size and CRC32 of the
   // compressed stream for fixed corpora, captured from the growth seed.
-  // Any change here is a wire-format break for knob-off users — the lanes
-  // coder must never perturb these bytes.
+  // Any change here is a wire-format break.
   struct Golden {
     std::size_t size;
     std::uint32_t crc;
@@ -227,17 +164,15 @@ TEST(MatchFinder, ReuseAcrossInputsMatchesFreshEncoder) {
   inputs.push_back(RandomCorpus(512, 11));  // same seed family, shorter
   for (auto& f : KeypointDeltaFrames(6, 5)) inputs.push_back(std::move(f));
 
-  for (const LzParams& params : {Greedy(), Lazy()}) {
-    for (const auto& data : inputs) {
-      warm.clear();
-      reused.CompressInto(data, warm, params);
-      LzrEncoder once;
-      fresh.clear();
-      once.CompressInto(data, fresh, params);
-      EXPECT_EQ(warm, fresh) << "warm finder diverged from fresh on " << data.size() << " bytes";
-    }
+  for (const auto& data : inputs) {
+    warm.clear();
+    reused.CompressInto(data, warm);
+    LzrEncoder once;
+    fresh.clear();
+    once.CompressInto(data, fresh);
+    EXPECT_EQ(warm, fresh) << "warm finder diverged from fresh on " << data.size() << " bytes";
   }
-  EXPECT_EQ(reused.finder_stats().resets, 2 * inputs.size());
+  EXPECT_EQ(reused.finder_stats().resets, inputs.size());
 }
 
 TEST(MatchFinder, FindBestHonoursProbeAndWindowLimits) {
@@ -259,10 +194,7 @@ TEST(MatchFinder, FindBestHonoursProbeAndWindowLimits) {
 TEST(LzrStream, CompressedSizeIsExact) {
   LzrEncoder encoder;
   for (const auto& data : AllCorpora()) {
-    for (const LzParams& params : {Greedy(), Lazy()}) {
-      const std::size_t predicted = encoder.CompressedSize(data, params);
-      EXPECT_EQ(predicted, encoder.Compress(data, params).size());
-    }
+    EXPECT_EQ(encoder.CompressedSize(data), encoder.Compress(data).size());
   }
 }
 
@@ -313,99 +245,77 @@ TEST(LzrStream, SteadyStateFrameEncodeDoesNotAllocate) {
   EXPECT_EQ(g_allocs.load() - before, 0u) << "warm EncodeFrameInto touched the heap";
 }
 
-TEST(LzrStream, LanesSteadyStateEncodeDoesNotAllocate) {
-  // The zero-allocation discipline must hold in lanes mode too: records,
-  // the reversal scratch, and the decoder all reuse warm buffers.
-  LzParams lanes;
-  lanes.entropy = EntropyMode::kLanes;
-  const auto frames = KeypointDeltaFrames(32, 9);
-  LzrEncoder encoder;
-  std::vector<std::uint8_t> out, decoded;
-  for (const auto& f : frames) {
-    out.clear();
-    encoder.CompressInto(f, out, lanes);
-    LzrDecompressInto(out, decoded);
-  }
+// ---- shared engine ----------------------------------------------------------
 
-  const std::uint64_t allocs_before = g_allocs.load();
-  for (int rep = 0; rep < 4; ++rep) {
-    for (const auto& f : frames) {
-      out.clear();
-      encoder.CompressInto(f, out, lanes);
-      LzrDecompressInto(out, decoded);
-    }
-  }
-  EXPECT_EQ(g_allocs.load() - allocs_before, 0u) << "warm lanes encode+decode touched the heap";
+TEST(CodecEngine, CompressIntoMatchesEncoderAndCountsBytes) {
+  CodecEngine engine;
+  const auto data = RepetitiveCorpus(2048, 33);
+  std::vector<std::uint8_t> out, direct, decoded;
+  engine.CompressInto(data, out);
+  LzrEncoder reference;
+  reference.CompressInto(data, direct);
+  EXPECT_EQ(out, direct);
+  LzrDecompressInto(out, decoded);
+  EXPECT_EQ(decoded, data);
+  EXPECT_EQ(engine.stats().frames, 1u);
+  EXPECT_EQ(engine.stats().bytes_in, data.size());
+  EXPECT_EQ(engine.stats().bytes_out, out.size());
 }
 
-// ---- shared engine / batch front-end ---------------------------------------
+/// Keypoint tracks for `personas` senders, pre-generated: [frame][persona].
+std::vector<std::vector<std::vector<semantic::Vec3>>> PersonaFrames(int personas, int frames,
+                                                                    std::uint64_t seed) {
+  std::vector<semantic::KeypointTrackGenerator> gens;
+  for (int p = 0; p < personas; ++p) gens.emplace_back(semantic::TrackConfig{}, seed + p);
+  std::vector<std::vector<std::vector<semantic::Vec3>>> out(static_cast<std::size_t>(frames));
+  for (auto& frame : out) {
+    for (auto& gen : gens) frame.push_back(semantic::ExtractSemanticSubset(gen.Next()));
+  }
+  return out;
+}
 
 TEST(CodecEngine, SharedEngineBytesMatchStandaloneEncoders) {
   // Three personas through one engine must produce exactly the bytes three
   // embedded encoders would (generation-stamped arena, no cross-talk).
   CodecEngine engine;
-  semantic::SemanticBatchEncoder batch(engine);
-  std::vector<semantic::SemanticEncoder> standalone;
   const semantic::SemanticCodecConfig config{.quantize_bits = 11, .temporal_delta = true};
-  for (int p = 0; p < 3; ++p) {
-    batch.AddStream(config);
-    standalone.emplace_back(config);
-  }
+  std::vector<semantic::SemanticEncoder> shared(3, semantic::SemanticEncoder(config));
+  std::vector<semantic::SemanticEncoder> standalone(3, semantic::SemanticEncoder(config));
+  for (auto& encoder : shared) encoder.AttachEngine(&engine);
 
-  std::vector<semantic::KeypointTrackGenerator> gens;
-  for (int p = 0; p < 3; ++p) gens.emplace_back(semantic::TrackConfig{}, 40 + p);
-
-  std::vector<std::vector<std::uint8_t>> outputs;
-  std::vector<std::uint8_t> expected;
-  for (int i = 0; i < 16; ++i) {
-    std::vector<std::vector<semantic::Vec3>> subsets;
-    std::vector<std::span<const semantic::Vec3>> views;
-    for (int p = 0; p < 3; ++p) {
-      subsets.push_back(semantic::ExtractSemanticSubset(gens[p].Next()));
-      views.emplace_back(subsets.back());
-    }
-    batch.EncodeBatch(views, outputs);
-    for (int p = 0; p < 3; ++p) {
-      standalone[p].EncodeFrameInto(subsets[p], expected);
-      EXPECT_EQ(outputs[p], expected) << "frame " << i << " persona " << p;
+  std::vector<std::uint8_t> payload, expected;
+  const auto frames = PersonaFrames(3, 16, 40);
+  for (std::size_t i = 0; i < frames.size(); ++i) {
+    for (std::size_t p = 0; p < 3; ++p) {
+      shared[p].EncodeFrameInto(frames[i][p], payload);
+      standalone[p].EncodeFrameInto(frames[i][p], expected);
+      EXPECT_EQ(payload, expected) << "frame " << i << " persona " << p;
     }
   }
   EXPECT_EQ(engine.stats().frames, 3u * 16u);
-  EXPECT_EQ(engine.stats().batches, 16u);
   EXPECT_GT(engine.stats().bytes_in, 0u);
   EXPECT_GT(engine.stats().bytes_out, 0u);
 }
 
-TEST(CodecEngine, BatchSteadyStateDoesNotAllocate) {
+TEST(CodecEngine, SharedSteadyStateDoesNotAllocate) {
   CodecEngine engine;
-  semantic::SemanticBatchEncoder batch(engine);
-  for (int p = 0; p < 4; ++p) {
-    batch.AddStream({.quantize_bits = 11, .temporal_delta = true});
-  }
-  std::vector<std::vector<std::vector<semantic::Vec3>>> inputs;  // [frame][persona]
-  std::vector<semantic::KeypointTrackGenerator> gens;
-  for (int p = 0; p < 4; ++p) gens.emplace_back(semantic::TrackConfig{}, 50 + p);
-  for (int i = 0; i < 24; ++i) {
-    inputs.emplace_back();
-    for (int p = 0; p < 4; ++p) {
-      inputs.back().push_back(semantic::ExtractSemanticSubset(gens[p].Next()));
+  std::vector<semantic::SemanticEncoder> encoders(
+      4, semantic::SemanticEncoder({.quantize_bits = 11, .temporal_delta = true}));
+  for (auto& encoder : encoders) encoder.AttachEngine(&engine);
+  const auto frames = PersonaFrames(4, 24, 50);
+  std::vector<std::vector<std::uint8_t>> outputs(encoders.size());
+  const auto encode_all = [&] {
+    for (const auto& frame : frames) {
+      for (std::size_t p = 0; p < encoders.size(); ++p) {
+        encoders[p].EncodeFrameInto(frame[p], outputs[p]);
+      }
     }
-  }
-  std::vector<std::span<const semantic::Vec3>> views(4);
-  std::vector<std::vector<std::uint8_t>> outputs;
-  for (const auto& frame : inputs) {  // warm
-    for (int p = 0; p < 4; ++p) views[static_cast<std::size_t>(p)] = frame[p];
-    batch.EncodeBatch(views, outputs);
-  }
+  };
+  encode_all();  // warm
 
   const std::uint64_t before = g_allocs.load();
-  for (int rep = 0; rep < 4; ++rep) {
-    for (const auto& frame : inputs) {
-      for (int p = 0; p < 4; ++p) views[static_cast<std::size_t>(p)] = frame[p];
-      batch.EncodeBatch(views, outputs);
-    }
-  }
-  EXPECT_EQ(g_allocs.load() - before, 0u) << "warm EncodeBatch touched the heap";
+  for (int rep = 0; rep < 4; ++rep) encode_all();
+  EXPECT_EQ(g_allocs.load() - before, 0u) << "warm shared-engine encode touched the heap";
 }
 
 // ---- decode buffer reuse ----------------------------------------------------

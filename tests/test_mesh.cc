@@ -3,11 +3,15 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <array>
 #include <cmath>
 #include <cstdint>
 #include <cstring>
 
 #include "compress/bitstream.h"
+#include "compress/entropy.h"
+#include "compress/range_coder.h"
+#include "compress/varint.h"
 #include "mesh/codec.h"
 #include "mesh/generator.h"
 #include "mesh/mesh.h"
@@ -204,6 +208,49 @@ TEST(MeshCodec, CorruptInputsThrow) {
   auto truncated = EncodeMesh(GenerateHead(2000, 1));
   truncated.resize(truncated.size() / 3);
   EXPECT_ANY_THROW(DecodeMesh(truncated));
+}
+
+/// A hand-built mesh stream: `bits`-bit positions, no triangles, and one
+/// residual triple per vertex. kHuge stands for +2^61, a residual no encoder
+/// produces: it is coded the way SignedValueCoder lays values out (a 6-bit
+/// slot tree, then slot - 1 direct bits) as slot 63 with zero direct bits.
+constexpr std::int64_t kHuge = INT64_MIN;
+std::vector<std::uint8_t> CraftPositions(int bits,
+                                         const std::vector<std::array<std::int64_t, 3>>& vertices) {
+  std::vector<std::uint8_t> out = {'V', 'M', 'C', '1', static_cast<std::uint8_t>(bits)};
+  compress::PutUleb128(out, vertices.size());
+  compress::PutUleb128(out, 0);
+  out.resize(out.size() + 6 * 4, 0);  // bounding box, all 0.0f
+  compress::RangeEncoder rc(&out);
+  std::array<compress::SignedValueCoder, 3> coders;
+  std::array<compress::BitTree<6>, 3> slots;  // a fresh coder's slot tree
+  for (const auto& v : vertices) {
+    for (std::size_t c = 0; c < 3; ++c) {
+      if (v[c] == kHuge) {
+        slots[c].Encode(rc, 63);
+        rc.EncodeDirectBits(0, 31);
+        rc.EncodeDirectBits(0, 31);
+      } else {
+        coders[c].Encode(rc, v[c]);
+      }
+    }
+  }
+  rc.Flush();
+  return out;
+}
+
+TEST(MeshCodec, PositionsOffTheGridThrow) {
+  constexpr int kBits = 10;
+  constexpr std::int64_t kGrid = (1 << kBits) - 1;
+  // Both grid edges are reachable.
+  EXPECT_EQ(DecodeMesh(CraftPositions(kBits, {{kGrid, 0, 0}, {-kGrid, 1, 0}})).vertex_count(), 2u);
+  EXPECT_THROW(DecodeMesh(CraftPositions(kBits, {{kGrid + 1, 0, 0}})), compress::CorruptStream);
+  EXPECT_THROW(DecodeMesh(CraftPositions(kBits, {{0, 0, 0}, {0, -1, 0}})), compress::CorruptStream);
+  // Residuals of 2^61 would overflow the running position by the fourth
+  // vertex; they must be rejected, not summed.
+  const std::array<std::int64_t, 3> huge = {kHuge, 0, 0};
+  EXPECT_THROW(DecodeMesh(CraftPositions(kBits, {huge, huge, huge, huge, huge})),
+               compress::CorruptStream);
 }
 
 TEST(MeshCodec, RejectsBadQuantizationBits) {

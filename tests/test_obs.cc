@@ -251,13 +251,14 @@ TEST(Snapshot, DeterministicAcrossBenchThreadCounts) {
 
 TEST(Config, CatalogueListsEveryKnob) {
   core::Config& config = core::Config::Instance();
-  for (const char* name :
-       {"VTP_FULL", "VTP_BENCH_THREADS", "VTP_BENCH_JSON", "VTP_SIM_SCHEDULER", "VTP_QUIC_PATH",
-        "VTP_LZ_PARSER", "VTP_OBS", "VTP_ADAPT", "VTP_ENTROPY", "VTP_FLEET_PATH",
-        "VTP_BENCH_REQUIRE_CLEAN", "VTP_FAULT_BURST", "VTP_FAULT_REORDER", "VTP_FAULT_DUP",
-        "VTP_FAULT_FLAP", "VTP_FAULT_RAMP"}) {
-    EXPECT_NE(config.Find(name), nullptr) << name;
-  }
+  const char* const knobs[] = {"VTP_FULL", "VTP_BENCH_THREADS", "VTP_BENCH_JSON",
+                               "VTP_SIM_SCHEDULER", "VTP_QUIC_PATH", "VTP_OBS", "VTP_ADAPT",
+                               "VTP_FLEET_PATH", "VTP_BENCH_REQUIRE_CLEAN", "VTP_MEDIUM",
+                               "VTP_LISTEN_ADDR", "VTP_CONNECT", "VTP_FAULT_BURST",
+                               "VTP_FAULT_REORDER", "VTP_FAULT_DUP", "VTP_FAULT_FLAP",
+                               "VTP_FAULT_RAMP"};
+  for (const char* name : knobs) EXPECT_NE(config.Find(name), nullptr) << name;
+  EXPECT_EQ(config.List().size(), std::size(knobs));
   // The fleet delivery engine defaults to the express path.
   const core::Config::KnobInfo* fleet_path = config.Find("VTP_FLEET_PATH");
   ASSERT_NE(fleet_path, nullptr);

@@ -1,6 +1,8 @@
 // Tests for RTP, QUIC-lite, TCP ping, and the protocol classifier.
 #include <gtest/gtest.h>
 
+#include <cmath>
+
 #include "netsim/capture.h"
 #include "netsim/netem.h"
 #include "netsim/network.h"
@@ -166,6 +168,48 @@ TEST(QuicVarint, EncodedLengths) {
 }
 
 // --- QUIC end to end ---------------------------------------------------------------
+
+TEST(QuicAck, HugeAckDelayKeepsRttPositive) {
+  // ack_delay is a peer-chosen 62-bit varint; scaled to nanoseconds it
+  // overflows a signed 64-bit time unless it is clamped to the raw sample.
+  net::Simulator sim(3);
+  net::Network network(&sim);
+  network.BuildBackbone();
+  const auto client_host = network.AddHost("c", "SanFrancisco");
+  const auto forger = network.AddHost("x", "SanFrancisco");
+  const auto server_host = network.AddHost("s", "NewYork");
+  network.ComputeRoutes();
+  QuicEndpoint client(&network, client_host, 9300), server(&network, server_host, 4433);
+  server.set_on_accept([](QuicConnection* conn) {
+    conn->set_on_datagram([](std::span<const std::uint8_t>) {});
+  });
+  QuicConnection* conn = client.Connect(server_host, 4433);
+  sim.RunUntil(net::Millis(300));
+  ASSERT_TRUE(conn->established());
+  const double srtt_before = conn->stats().smoothed_rtt_ms;
+
+  // Put a packet in flight, then acknowledge it from a host next door, long
+  // before the server's own ACK can arrive.
+  conn->SendDatagram(std::vector<std::uint8_t>(32, 0xAB));
+  const std::uint64_t in_flight = conn->stats().packets_sent - 1;
+  const std::uint64_t client_cid =
+      (static_cast<std::uint64_t>(client_host) << 32) | (9300u << 8) | 1;  // deterministic CIDs
+  std::vector<std::uint8_t> forged = {0x40};  // short header
+  for (int b = 7; b >= 0; --b) forged.push_back(static_cast<std::uint8_t>(client_cid >> (8 * b)));
+  PutQuicVarint(forged, 1000);              // packet number
+  forged.push_back(0x02);                   // ACK frame
+  PutQuicVarint(forged, in_flight);         // largest acknowledged
+  PutQuicVarint(forged, (1ull << 62) - 1);  // ack delay, us
+  PutQuicVarint(forged, 0);                 // range count
+  PutQuicVarint(forged, 0);                 // first range
+  network.SendUdp(forger, 2000, client_host, 9300, std::move(forged));
+  sim.RunUntil(sim.now() + net::Millis(10));
+
+  const double srtt = conn->stats().smoothed_rtt_ms;
+  EXPECT_TRUE(std::isfinite(srtt));
+  EXPECT_GT(srtt, 0.0);
+  EXPECT_LT(srtt, srtt_before);  // the forged ACK was taken, as a 1 us sample
+}
 
 TEST_F(TwoHosts, QuicHandshakeEstablishesInOneRtt) {
   QuicEndpoint client(&net_, a_, 9000), server(&net_, b_, 4433);

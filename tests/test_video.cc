@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <array>
+#include <random>
 #include <thread>
 #include <vector>
 
@@ -151,9 +152,103 @@ TEST(VideoCodec, CorruptDataThrowsOrRejects) {
                compress::CorruptStream);
 }
 
+TEST(VideoCodec, UnknownHeaderFlagThrows) {
+  // Bit 0 marks a keyframe; every other flag bit is undefined and must be
+  // rejected rather than silently ignored.
+  TalkingHeadConfig config;
+  config.resolution = kSmall;
+  TalkingHeadSource src(config, 4);
+  VideoEncoder enc(kSmall);
+  const EncodedFrame frame = enc.Encode(src.Next(), 20);
+  ASSERT_EQ(frame.bytes[0], 0x01);
+  for (int bit = 1; bit < 8; ++bit) {
+    std::vector<std::uint8_t> mutated = frame.bytes;
+    mutated[0] = static_cast<std::uint8_t>(mutated[0] | (1u << bit));
+    VideoDecoder dec(kSmall);
+    EXPECT_THROW(dec.Decode(mutated), compress::CorruptStream) << "flag bit " << bit;
+  }
+}
+
+TEST(VideoCodec, EncodeIntoMatchesEncode) {
+  // A reused EncodedFrame across a GOP (I and P frames) must carry exactly
+  // the bytes a fresh one would, and decode in place.
+  TalkingHeadConfig config;
+  config.resolution = kSmall;
+  VideoEncoder enc_a(kSmall, {.gop_length = 4}), enc_b(kSmall, {.gop_length = 4});
+  VideoDecoder dec(kSmall);
+  TalkingHeadSource src_a(config, 8), src_b(config, 8);
+  EncodedFrame reused;
+  VideoFrame decoded;
+  for (int i = 0; i < 9; ++i) {
+    const EncodedFrame fresh = enc_a.Encode(src_a.Next(), 16);
+    enc_b.EncodeInto(src_b.Next(), 16, reused);
+    EXPECT_EQ(fresh.bytes, reused.bytes) << "frame " << i;
+    EXPECT_EQ(fresh.keyframe, reused.keyframe);
+    ASSERT_TRUE(dec.DecodeInto(reused.bytes, decoded));
+    EXPECT_EQ(decoded.width, kSmall.width);
+  }
+}
+
+TEST(VideoCodec, TruncatedAndBitFlippedFramesThrowOrReject) {
+  TalkingHeadConfig config;
+  config.resolution = kSmall;
+  TalkingHeadSource src(config, 2);
+  VideoEncoder enc(kSmall);
+  VideoDecoder dec(kSmall);
+  const EncodedFrame frame = enc.Encode(src.Next(), 12);
+  std::mt19937 rng(7);
+  for (int trial = 0; trial < 100; ++trial) {
+    std::vector<std::uint8_t> mutated = frame.bytes;
+    mutated.resize(rng() % mutated.size() + 1);
+    mutated[rng() % mutated.size()] ^= 0x20;
+    try {
+      (void)dec.Decode(mutated);
+    } catch (const compress::CorruptStream&) {
+    }
+  }
+}
+
 TEST(VideoCodec, ResolutionMismatchThrows) {
   VideoEncoder enc(kSmall);
   EXPECT_THROW(enc.Encode(VideoFrame(64, 64), 20), std::invalid_argument);
+}
+
+std::uint64_t Fnv1a(std::uint64_t h, const void* data, std::size_t size) {
+  const auto* p = static_cast<const std::uint8_t*>(data);
+  for (std::size_t i = 0; i < size; ++i) h = (h ^ p[i]) * 1099511628211ull;
+  return h;
+}
+
+// Pins the video bitstream and its reconstruction across I and P frames,
+// several QPs and two sources. Any change to the transform, quantizer,
+// motion search or entropy stage must reproduce these digests exactly.
+TEST(VideoCodec, GoldenBitstreamDigest) {
+  std::uint64_t bytes_digest = 1469598103934665603ull;
+  std::uint64_t luma_digest = 1469598103934665603ull;
+  std::size_t total_bytes = 0;
+  for (const std::uint64_t seed : {3u, 5u}) {
+    for (const int qp : {12, 20, 32}) {
+      TalkingHeadConfig config;
+      config.resolution = kSmall;
+      TalkingHeadSource src(config, seed);
+      VideoEncoder enc(kSmall, {.gop_length = 6});
+      VideoDecoder dec(kSmall);
+      EncodedFrame encoded;
+      VideoFrame decoded;
+      for (int i = 0; i < 12; ++i) {
+        enc.EncodeInto(src.Next(), qp, encoded);
+        const std::uint64_t size = encoded.bytes.size();
+        bytes_digest = Fnv1a(bytes_digest, &size, sizeof(size));
+        bytes_digest = Fnv1a(bytes_digest, encoded.bytes.data(), encoded.bytes.size());
+        total_bytes += encoded.bytes.size();
+        ASSERT_TRUE(dec.DecodeInto(encoded.bytes, decoded));
+        luma_digest = Fnv1a(luma_digest, decoded.luma.data(), decoded.luma.size());
+      }
+    }
+  }
+  EXPECT_EQ(total_bytes, 43677u);
+  EXPECT_EQ(bytes_digest, 12993800735037689423ull);
+  EXPECT_EQ(luma_digest, 12856334326507606296ull);
 }
 
 // --- rate control ------------------------------------------------------------------
