@@ -80,11 +80,7 @@ ScalePoint Aggregate(std::span<const RepeatData> runs) {
 int main() {
   std::cout << "Reproduction of Figure 6: spatial-persona scalability, 2-5 users.\n"
             << "(each point is " << bench::Repeats() << " full sessions of "
-            << net::ToSeconds(bench::SessionDuration()) << " s)\n"
-            << "QUIC transport path: "
-            << (core::knobs::kQuicPath.Is("legacy") ? "legacy (std::vector/std::map)"
-                                                           : "pooled writer + sent-packet ring")
-            << "\n";
+            << net::ToSeconds(bench::SessionDuration()) << " s)\n";
 
   // All (users, repeat) sessions are independent; fan the whole grid out at
   // once and aggregate per user count afterwards.

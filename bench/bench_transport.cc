@@ -1,33 +1,26 @@
-// Transport hot-path benchmark: the pooled-writer/ring-buffer QUIC path vs
-// the retained legacy (std::vector / std::map) path, on the workload the
-// paper's scalability story is bounded by — an SFU fanning every inbound
-// datagram out to N-1 receivers (§4.2, Figure 6).
+// Transport hot-path benchmark: the pooled-writer/ring-buffer QUIC path on
+// the workload the paper's scalability story is bounded by — an SFU fanning
+// every inbound datagram out to N-1 receivers (§4.2, Figure 6).
 //
-//   1. fan-out throughput — a 5-persona session (5 clients, one SFU, star
-//      topology) pushing 90 FPS semantic-sized datagrams through the relay
-//      for a fixed simulated duration. A/B wall time, interleaved reps,
-//      best-of per side; the >=2x target applies here;
+//   1. fan-out throughput and observability overhead — a 5-persona session
+//      (5 clients, one SFU, star topology) pushing 90 FPS semantic-sized
+//      datagrams through the relay for a fixed simulated duration, with the
+//      frame tracer off vs armed (registry counters are always on). Best of
+//      interleaved reps per side; the packets/s delta must stay under 3%
+//      (the bench fails above 5%);
 //   2. steady-state allocations — a global operator-new counter reset after
-//      a warmup second; the default path must not touch the heap per
+//      a warmup second; the tracer-off run must not touch the heap per
 //      forwarded packet once pools and rings are warm;
-//   3. differential — the same session run once per path with a capture on
-//      the SFU's access link: wire traces (timing, addressing, sizes, and
-//      the 16-byte payload prefix of every packet), per-client delivery
-//      digests, and client transport stats must be identical.
-//
-//   4. observability overhead — the same fan-out session with the frame
-//      tracer armed vs off (registry counters are always on). The A/B's
-//      packets/s delta must stay under 3% (CI fails the bench above 5%);
-//   5. per-stage latency breakdown — a small spatial TelepresenceSession,
+//   3. per-stage latency breakdown — a small spatial TelepresenceSession,
 //      with the Figure-4-style capture->...->playout stage table produced
 //      entirely from obs::Snapshot and cross-checked against the receivers'
 //      frames_decoded and a bench-side percentile recomputation.
 //
-// Results go to BENCH_transport.json (override with VTP_BENCH_JSON);
-// `--smoke` shrinks the run for CI. Exit is nonzero on any differential
-// mismatch, steady-state allocation on the default path, speedup < 1.0,
-// obs overhead > 5%, or an obs snapshot that disagrees with the legacy
-// accounting.
+// Wire-level behaviour is pinned by the tier-1 goldens in
+// test_transport_ext.cc, not here. Results go to BENCH_transport.json
+// (override with VTP_BENCH_JSON); `--smoke` shrinks the run for CI. Exit is
+// nonzero on any steady-state allocation, obs overhead > 5%, or an obs
+// snapshot that disagrees with the receivers' own accounting.
 #include <atomic>
 #include <cstdlib>
 #include <cstring>
@@ -39,7 +32,6 @@
 
 #include "bench/bench_util.h"
 #include "bench/report.h"
-#include "netsim/capture.h"
 #include "netsim/network.h"
 #include "obs/snapshot.h"
 #include "obs/trace.h"
@@ -81,22 +73,6 @@ constexpr std::uint64_t kFnvPrime = 1099511628211ull;
 std::uint64_t Fnv(std::uint64_t h, const std::uint8_t* p, std::size_t n) {
   for (std::size_t i = 0; i < n; ++i) h = (h ^ p[i]) * kFnvPrime;
   return h;
-}
-
-std::uint64_t FnvU64(std::uint64_t h, std::uint64_t v) {
-  for (int i = 0; i < 8; ++i) {
-    h = (h ^ static_cast<std::uint8_t>(v)) * kFnvPrime;
-    v >>= 8;
-  }
-  return h;
-}
-
-void SelectPath(bool legacy) {
-  if (legacy) {
-    setenv("VTP_QUIC_PATH", "legacy", 1);
-  } else {
-    unsetenv("VTP_QUIC_PATH");
-  }
 }
 
 /// One client persona: ticks at 90 FPS, refreshing a reusable payload in
@@ -145,21 +121,15 @@ struct SessionResult {
   std::uint64_t forwarded = 0;         ///< SFU forwards over the whole run
   std::uint64_t delivered = 0;         ///< datagrams received across clients
   std::uint64_t payload_digest = kFnvOffset;  ///< delivered bytes, in order
-  std::uint64_t wire_digest = kFnvOffset;     ///< capture-trace digest
-  std::uint64_t wire_packets = 0;
-  std::uint64_t client_packets_sent = 0;
-  std::uint64_t client_bytes_sent = 0;
   std::uint64_t prehandshake_drops = 0;
   std::uint64_t steady_allocs = 0;     ///< operator-new count after warmup
   std::uint64_t steady_forwarded = 0;  ///< forwards after warmup
 };
 
-/// Runs one 5-persona SFU fan-out session on the selected path. The star
-/// topology (every host one 1 Gbps hop from the hub router) keeps generic
-/// netsim cost minimal so the measurement isolates the transport layer.
-SessionResult RunSession(bool legacy, net::SimTime duration, net::SimTime warmup,
-                         bool with_capture, bool obs_trace = false) {
-  SelectPath(legacy);
+/// Runs one 5-persona SFU fan-out session. The star topology (every host
+/// one 1 Gbps hop from the hub router) keeps generic netsim cost minimal so
+/// the measurement isolates the transport layer.
+SessionResult RunSession(net::SimTime duration, net::SimTime warmup, bool obs_trace) {
   SessionResult r;
 
   net::Simulator sim(1);
@@ -178,8 +148,6 @@ SessionResult RunSession(bool legacy, net::SimTime duration, net::SimTime warmup
   net.ComputeRoutes();
 
   vca::SfuServer sfu(&net, server, kSfuPort, vca::TransportKind::kQuicDatagram);
-  net::Capture capture;
-  if (with_capture) capture.AttachToLink(net, server, hub);
 
   std::vector<std::unique_ptr<transport::taps::Connection>> connections;
   std::vector<transport::QuicConnection*> conns;
@@ -216,18 +184,7 @@ SessionResult RunSession(bool legacy, net::SimTime duration, net::SimTime warmup
   r.forwarded = sfu.forwarded_count();
   r.steady_forwarded = r.forwarded - warm_forwarded;
   for (const transport::QuicConnection* conn : conns) {
-    r.client_packets_sent += conn->stats().packets_sent;
-    r.client_bytes_sent += conn->stats().bytes_sent;
     r.prehandshake_drops += conn->stats().datagrams_dropped_prehandshake;
-  }
-  for (const net::CaptureRecord& rec : capture.records()) {
-    std::uint64_t h = r.wire_digest;
-    h = FnvU64(h, static_cast<std::uint64_t>(rec.time));
-    h = FnvU64(h, (static_cast<std::uint64_t>(rec.src) << 32) | rec.dst);
-    h = FnvU64(h, (static_cast<std::uint64_t>(rec.src_port) << 32) | rec.dst_port);
-    h = FnvU64(h, (static_cast<std::uint64_t>(rec.wire_bytes) << 8) | rec.prefix_len);
-    r.wire_digest = Fnv(h, rec.prefix.data(), rec.prefix_len);
-    ++r.wire_packets;
   }
   return r;
 }
@@ -240,94 +197,30 @@ int main(int argc, char** argv) {
   const net::SimTime warmup = net::Seconds(1);
   const int reps = smoke ? 2 : 5;
 
-  std::cout << "Transport hot-path benchmark: pooled-writer QUIC + SFU fan-out vs legacy"
+  std::cout << "Transport hot-path benchmark: pooled-writer QUIC + SFU fan-out"
             << (smoke ? " (smoke)" : "") << "\n"
             << kPersonas << " personas, " << net::ToSeconds(duration) << " s simulated, " << reps
             << " reps\n";
 
-  // ---- 1+2: timed A/B (no capture; its record vector would pollute both
-  // the timing and the steady-state allocation count) ------------------------
-  bench::Banner("1. fan-out throughput (best of " + std::to_string(reps) + " interleaved reps)");
-  double legacy_best = 0, new_best = 0;
-  SessionResult legacy_timed, new_timed;
-  for (int rep = 0; rep < reps; ++rep) {
-    {
-      const bench::WallTimer timer;
-      legacy_timed = RunSession(/*legacy=*/true, duration, warmup, /*with_capture=*/false);
-      const double s = timer.seconds();
-      if (rep == 0 || s < legacy_best) legacy_best = s;
-    }
-    {
-      const bench::WallTimer timer;
-      new_timed = RunSession(/*legacy=*/false, duration, warmup, /*with_capture=*/false);
-      const double s = timer.seconds();
-      if (rep == 0 || s < new_best) new_best = s;
-    }
-  }
-  const double legacy_pps =
-      legacy_best > 0 ? static_cast<double>(legacy_timed.forwarded) / legacy_best : 0;
-  const double new_pps = new_best > 0 ? static_cast<double>(new_timed.forwarded) / new_best : 0;
-  const double speedup = legacy_best > 0 && new_best > 0 ? legacy_best / new_best : 0;
-  std::cout << "legacy: " << legacy_timed.forwarded << " forwarded in " << core::Fmt(legacy_best, 3)
-            << " s  (" << core::Fmt(legacy_pps / 1000, 1) << "k pkts/s)\n"
-            << "new:    " << new_timed.forwarded << " forwarded in " << core::Fmt(new_best, 3)
-            << " s  (" << core::Fmt(new_pps / 1000, 1) << "k pkts/s)\n"
-            << "speedup: " << core::Fmt(speedup, 2) << "x (target: >=2x)\n";
-
-  bench::Banner("2. steady-state allocations (after " + core::Fmt(net::ToSeconds(warmup), 0) +
-                " s warmup)");
-  const double legacy_apf =
-      legacy_timed.steady_forwarded > 0
-          ? static_cast<double>(legacy_timed.steady_allocs) /
-                static_cast<double>(legacy_timed.steady_forwarded)
-          : 0;
-  const double new_apf = new_timed.steady_forwarded > 0
-                             ? static_cast<double>(new_timed.steady_allocs) /
-                                   static_cast<double>(new_timed.steady_forwarded)
-                             : 0;
-  std::cout << "legacy: " << legacy_timed.steady_allocs << " allocs / "
-            << legacy_timed.steady_forwarded << " forwarded = " << core::Fmt(legacy_apf, 2)
-            << " per packet\n"
-            << "new:    " << new_timed.steady_allocs << " allocs / " << new_timed.steady_forwarded
-            << " forwarded = " << core::Fmt(new_apf, 2) << " per packet\n";
-  const bool alloc_free = new_timed.steady_allocs == 0;
-
-  // ---- 3: differential ------------------------------------------------------
-  bench::Banner("3. differential (wire capture at the SFU access link)");
-  const SessionResult legacy_diff =
-      RunSession(/*legacy=*/true, duration, warmup, /*with_capture=*/true);
-  const SessionResult new_diff =
-      RunSession(/*legacy=*/false, duration, warmup, /*with_capture=*/true);
-  const bool wire_match = legacy_diff.wire_digest == new_diff.wire_digest &&
-                          legacy_diff.wire_packets == new_diff.wire_packets;
-  const bool delivery_match = legacy_diff.payload_digest == new_diff.payload_digest &&
-                              legacy_diff.delivered == new_diff.delivered;
-  const bool stats_match = legacy_diff.client_packets_sent == new_diff.client_packets_sent &&
-                           legacy_diff.client_bytes_sent == new_diff.client_bytes_sent &&
-                           legacy_diff.forwarded == new_diff.forwarded;
-  std::cout << "wire trace: " << new_diff.wire_packets << " packets, digests "
-            << (wire_match ? "identical" : "DIFFER") << "\n"
-            << "delivery:   " << new_diff.delivered << " datagrams, digests "
-            << (delivery_match ? "identical" : "DIFFER") << "\n"
-            << "stats:      " << (stats_match ? "identical" : "DIFFER") << "\n";
-
-  // ---- 4: observability overhead -------------------------------------------
-  bench::Banner("4. obs overhead (tracer armed vs off, default path, best of " +
-                std::to_string(reps) + ")");
+  // ---- 1: throughput with the tracer off vs armed -------------------------
+  bench::Banner("1. fan-out throughput and obs overhead (tracer off vs armed, best of " +
+                std::to_string(reps) + " interleaved reps)");
+  // One untimed session per side first: the first run of each kind in a
+  // process pays for cold pools, span buffers and page faults.
+  RunSession(duration, warmup, /*obs_trace=*/false);
+  RunSession(duration, warmup, /*obs_trace=*/true);
   double obs_off_best = 0, obs_on_best = 0;
   SessionResult obs_off_r, obs_on_r;
   for (int rep = 0; rep < reps; ++rep) {
     {
       const bench::WallTimer timer;
-      obs_off_r = RunSession(/*legacy=*/false, duration, warmup, /*with_capture=*/false,
-                             /*obs_trace=*/false);
+      obs_off_r = RunSession(duration, warmup, /*obs_trace=*/false);
       const double s = timer.seconds();
       if (rep == 0 || s < obs_off_best) obs_off_best = s;
     }
     {
       const bench::WallTimer timer;
-      obs_on_r = RunSession(/*legacy=*/false, duration, warmup, /*with_capture=*/false,
-                            /*obs_trace=*/true);
+      obs_on_r = RunSession(duration, warmup, /*obs_trace=*/true);
       const double s = timer.seconds();
       if (rep == 0 || s < obs_on_best) obs_on_best = s;
     }
@@ -342,16 +235,28 @@ int main(int argc, char** argv) {
   const bool obs_same_work = obs_off_r.forwarded == obs_on_r.forwarded &&
                              obs_off_r.payload_digest == obs_on_r.payload_digest;
   const bool obs_ok = obs_overhead_pct <= 5.0 && obs_same_work;
-  std::cout << "obs off: " << core::Fmt(obs_off_pps / 1000, 1) << "k pkts/s ("
-            << core::Fmt(obs_off_best, 3) << " s)\n"
-            << "obs on:  " << core::Fmt(obs_on_pps / 1000, 1) << "k pkts/s ("
-            << core::Fmt(obs_on_best, 3) << " s)\n"
+  std::cout << "obs off: " << obs_off_r.forwarded << " forwarded in "
+            << core::Fmt(obs_off_best, 3) << " s  (" << core::Fmt(obs_off_pps / 1000, 1)
+            << "k pkts/s)\n"
+            << "obs on:  " << obs_on_r.forwarded << " forwarded in " << core::Fmt(obs_on_best, 3)
+            << " s  (" << core::Fmt(obs_on_pps / 1000, 1) << "k pkts/s)\n"
             << "overhead: " << core::Fmt(obs_overhead_pct, 2)
             << "% (target <3%, hard fail >5%); identical forwarding: "
             << (obs_same_work ? "yes" : "NO") << "\n";
 
-  // ---- 5: per-stage latency breakdown from obs::Snapshot --------------------
-  bench::Banner("5. frame-lifecycle breakdown (3-persona spatial session, from obs::Snapshot)");
+  // ---- 2: steady-state allocations (tracer-off run) ------------------------
+  bench::Banner("2. steady-state allocations (after " + core::Fmt(net::ToSeconds(warmup), 0) +
+                " s warmup)");
+  const double allocs_per_packet =
+      obs_off_r.steady_forwarded > 0 ? static_cast<double>(obs_off_r.steady_allocs) /
+                                           static_cast<double>(obs_off_r.steady_forwarded)
+                                     : 0;
+  std::cout << obs_off_r.steady_allocs << " allocs / " << obs_off_r.steady_forwarded
+            << " forwarded = " << core::Fmt(allocs_per_packet, 2) << " per packet\n";
+  const bool alloc_free = obs_off_r.steady_allocs == 0;
+
+  // ---- 3: per-stage latency breakdown from obs::Snapshot --------------------
+  bench::Banner("3. frame-lifecycle breakdown (3-persona spatial session, from obs::Snapshot)");
   bool trace_ok = true;
   obs::Snapshot session_snap;
   {
@@ -411,31 +316,17 @@ int main(int argc, char** argv) {
   w.Key("reps"); w.Int(reps);
   w.Key("fanout");
   w.BeginObject();
-  w.Key("forwarded"); w.Int(static_cast<std::int64_t>(new_timed.forwarded));
-  w.Key("legacy_wall_s"); w.Number(legacy_best);
-  w.Key("new_wall_s"); w.Number(new_best);
-  w.Key("legacy_packets_per_s"); w.Number(legacy_pps);
-  w.Key("new_packets_per_s"); w.Number(new_pps);
-  w.Key("speedup"); w.Number(speedup);
-  w.Key("speedup_target"); w.Number(2.0);
+  w.Key("forwarded"); w.Int(static_cast<std::int64_t>(obs_off_r.forwarded));
+  w.Key("wall_s"); w.Number(obs_off_best);
+  w.Key("packets_per_s"); w.Number(obs_off_pps);
   w.EndObject();
   w.Key("steady_state");
   w.BeginObject();
-  w.Key("legacy_allocs"); w.Int(static_cast<std::int64_t>(legacy_timed.steady_allocs));
-  w.Key("new_allocs"); w.Int(static_cast<std::int64_t>(new_timed.steady_allocs));
-  w.Key("legacy_forwarded"); w.Int(static_cast<std::int64_t>(legacy_timed.steady_forwarded));
-  w.Key("new_forwarded"); w.Int(static_cast<std::int64_t>(new_timed.steady_forwarded));
-  w.Key("legacy_allocs_per_packet"); w.Number(legacy_apf);
-  w.Key("new_allocs_per_packet"); w.Number(new_apf);
+  w.Key("allocs"); w.Int(static_cast<std::int64_t>(obs_off_r.steady_allocs));
+  w.Key("forwarded"); w.Int(static_cast<std::int64_t>(obs_off_r.steady_forwarded));
+  w.Key("allocs_per_packet"); w.Number(allocs_per_packet);
   w.EndObject();
-  w.Key("differential");
-  w.BeginObject();
-  w.Key("wire_packets"); w.Int(static_cast<std::int64_t>(new_diff.wire_packets));
-  w.Key("wire_identical"); w.Bool(wire_match);
-  w.Key("delivery_identical"); w.Bool(delivery_match);
-  w.Key("stats_identical"); w.Bool(stats_match);
-  w.EndObject();
-  w.Key("prehandshake_drops"); w.Int(static_cast<std::int64_t>(new_timed.prehandshake_drops));
+  w.Key("prehandshake_drops"); w.Int(static_cast<std::int64_t>(obs_off_r.prehandshake_drops));
   w.Key("alloc_free"); w.Bool(alloc_free);
   w.Key("obs_overhead");
   w.BeginObject();
@@ -453,13 +344,8 @@ int main(int argc, char** argv) {
   const std::string path = report.Write();
   std::cout << "\nwrote " << path << "\n";
 
-  if (!wire_match || !delivery_match || !stats_match) std::cout << "FAIL: paths diverge\n";
-  if (!alloc_free) std::cout << "FAIL: default path allocated in steady state\n";
-  if (speedup < 1.0) std::cout << "FAIL: speedup < 1.0\n";
+  if (!alloc_free) std::cout << "FAIL: allocated in steady state\n";
   if (!obs_ok) std::cout << "FAIL: obs overhead > 5% or changed forwarding\n";
-  if (!trace_ok) std::cout << "FAIL: obs snapshot disagrees with legacy accounting\n";
-  return wire_match && delivery_match && stats_match && alloc_free && speedup >= 1.0 &&
-                 obs_ok && trace_ok
-             ? 0
-             : 1;
+  if (!trace_ok) std::cout << "FAIL: obs snapshot disagrees with the receivers' accounting\n";
+  return alloc_free && obs_ok && trace_ok ? 0 : 1;
 }

@@ -20,17 +20,6 @@ struct TokenSink {
   }
 };
 
-constexpr std::uint32_t kLegacyHashBits = 16;
-constexpr std::uint32_t kLegacyHashSize = 1u << kLegacyHashBits;
-
-std::uint32_t LegacyHashAt(std::span<const std::uint8_t> d, std::size_t i) {
-  // Multiplicative hash over 3 bytes (the minimum match length).
-  const std::uint32_t v = static_cast<std::uint32_t>(d[i]) |
-                          (static_cast<std::uint32_t>(d[i + 1]) << 8) |
-                          (static_cast<std::uint32_t>(d[i + 2]) << 16);
-  return (v * 2654435761u) >> (32 - kLegacyHashBits);
-}
-
 }  // namespace
 
 std::vector<LzToken> LzTokenize(std::span<const std::uint8_t> data, const LzParams& params) {
@@ -38,73 +27,6 @@ std::vector<LzToken> LzTokenize(std::span<const std::uint8_t> data, const LzPara
   tokens.reserve(data.size() / 2 + 8);
   MatchFinder finder;
   LzParse(finder, data, params, TokenSink{&tokens});
-  return tokens;
-}
-
-std::vector<LzToken> LzTokenizeLegacy(std::span<const std::uint8_t> data, const LzParams& params) {
-  std::vector<LzToken> tokens;
-  tokens.reserve(data.size() / 2 + 8);
-
-  // head[h] = most recent position with hash h; prev[i] = previous position
-  // in i's chain. kNone marks an empty slot.
-  constexpr std::size_t kNone = static_cast<std::size_t>(-1);
-  std::vector<std::size_t> head(kLegacyHashSize, kNone);
-  std::vector<std::size_t> prev(data.size(), kNone);
-
-  std::size_t pos = 0;
-  while (pos < data.size()) {
-    std::uint32_t best_len = 0;
-    std::size_t best_dist = 0;
-
-    if (pos + LzParams::kMinMatch <= data.size()) {
-      const std::uint32_t h = LegacyHashAt(data, pos);
-      std::size_t candidate = head[h];
-      int probes = params.max_chain_length;
-      const std::uint32_t max_len = static_cast<std::uint32_t>(
-          std::min<std::size_t>(LzParams::kMaxMatch, data.size() - pos));
-      while (candidate != kNone && probes-- > 0) {
-        const std::size_t dist = pos - candidate;
-        if (dist > params.window_size) break;
-        std::uint32_t len = 0;
-        while (len < max_len && data[candidate + len] == data[pos + len]) ++len;
-        if (len > best_len) {
-          best_len = len;
-          best_dist = dist;
-          if (len == max_len) break;
-        }
-        candidate = prev[candidate];
-      }
-    }
-
-    if (best_len >= LzParams::kMinMatch) {
-      tokens.push_back({.is_match = true,
-                        .literal = 0,
-                        .length = best_len,
-                        .distance = static_cast<std::uint32_t>(best_dist)});
-      // Insert every covered position into the hash chains so later matches
-      // can reference the interior of this one. Only positions with a full
-      // kMinMatch window left are hashable, so the insertion bound is the
-      // tighter of the match end and the last hashable position.
-      const std::size_t end = pos + best_len;
-      const std::size_t last_hashable =
-          data.size() < LzParams::kMinMatch ? 0 : data.size() - (LzParams::kMinMatch - 1);
-      const std::size_t insert_end = std::min(end, last_hashable);
-      for (; pos < insert_end; ++pos) {
-        const std::uint32_t h = LegacyHashAt(data, pos);
-        prev[pos] = head[h];
-        head[h] = pos;
-      }
-      pos = end;
-    } else {
-      tokens.push_back({.is_match = false, .literal = data[pos], .length = 0, .distance = 0});
-      if (pos + LzParams::kMinMatch <= data.size()) {
-        const std::uint32_t h = LegacyHashAt(data, pos);
-        prev[pos] = head[h];
-        head[h] = pos;
-      }
-      ++pos;
-    }
-  }
   return tokens;
 }
 

@@ -7,11 +7,10 @@
 // The parser is greedy: it takes the longest match at every position, and
 // its output is frozen for format stability.
 //
-// The hot-path implementation lives in match_finder.h (a persistent,
-// allocation-free MatchFinder plus a template parse driver); the free
-// functions here are convenience wrappers that allocate per call. The
-// original per-call tokenizer is retained verbatim as LzTokenizeLegacy —
-// it is the differential baseline for tests and bench_compress.
+// The implementation lives in match_finder.h (a persistent, allocation-free
+// MatchFinder plus a template parse driver); the free functions here are
+// convenience wrappers that allocate per call. The greedy streams are
+// pinned byte for byte by the goldens in test_compress_stream.cc.
 #pragma once
 
 #include <cstdint>
@@ -42,11 +41,6 @@ struct LzParams {
 /// inputs and params. Convenience wrapper over MatchFinder; allocates the
 /// finder per call — per-frame callers should hold an LzrEncoder instead.
 std::vector<LzToken> LzTokenize(std::span<const std::uint8_t> data, const LzParams& params = {});
-
-/// The pre-arena greedy tokenizer, kept verbatim as the differential
-/// baseline: LzTokenize must reproduce its output exactly.
-std::vector<LzToken> LzTokenizeLegacy(std::span<const std::uint8_t> data,
-                                      const LzParams& params = {});
 
 /// Reconstructs the original bytes from a token stream.
 /// Throws CorruptStream if a token references data before the start.

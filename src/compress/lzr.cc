@@ -19,106 +19,11 @@ LzrEncoder& WrapperEncoder() {
   return encoder;
 }
 
-/// The seed's range encoder, frozen: identical byte stream to RangeEncoder,
-/// but with the original out-of-line, branchy bit path (the seed compiled it
-/// in its own translation unit, so nothing inlined). LzrCompressLegacy pins
-/// the WHOLE seed compressor — tokenizer, per-call tables, token vector, and
-/// this coder — so bench_compress measures the true old-vs-new hot-path gap,
-/// the same way bench_simcore keeps the heap scheduler alive as its baseline.
-class SeedRangeEncoder {
- public:
-  explicit SeedRangeEncoder(std::vector<std::uint8_t>* out) : out_(out) {}
-
-  [[gnu::noinline]] void EncodeBit(BitModel& m, int bit) {
-    const std::uint32_t bound = (range_ >> BitModel::kTotalBits) * m.prob;
-    if (bit == 0) {
-      range_ = bound;
-      m.prob =
-          static_cast<std::uint16_t>(m.prob + ((BitModel::kTotal - m.prob) >> BitModel::kMoveBits));
-    } else {
-      low_ += bound;
-      range_ -= bound;
-      m.prob = static_cast<std::uint16_t>(m.prob - (m.prob >> BitModel::kMoveBits));
-    }
-    while (range_ < kTopValue) {
-      range_ <<= 8;
-      ShiftLow();
-    }
-  }
-
-  [[gnu::noinline]] void EncodeDirectBits(std::uint32_t value, int count) {
-    for (int i = count - 1; i >= 0; --i) {
-      range_ >>= 1;
-      if ((value >> i) & 1u) low_ += range_;
-      while (range_ < kTopValue) {
-        range_ <<= 8;
-        ShiftLow();
-      }
-    }
-  }
-
-  void Flush() {
-    for (int i = 0; i < 5; ++i) ShiftLow();
-  }
-
- private:
-  static constexpr std::uint32_t kTopValue = 1u << 24;
-
-  [[gnu::noinline]] void ShiftLow() {
-    if (static_cast<std::uint32_t>(low_) < 0xFF000000u || (low_ >> 32) != 0) {
-      const auto carry = static_cast<std::uint8_t>(low_ >> 32);
-      do {
-        out_->push_back(static_cast<std::uint8_t>(cache_ + carry));
-        cache_ = 0xFF;
-      } while (--cache_size_ != 0);
-      cache_ = static_cast<std::uint8_t>(low_ >> 24);
-    }
-    ++cache_size_;
-    low_ = (low_ << 8) & 0xFFFFFFFFull;
-  }
-
-  std::vector<std::uint8_t>* out_;
-  std::uint64_t low_ = 0;
-  std::uint32_t range_ = 0xFFFFFFFFu;
-  std::uint8_t cache_ = 0;
-  std::uint64_t cache_size_ = 1;
-};
-
 }  // namespace
 
 std::vector<std::uint8_t> LzrCompress(std::span<const std::uint8_t> data, const LzParams& params) {
   std::vector<std::uint8_t> out;
   WrapperEncoder().CompressInto(data, out, params);
-  return out;
-}
-
-std::vector<std::uint8_t> LzrCompressLegacy(std::span<const std::uint8_t> data,
-                                            const LzParams& params) {
-  std::vector<std::uint8_t> out(detail::kLzrMagic.begin(), detail::kLzrMagic.end());
-  PutUleb128(out, data.size());
-  if (data.empty()) return out;
-
-  const std::vector<LzToken> tokens = LzTokenizeLegacy(data, params);
-
-  SeedRangeEncoder rc(&out);
-  detail::LzrModels m;
-  for (const LzToken& t : tokens) {
-    if (t.is_match) {
-      rc.EncodeBit(m.is_match, 1);
-      m.length.Encode(rc, t.length - LzParams::kMinMatch);
-      const std::uint32_t slot = detail::DistanceToSlot(t.distance);
-      m.dist_slot.Encode(rc, slot);
-      if (slot >= 4) {
-        const int direct = static_cast<int>(slot / 2 - 1);
-        const std::uint32_t base = (2u | (slot & 1u)) << direct;
-        rc.EncodeDirectBits((t.distance - 1) - base, direct);
-      }
-    } else {
-      rc.EncodeBit(m.is_match, 0);
-      m.literal.Encode(rc, t.literal);
-    }
-  }
-  rc.Flush();
   return out;
 }
 

@@ -29,12 +29,6 @@ namespace vtp::compress {
 /// the input (incompressible data costs ~1.05x + 16 bytes).
 std::vector<std::uint8_t> LzrCompress(std::span<const std::uint8_t> data, const LzParams& params = {});
 
-/// The pre-arena compressor (token vector + fresh tables per call), kept
-/// verbatim as the A/B baseline for bench_compress and differential tests.
-/// LzrCompress must produce identical bytes.
-std::vector<std::uint8_t> LzrCompressLegacy(std::span<const std::uint8_t> data,
-                                            const LzParams& params = {});
-
 /// Decompresses an LzrCompress stream.
 /// Throws CorruptStream on bad magic (anything but LZR1), truncation, or
 /// invalid tokens.

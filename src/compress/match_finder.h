@@ -1,6 +1,6 @@
 // Reusable LZ77 match finder: the allocation-free heart of the lzr hot path.
 //
-// The legacy tokenizer allocated (and cleared) a 512 KB hash-head table plus
+// The seed tokenizer allocated (and cleared) a 512 KB hash-head table plus
 // a full prev-chain array on every call — for a 900-byte keypoint frame the
 // memset alone dwarfed the actual matching. MatchFinder instead owns its
 // arrays for the lifetime of the encoder and rebinds to a new input in O(1):
@@ -14,9 +14,10 @@
 //   * match extension compares 8 bytes at a time (memcpy loads + countr_zero
 //     on the XOR), falling back to bytes near the tail.
 //
-// The greedy parse driver on top, LzParse, is byte-for-byte the legacy
+// The greedy parse driver on top, LzParse, is byte-for-byte the seed
 // algorithm (same probe order, same tie-breaks, same chain insertions), so
-// its streams stay bit-identical to the pre-arena compressor. It emits
+// its streams stay bit-identical to the pre-arena compressor (pinned by the
+// goldens in test_compress_stream.cc). It emits
 // through a Sink (Literal/Match callbacks), which is what lets LzrEncoder
 // fuse tokenization straight into range coding with no intermediate token
 // vector.
@@ -95,7 +96,7 @@ class MatchFinder {
   /// resets). Inputs are limited to < 4 GiB, far above any frame here.
   void Reset(std::span<const std::uint8_t> data);
 
-  /// Best match at `pos` under the legacy probe/tie-break rules: walk the
+  /// Best match at `pos` under the seed probe/tie-break rules: walk the
   /// chain newest-first for at most max_chain_length probes, keep the first
   /// strictly-longer candidate, stop at the window edge or a full-length
   /// match. Returns length 0 when no kMinMatch-or-longer match exists.
@@ -178,7 +179,7 @@ class MatchFinder {
 /// Drives `finder` over `data` and emits tokens into `sink`, which must
 /// provide `Literal(std::uint8_t)` and `Match(std::uint32_t length,
 /// std::uint32_t distance)`. Greedy: takes the longest match at every
-/// position, reproducing the legacy token stream exactly.
+/// position, reproducing the seed token stream exactly.
 template <class Sink>
 void LzParse(MatchFinder& finder, std::span<const std::uint8_t> data, const LzParams& params,
              Sink&& sink) {

@@ -226,8 +226,8 @@ class RangeDecoder {
 };
 
 /// A complete binary tree of adaptive bit models encoding `Bits`-wide symbols.
-/// Encode/Decode are templated on the coder so frozen baselines (e.g. the
-/// seed coder LzrCompressLegacy pins) can reuse the tree layout.
+/// Encode/Decode are templated on the coder so a RangeEncoder and its
+/// register-resident Hot session drive the same tree layout.
 template <int Bits>
 class BitTree {
  public:

@@ -41,9 +41,9 @@ inline std::string EnvString(const char* name, const char* fallback) {
   return env == nullptr ? fallback : env;
 }
 
-/// True when `name` is set to exactly `value`. Allocation-free, so hot-path
-/// defaults (e.g. the QUIC path pick from VTP_QUIC_PATH) can consult it per
-/// call without heap traffic.
+/// True when `name` is set to exactly `value`. Allocation-free, so per-call
+/// defaults (e.g. the fleet engine pick from VTP_FLEET_PATH) can consult it
+/// without heap traffic.
 inline bool EnvEquals(const char* name, const char* value) {
   const char* env = std::getenv(name);
   if (env == nullptr) return false;

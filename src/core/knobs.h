@@ -3,10 +3,10 @@
 // Each knob appears exactly once, with its type, default, and help string;
 // the inline handles self-register with core::Config so `vtp --knobs` lists
 // them all. Call sites consult the handle (knobs::kFull.Get(),
-// knobs::kQuicPath.Is("legacy")) instead of scattering EnvInt/EnvFlag/
+// knobs::kFleetPath.Is("express")) instead of scattering EnvInt/EnvFlag/
 // getenv parsing through the tree — resolution still happens per call, so
-// benches that setenv() a knob mid-run (scheduler/QUIC-path A/Bs) behave
-// exactly as before.
+// benches that setenv() a knob mid-run (the obs and fleet-engine A/Bs)
+// behave exactly as before.
 #pragma once
 
 #include "core/config.h"
@@ -27,16 +27,6 @@ inline const IntKnob kBenchThreads{
 /// Override for the bench JSON report path.
 inline const StringKnob kBenchJson{"VTP_BENCH_JSON", "",
                                    "path for the bench JSON report", "BENCH_<bench>.json"};
-
-/// Discrete-event scheduler engine (bench_simcore A/Bs these per session).
-inline const ChoiceKnob kSimScheduler{
-    "VTP_SIM_SCHEDULER", "wheel", {"wheel", "heap"},
-    "event scheduler: hierarchical timer wheel or legacy priority-queue heap"};
-
-/// QUIC serialization path (bench_transport A/Bs these per session).
-inline const ChoiceKnob kQuicPath{
-    "VTP_QUIC_PATH", "default", {"default", "legacy"},
-    "QUIC hot path: pooled packet writer + sent-packet ring, or the legacy per-frame buffers"};
 
 /// Frame-lifecycle tracing (obs::FrameTracer). Registry counters are always
 /// on — they replace the bespoke stats structs at identical cost — but span

@@ -2,7 +2,6 @@
 
 #include <cassert>
 
-#include "core/knobs.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
 
@@ -23,24 +22,17 @@ void EventPool::Grow(SchedulerStats* stats) {
 
 }  // namespace detail
 
-Simulator::Simulator(std::uint64_t seed, Scheduler scheduler)
-    : scheduler_(scheduler),
-      rng_(seed),
+Simulator::Simulator(std::uint64_t seed)
+    : rng_(seed),
       metrics_(std::make_unique<obs::MetricRegistry>()),
       tracer_(std::make_unique<obs::FrameTracer>()) {
-  if (scheduler_ == Scheduler::kWheel) {
-    for (int level = 0; level < kLevels; ++level) {
-      buckets_[level].assign(kWheelSize, nullptr);
-      bitmap_[level].assign(kWheelSize / 64, 0);
-    }
+  for (int level = 0; level < kLevels; ++level) {
+    buckets_[level].assign(kWheelSize, nullptr);
+    bitmap_[level].assign(kWheelSize / 64, 0);
   }
 }
 
 Simulator::~Simulator() { ReleaseAll(); }
-
-Simulator::Scheduler Simulator::SchedulerFromEnv() {
-  return core::knobs::kSimScheduler.Is("heap") ? Scheduler::kHeap : Scheduler::kWheel;
-}
 
 void Simulator::Insert(detail::SimEvent* e) {
   const std::uint64_t tick = static_cast<std::uint64_t>(e->time) >> kTickShift;
@@ -142,74 +134,33 @@ bool Simulator::PrimeDue() {
   return true;
 }
 
+void Simulator::ExecuteDue() {
+  detail::SimEvent* e = due_.top();
+  due_.pop();
+  --pending_;
+  now_ = e->time;
+  ++executed_;
+  e->fn.Invoke();
+  pool_.Release(e);
+}
+
 void Simulator::Run() {
   stopped_ = false;
-  if (scheduler_ == Scheduler::kHeap) {
-    RunLegacy();
-    return;
-  }
-  while (!stopped_ && PrimeDue()) {
-    detail::SimEvent* e = due_.top();
-    due_.pop();
-    --pending_;
-    now_ = e->time;
-    ++executed_;
-    e->fn.Invoke();
-    pool_.Release(e);
-  }
+  while (!stopped_ && PrimeDue()) ExecuteDue();
 }
 
 void Simulator::RunUntil(SimTime t) {
   stopped_ = false;
-  if (scheduler_ == Scheduler::kHeap) {
-    RunUntilLegacy(t);
-    return;
-  }
-  while (!stopped_ && PrimeDue() && due_.top()->time <= t) {
-    detail::SimEvent* e = due_.top();
-    due_.pop();
-    --pending_;
-    now_ = e->time;
-    ++executed_;
-    e->fn.Invoke();
-    pool_.Release(e);
-  }
+  while (!stopped_ && PrimeDue() && due_.top()->time <= t) ExecuteDue();
   if (!stopped_ && now_ < t) now_ = t;
 }
 
 std::optional<SimTime> Simulator::NextEventTime() {
-  if (scheduler_ == Scheduler::kHeap) {
-    if (legacy_.empty()) return std::nullopt;
-    return legacy_.top().time;
-  }
   // PrimeDue only advances the cursor and moves events into due_; it never
   // executes callbacks or touches now_, so peeking here is side-effect-free
   // with respect to the (time, seq) execution order.
   if (!PrimeDue()) return std::nullopt;
   return due_.top()->time;
-}
-
-void Simulator::RunLegacy() {
-  while (!legacy_.empty() && !stopped_) {
-    LegacyEvent e = legacy_.top();
-    legacy_.pop();
-    --pending_;
-    now_ = e.time;
-    ++executed_;
-    e.fn();
-  }
-}
-
-void Simulator::RunUntilLegacy(SimTime t) {
-  while (!legacy_.empty() && !stopped_ && legacy_.top().time <= t) {
-    LegacyEvent e = legacy_.top();
-    legacy_.pop();
-    --pending_;
-    now_ = e.time;
-    ++executed_;
-    e.fn();
-  }
-  if (!stopped_ && now_ < t) now_ = t;
 }
 
 void Simulator::ReleaseAll() {

@@ -4,23 +4,17 @@
 // keeps runs deterministic. The Simulator also owns the experiment Rng so a
 // single seed reproduces a whole run.
 //
-// Two interchangeable scheduler engines produce the exact same (time, seq)
-// execution order:
-//
-//   * kWheel (default) — a three-level hierarchical timer wheel (1.024 us
-//     level-0 ticks, 2048 buckets per level, ~2.4 h total horizon with a
-//     min-heap overflow past it) over slab-pooled events whose callbacks are
-//     stored inline when the capture fits kInlineBytes. Scheduling is O(1)
-//     and allocation-free on the hot path.
-//   * kHeap — the legacy single std::priority_queue of std::function events,
-//     kept behind the VTP_SIM_SCHEDULER=heap escape hatch for A/B validation
-//     and as the perf baseline bench_simcore measures against.
+// The scheduler is a three-level hierarchical timer wheel (1.024 us level-0
+// ticks, 2048 buckets per level, ~2.4 h total horizon with a min-heap
+// overflow past it) over slab-pooled events whose callbacks are stored
+// inline when the capture fits kInlineBytes. Scheduling is O(1) and
+// allocation-free on the hot path. test_simcore replays random event trees
+// against a sorted-vector reference model to hold the (time, seq) order.
 #pragma once
 
 #include <bit>
 #include <cstddef>
 #include <cstdint>
-#include <functional>
 #include <memory>
 #include <new>
 #include <optional>
@@ -145,13 +139,7 @@ using EventHeap = std::priority_queue<SimEvent*, std::vector<SimEvent*>, LaterEv
 /// event callbacks.
 class Simulator {
  public:
-  enum class Scheduler {
-    kWheel,  ///< hierarchical timer wheel + event pool (default)
-    kHeap,   ///< legacy priority_queue of std::function events
-  };
-
-  explicit Simulator(std::uint64_t seed = 1) : Simulator(seed, SchedulerFromEnv()) {}
-  Simulator(std::uint64_t seed, Scheduler scheduler);
+  explicit Simulator(std::uint64_t seed = 1);
   ~Simulator();
 
   Simulator(const Simulator&) = delete;
@@ -167,10 +155,6 @@ class Simulator {
     ++stats_.events_scheduled;
     ++pending_;
     if (pending_ > stats_.max_pending) stats_.max_pending = pending_;
-    if (scheduler_ == Scheduler::kHeap) {
-      legacy_.push(LegacyEvent{t, next_seq_++, std::function<void()>(std::forward<F>(fn))});
-      return;
-    }
     detail::SimEvent* e = pool_.Acquire(&stats_);
     e->time = t;
     e->seq = next_seq_++;
@@ -204,7 +188,6 @@ class Simulator {
   /// The experiment-wide random source.
   Rng& rng() { return rng_; }
 
-  Scheduler scheduler() const { return scheduler_; }
   const SchedulerStats& scheduler_stats() const { return stats_; }
 
   /// This run's observability registry. One registry per Simulator keeps
@@ -218,10 +201,6 @@ class Simulator {
   obs::FrameTracer& tracer() { return *tracer_; }
   const obs::FrameTracer& tracer() const { return *tracer_; }
 
-  /// Scheduler selected by VTP_SIM_SCHEDULER ("heap" or "wheel"); the wheel
-  /// unless "heap" is explicitly requested.
-  static Scheduler SchedulerFromEnv();
-
  private:
   // Wheel geometry: level-0 ticks are 2^kTickShift ns (1.024 us); each level
   // has 2^kWheelBits buckets. Level L spans 2^(kTickShift + (L+1)*kWheelBits)
@@ -231,26 +210,13 @@ class Simulator {
   static constexpr std::size_t kWheelSize = std::size_t{1} << kWheelBits;
   static constexpr int kLevels = 3;
 
-  struct LegacyEvent {
-    SimTime time;
-    std::uint64_t seq;
-    std::function<void()> fn;
-  };
-  struct LegacyLater {
-    bool operator()(const LegacyEvent& a, const LegacyEvent& b) const {
-      return a.time != b.time ? a.time > b.time : a.seq > b.seq;
-    }
-  };
-
   void Insert(detail::SimEvent* e);
   bool PrimeDue();  // moves the next runnable event(s) into due_; false if idle
+  void ExecuteDue();  // pops and runs the earliest event in due_
   void CascadeBucket(int level, std::size_t index);
   std::size_t NextSetBucket(int level, std::size_t from) const;
-  void RunLegacy();
-  void RunUntilLegacy(SimTime t);
   void ReleaseAll();
 
-  Scheduler scheduler_;
   SimTime now_ = 0;
   std::uint64_t next_seq_ = 0;
   std::uint64_t executed_ = 0;
@@ -261,16 +227,12 @@ class Simulator {
   std::unique_ptr<obs::MetricRegistry> metrics_;
   std::unique_ptr<obs::FrameTracer> tracer_;
 
-  // Wheel engine.
   detail::EventPool pool_;
   std::uint64_t cursor_tick_ = 0;  ///< absolute level-0 tick of the wheel cursor
   std::vector<detail::SimEvent*> buckets_[kLevels];
   std::vector<std::uint64_t> bitmap_[kLevels];
   detail::EventHeap due_;       ///< events at/behind the cursor, by (time, seq)
   detail::EventHeap overflow_;  ///< events past the top-level horizon
-
-  // Legacy engine.
-  std::priority_queue<LegacyEvent, std::vector<LegacyEvent>, LegacyLater> legacy_;
 };
 
 }  // namespace vtp::net

@@ -4,7 +4,6 @@
 #include <cassert>
 
 #include "compress/bitstream.h"
-#include "core/knobs.h"
 
 namespace vtp::transport {
 
@@ -45,9 +44,9 @@ constexpr std::size_t kInitialRingSize = 64;  // sent-packet ring; power of two
 // not translate into a huge allocation.
 constexpr std::uint64_t kMaxReassemblyWindow = 1ull << 24;  // 16 MiB
 
-// The varint/byte emitters are templated over the sink so the legacy
-// std::vector path and the pooled QuicPacketWriter path share one serializer
-// and stay byte-identical by construction.
+// The varint emitter is templated over the sink: the public PutQuicVarint
+// appends to a std::vector, packets serialize straight into their
+// QuicPacketWriter.
 template <class Out>
 void PutVarintTo(Out& out, std::uint64_t value) {
   if (value < (1ull << 6)) {
@@ -70,16 +69,14 @@ void PutVarintTo(Out& out, std::uint64_t value) {
   }
 }
 
-template <class Out>
-void PutU32To(Out& out, std::uint32_t v) {
+void PutU32To(QuicPacketWriter& out, std::uint32_t v) {
   out.push_back(static_cast<std::uint8_t>(v >> 24));
   out.push_back(static_cast<std::uint8_t>(v >> 16));
   out.push_back(static_cast<std::uint8_t>(v >> 8));
   out.push_back(static_cast<std::uint8_t>(v));
 }
 
-template <class Out>
-void PutU64To(Out& out, std::uint64_t v) {
+void PutU64To(QuicPacketWriter& out, std::uint64_t v) {
   PutU32To(out, static_cast<std::uint32_t>(v >> 32));
   PutU32To(out, static_cast<std::uint32_t>(v));
 }
@@ -146,8 +143,7 @@ QuicConnection::QuicConnection(QuicEndpoint* endpoint, std::uint64_t local_cid,
       peer_node_(peer_node),
       peer_port_(peer_port),
       is_client_(is_client),
-      legacy_(core::knobs::kQuicPath.Is("legacy")) {
-  if (!legacy_) sent_ring_.resize(kInitialRingSize);
+      sent_ring_(kInitialRingSize) {
   // Connection metrics live in the owning Simulator's registry under a
   // per-connection scope; construction order is deterministic per seed.
   obs::MetricRegistry& reg = endpoint_->medium().sim().metrics();
@@ -180,13 +176,6 @@ QuicStats QuicConnection::stats() const {
 }
 
 void QuicConnection::StartHandshake() {
-  if (legacy_) {
-    std::vector<std::uint8_t> frames;
-    frames.push_back(kFramePing);
-    SendPacket(std::move(frames), /*ack_eliciting=*/true, {}, /*long_header=*/true,
-               kLongTypeInitial);
-    return;
-  }
   QuicPacketWriter w = BeginPacket(/*long_header=*/true, kLongTypeInitial);
   w.push_back(kFramePing);
   FinishPacket(std::move(w), /*ack_eliciting=*/true, nullptr, /*pad_initial=*/true);
@@ -220,16 +209,6 @@ void QuicConnection::SendStreamData(std::uint64_t stream_id,
 
 void QuicConnection::Close(std::uint64_t error_code) {
   if (closed_) return;
-  if (legacy_) {
-    std::vector<std::uint8_t> frames;
-    frames.push_back(kFrameConnectionClose);
-    PutQuicVarint(frames, error_code);
-    PutQuicVarint(frames, 0);  // offending frame type (none)
-    PutQuicVarint(frames, 0);  // reason phrase length
-    SendPacket(std::move(frames), /*ack_eliciting=*/false, {}, /*long_header=*/false, 0);
-    closed_ = true;
-    return;
-  }
   QuicPacketWriter w = BeginPacket(/*long_header=*/false, 0);
   w.push_back(kFrameConnectionClose);
   PutVarintTo(w, error_code);
@@ -253,17 +232,12 @@ void QuicConnection::SendDatagram(std::span<const std::uint8_t> data) {
     return;
   }
   obs_.datagrams_sent->Inc();
-  if (legacy_ || 1 + kCidBytes + 9 + 1 + 9 + data.size() > kMaxPacketSize) {
-    // Legacy path — or a datagram too large for the pooled MTU block, where
-    // the unbounded vector builder keeps the historical oversized behaviour.
-    std::vector<std::uint8_t> frames;
-    frames.push_back(kFrameDatagram);
-    PutQuicVarint(frames, data.size());
-    frames.insert(frames.end(), data.begin(), data.end());
-    SendPacket(std::move(frames), /*ack_eliciting=*/true, {}, /*long_header=*/false, 0);
-    return;
-  }
-  QuicPacketWriter w = BeginPacket(/*long_header=*/false, 0);
+  // A DATAGRAM too large for the MTU block goes out in one packet sized to
+  // its worst case: short header, pn, frame type, length and payload, with
+  // 9 bytes reserved for each varint.
+  const std::size_t worst_case = 1 + kCidBytes + 9 + 1 + 9 + data.size();
+  QuicPacketWriter w =
+      BeginPacket(/*long_header=*/false, 0, std::max(kMaxPacketSize, worst_case));
   w.push_back(kFrameDatagram);
   PutVarintTo(w, data.size());
   w.append(data.data(), data.size());
@@ -277,45 +251,8 @@ void QuicConnection::MaybeSendPending() {
     datagram_queue_.pop_front();
     SendDatagram(d);
   }
-  if (!legacy_) {
-    SendPendingStreams();
-    return;
-  }
   while (!stream_queue_.empty()) {
     // Respect the congestion window for reliable data.
-    std::size_t budget = CongestionBudget();
-    if (budget < stream_queue_.front().data.size() + 64) break;
-
-    std::vector<std::uint8_t> frames;
-    std::vector<SentStreamChunk> chunks;
-    while (!stream_queue_.empty() && frames.size() < kMaxPacketSize - 96) {
-      SentStreamChunk c = std::move(stream_queue_.front());
-      const std::size_t cost = c.data.size() + 16;
-      if (!frames.empty() && (frames.size() + cost > kMaxPacketSize - 64 || cost > budget)) {
-        stream_queue_.push_front(std::move(c));
-        break;
-      }
-      stream_queue_.pop_front();
-      budget = budget > cost ? budget - cost : 0;
-      frames.push_back(c.fin ? kFrameStreamFin : kFrameStreamBase);
-      PutQuicVarint(frames, c.stream_id);
-      PutQuicVarint(frames, c.offset);
-      PutQuicVarint(frames, c.data.size());
-      frames.insert(frames.end(), c.data.begin(), c.data.end());
-      chunks.push_back(std::move(c));
-    }
-    if (frames.empty()) break;
-    SendPacket(std::move(frames), /*ack_eliciting=*/true, std::move(chunks),
-               /*long_header=*/false, 0);
-  }
-}
-
-// Default-path twin of the legacy stream-packing loop above. Every
-// threshold, ordering quirk, and queue manipulation is mirrored exactly —
-// including the move-then-push_front on the rejection path — because the
-// differential suite holds the two paths to byte-identical wire traffic.
-void QuicConnection::SendPendingStreams() {
-  while (!stream_queue_.empty()) {
     std::size_t budget = CongestionBudget();
     if (budget < stream_queue_.front().data.size() + 64) break;
 
@@ -323,6 +260,9 @@ void QuicConnection::SendPendingStreams() {
     const std::size_t header = w.size();
     chunk_scratch_.clear();
     while (!stream_queue_.empty() && w.size() - header < kMaxPacketSize - 96) {
+      // A rejected chunk is pushed back in front of its own moved-from husk
+      // (same stream, offset and FIN, no bytes), which later goes out as an
+      // empty STREAM frame. The wire goldens pin this quirk.
       SentStreamChunk c = std::move(stream_queue_.front());
       const std::size_t cost = c.data.size() + 16;
       if (w.size() != header &&
@@ -344,50 +284,9 @@ void QuicConnection::SendPendingStreams() {
   }
 }
 
-void QuicConnection::SendPacket(std::vector<std::uint8_t> frames, bool ack_eliciting,
-                                std::vector<SentStreamChunk> chunks, bool long_header,
-                                std::uint8_t long_type) {
-  const std::uint64_t pn = next_pn_++;
-  std::vector<std::uint8_t> packet;
-  if (long_header) {
-    packet.push_back(static_cast<std::uint8_t>(0xC0 | (long_type << 4)));
-    PutU32To(packet, kQuicVersion);
-    packet.push_back(kCidBytes);
-    PutU64To(packet, remote_cid_);
-    packet.push_back(kCidBytes);
-    PutU64To(packet, local_cid_);
-  } else {
-    packet.push_back(0x40);
-    PutU64To(packet, remote_cid_);
-  }
-  PutQuicVarint(packet, pn);
-  packet.insert(packet.end(), frames.begin(), frames.end());
-  if (long_header && long_type == kLongTypeInitial) {
-    // RFC 9000 §14.1: Initial packets are padded to 1200 bytes.
-    while (packet.size() < kMaxPacketSize) packet.push_back(kFramePadding);
-  }
-
-  SentPacketInfo info;
-  info.sent_time = endpoint_->medium().sim().now();
-  info.bytes = static_cast<std::uint32_t>(packet.size());
-  info.ack_eliciting = ack_eliciting;
-  info.chunks = std::move(chunks);
-  if (ack_eliciting) bytes_in_flight_ += info.bytes;
-  if (legacy_) {
-    sent_packets_[pn] = std::move(info);
-  } else {
-    SentPacketInfo& slot = SentSlot(pn);
-    slot = std::move(info);
-  }
-
-  obs_.packets_sent->Inc();
-  obs_.bytes_sent->Inc(packet.size());
-  endpoint_->SendRaw(peer_node_, peer_port_, std::move(packet));
-  if (ack_eliciting) ArmPto();
-}
-
-QuicPacketWriter QuicConnection::BeginPacket(bool long_header, std::uint8_t long_type) {
-  QuicPacketWriter w(kMaxPacketSize);
+QuicPacketWriter QuicConnection::BeginPacket(bool long_header, std::uint8_t long_type,
+                                             std::size_t capacity) {
+  QuicPacketWriter w(capacity);
   if (long_header) {
     w.push_back(static_cast<std::uint8_t>(0xC0 | (long_type << 4)));
     PutU32To(w, kQuicVersion);
@@ -424,22 +323,14 @@ void QuicConnection::FinishPacket(QuicPacketWriter&& w, bool ack_eliciting,
 }
 
 QuicConnection::SentPacketInfo* QuicConnection::FindSent(std::uint64_t pn) {
-  if (legacy_) {
-    const auto it = sent_packets_.find(pn);
-    return it == sent_packets_.end() ? nullptr : &it->second;
-  }
   if (pn < ring_base_ || pn >= next_pn_) return nullptr;
   return &sent_ring_[pn & (sent_ring_.size() - 1)];
 }
 
 QuicConnection::SentPacketInfo& QuicConnection::SentSlot(std::uint64_t pn) {
-  // Retire the settled prefix first so the live window stays tight.
-  while (ring_base_ < pn) {
-    SentPacketInfo& s = sent_ring_[ring_base_ & (sent_ring_.size() - 1)];
-    if (!(s.acked || s.lost)) break;
-    s.chunks.clear();
-    ++ring_base_;
-  }
+  // Retire the settled prefix first so the live window stays tight (up to,
+  // not including, `pn`: its slot is about to be overwritten).
+  RetireSettled(pn);
   if (pn - ring_base_ >= sent_ring_.size()) {
     // Unsettled window outgrew the ring: double it and re-index live slots.
     std::size_t cap = sent_ring_.size() * 2;
@@ -489,18 +380,10 @@ void QuicConnection::OnDatagramReceived(std::span<const std::uint8_t> payload) {
     if (is_long && long_type == kLongTypeInitial && !is_client_ && !established_) {
       // Server side: answer the Initial with a Handshake packet carrying
       // HANDSHAKE_DONE, then consider the connection usable.
-      if (legacy_) {
-        std::vector<std::uint8_t> frames;
-        AppendAckFrameTo(frames);
-        frames.push_back(kFrameHandshakeDone);
-        SendPacket(std::move(frames), /*ack_eliciting=*/true, {}, /*long_header=*/true,
-                   kLongTypeHandshake);
-      } else {
-        QuicPacketWriter w = BeginPacket(/*long_header=*/true, kLongTypeHandshake);
-        AppendAckFrameTo(w);
-        w.push_back(kFrameHandshakeDone);
-        FinishPacket(std::move(w), /*ack_eliciting=*/true, nullptr);
-      }
+      QuicPacketWriter w = BeginPacket(/*long_header=*/true, kLongTypeHandshake);
+      AppendAckFrameTo(w);
+      w.push_back(kFrameHandshakeDone);
+      FinishPacket(std::move(w), /*ack_eliciting=*/true, nullptr);
       established_ = true;
     }
     if (!was_established && established_ && on_established_) on_established_();
@@ -567,31 +450,9 @@ void QuicConnection::ProcessFrames(std::span<const std::uint8_t> payload) {
         const std::uint64_t offset = GetQuicVarint(payload, &pos);
         const std::uint64_t length = GetQuicVarint(payload, &pos);
         if (pos + length > payload.size()) throw compress::CorruptStream("quic: stream overrun");
-        if (!legacy_) {
-          OnStreamSegment(stream_id, offset, payload.subspan(pos, length),
-                          type == kFrameStreamFin);
-          pos += length;
-          break;
-        }
-        RecvStream& rs = recv_streams_[stream_id];
-        if (offset >= rs.delivered) {
-          rs.segments.emplace(
-              offset, std::vector<std::uint8_t>(payload.begin() + static_cast<std::ptrdiff_t>(pos),
-                                                payload.begin() + static_cast<std::ptrdiff_t>(pos + length)));
-        }
-        if (type == kFrameStreamFin) rs.fin_offset = offset + length;
+        OnStreamSegment(stream_id, offset, payload.subspan(pos, length),
+                        type == kFrameStreamFin);
         pos += length;
-        // In-order delivery of any contiguous prefix.
-        while (true) {
-          const auto it = rs.segments.find(rs.delivered);
-          if (it == rs.segments.end()) break;
-          std::vector<std::uint8_t> data = std::move(it->second);
-          rs.segments.erase(it);
-          rs.delivered += data.size();
-          obs_.stream_bytes_delivered->Inc(data.size());
-          const bool fin = rs.fin_offset && rs.delivered >= *rs.fin_offset;
-          if (on_stream_data_) on_stream_data_(stream_id, data, fin);
-        }
         break;
       }
       case kFrameDatagram: {
@@ -610,10 +471,9 @@ void QuicConnection::ProcessFrames(std::span<const std::uint8_t> payload) {
   }
 }
 
-// Default-path stream reassembly: bytes land in a contiguous window anchored
-// at the delivery frontier, with merged range bookkeeping. Consecutive
-// segments arriving out of order are handed to the application as one merged
-// run — same bytes in the same order as the legacy per-segment delivery.
+// Stream reassembly: bytes land in a contiguous window anchored at the
+// delivery frontier, with merged range bookkeeping. Consecutive segments
+// arriving out of order are handed to the application as one merged run.
 void QuicConnection::OnStreamSegment(std::uint64_t stream_id, std::uint64_t offset,
                                      std::span<const std::uint8_t> data, bool fin) {
   RecvAssembly& rs = recv_assembly_[stream_id];
@@ -647,8 +507,8 @@ void QuicConnection::OnStreamSegment(std::uint64_t stream_id, std::uint64_t offs
     if (on_stream_data_) on_stream_data_(stream_id, std::span(rs.window.data(), n), done);
     rs.window.erase(rs.window.begin(), rs.window.begin() + static_cast<std::ptrdiff_t>(n));
   }
-  // Legacy parity: an empty FIN segment at the delivery frontier signals
-  // end-of-stream with an empty payload.
+  // An empty FIN segment at the delivery frontier signals end-of-stream with
+  // an empty payload.
   if (data.empty() && fin && offset == rs.delivered && rs.fin_offset == rs.delivered) {
     if (on_stream_data_) on_stream_data_(stream_id, {}, true);
   }
@@ -701,9 +561,8 @@ void QuicConnection::HandleAckFrame(std::span<const std::uint8_t> payload, std::
 }
 
 void QuicConnection::AckRange(std::uint64_t lo, std::uint64_t hi) {
-  // On the ring path the retired prefix is coalesced away in one clamp
-  // instead of a per-pn map miss each.
-  if (!legacy_ && lo < ring_base_) lo = ring_base_;
+  // The retired prefix is coalesced away in one clamp.
+  if (lo < ring_base_) lo = ring_base_;
   for (std::uint64_t pn = lo; pn <= hi; ++pn) OnPacketAcked(pn);
 }
 
@@ -750,34 +609,20 @@ void QuicConnection::DetectLosses() {
     if (pn >= recovery_start_pn_) congestion_event = true;
     return false;
   };
-  if (legacy_) {
-    for (auto& [pn, info] : sent_packets_) {
-      if (check(pn, info)) break;
-    }
-  } else {
-    for (std::uint64_t pn = ring_base_; pn < next_pn_; ++pn) {
-      if (check(pn, sent_ring_[pn & (sent_ring_.size() - 1)])) break;
-    }
+  for (std::uint64_t pn = ring_base_; pn < next_pn_; ++pn) {
+    if (check(pn, sent_ring_[pn & (sent_ring_.size() - 1)])) break;
   }
   if (congestion_event) {
     ssthresh_ = std::max(cwnd_ / 2, 2 * kMaxPacketSize);
     cwnd_ = ssthresh_;
     recovery_start_pn_ = next_pn_;
   }
-  RetireSettled();
+  RetireSettled(next_pn_);
 }
 
-void QuicConnection::RetireSettled() {
+void QuicConnection::RetireSettled(std::uint64_t limit) {
   // Prune settled history so tracking state stays small on long sessions.
-  if (legacy_) {
-    while (!sent_packets_.empty()) {
-      const auto first = sent_packets_.begin();
-      if (!(first->second.acked || first->second.lost)) break;
-      sent_packets_.erase(first);
-    }
-    return;
-  }
-  while (ring_base_ < next_pn_) {
+  while (ring_base_ < limit) {
     SentPacketInfo& s = sent_ring_[ring_base_ & (sent_ring_.size() - 1)];
     if (!(s.acked || s.lost)) break;
     s.chunks.clear();
@@ -817,8 +662,7 @@ void QuicConnection::RecordReceivedPn(std::uint64_t pn) {
   }
 }
 
-template <class Out>
-void QuicConnection::AppendAckFrameTo(Out& out) {
+void QuicConnection::AppendAckFrameTo(QuicPacketWriter& out) {
   if (recv_ranges_.empty()) return;
   const std::size_t nranges = std::min(recv_ranges_.size(), kMaxAckRanges);
   out.push_back(kFrameAck);
@@ -843,12 +687,6 @@ void QuicConnection::SendAckIfNeeded() {
   ack_pending_ = false;
   pending_ack_eliciting_ = 0;
   if (recv_ranges_.empty()) return;
-  if (legacy_) {
-    std::vector<std::uint8_t> frames;
-    AppendAckFrameTo(frames);
-    SendPacket(std::move(frames), /*ack_eliciting=*/false, {}, /*long_header=*/false, 0);
-    return;
-  }
   QuicPacketWriter w = BeginPacket(/*long_header=*/false, 0);
   AppendAckFrameTo(w);
   FinishPacket(std::move(w), /*ack_eliciting=*/false, nullptr);
@@ -881,12 +719,8 @@ void QuicConnection::OnPto() {
     obs_.packets_declared_lost->Inc();
     bytes_in_flight_ = bytes_in_flight_ >= info.bytes ? bytes_in_flight_ - info.bytes : 0;
   };
-  if (legacy_) {
-    for (auto& [pn, info] : sent_packets_) resend(info);
-  } else {
-    for (std::uint64_t pn = ring_base_; pn < next_pn_; ++pn) {
-      resend(sent_ring_[pn & (sent_ring_.size() - 1)]);
-    }
+  for (std::uint64_t pn = ring_base_; pn < next_pn_; ++pn) {
+    resend(sent_ring_[pn & (sent_ring_.size() - 1)]);
   }
   if (!outstanding && stream_queue_.empty()) return;
   ++pto_backoff_;
@@ -896,10 +730,6 @@ void QuicConnection::OnPto() {
   }
   if (!stream_queue_.empty()) {
     MaybeSendPending();
-  } else if (legacy_) {
-    std::vector<std::uint8_t> frames;
-    frames.push_back(kFramePing);
-    SendPacket(std::move(frames), /*ack_eliciting=*/true, {}, /*long_header=*/false, 0);
   } else {
     QuicPacketWriter w = BeginPacket(/*long_header=*/false, 0);
     w.push_back(kFramePing);
@@ -943,11 +773,6 @@ QuicConnection* QuicEndpoint::Connect(net::NodeId peer, std::uint16_t peer_port)
   connections_[cid] = std::move(conn);
   raw->StartHandshake();
   return raw;
-}
-
-void QuicEndpoint::SendRaw(net::NodeId dst, std::uint16_t dst_port,
-                           std::vector<std::uint8_t> payload) {
-  medium_->SendUdp(node_, port_, dst, dst_port, std::move(payload));
 }
 
 void QuicEndpoint::SendRaw(net::NodeId dst, std::uint16_t dst_port, net::PacketBuffer payload) {

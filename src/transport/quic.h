@@ -17,14 +17,11 @@
 // There is no TLS: payloads are opaque to the network anyway (the paper
 // could not decrypt them either, §5) and the simulator never inspects them.
 //
-// Two send/track/reassemble implementations coexist (DESIGN.md §7):
-//   * the default hot path serializes packets straight into pooled
-//     PacketBuffer blocks, tracks sent packets in a ring indexed by packet
-//     number, and reassembles streams into a contiguous window — zero heap
-//     allocations per packet in steady state;
-//   * VTP_QUIC_PATH=legacy keeps the original std::vector/std::map
-//     implementation as a frozen reference. Both produce byte-identical
-//     wire traffic (enforced by the differential suite and bench_transport).
+// The hot path (DESIGN.md §7) serializes packets straight into pooled
+// PacketBuffer blocks, tracks sent packets in a ring indexed by packet
+// number, and reassembles streams into a contiguous window — zero heap
+// allocations per packet in steady state. The wire bytes are pinned by the
+// session goldens in test_transport_ext.cc.
 #pragma once
 
 #include <cassert>
@@ -64,7 +61,8 @@ struct QuicStats {
 };
 
 /// Serializes one outgoing packet straight into a pooled payload block: the
-/// writer starts at the MTU-sized block capacity, frames append in place,
+/// writer starts at the block capacity (the MTU, or a DATAGRAM frame's size
+/// when that is larger), frames append in place,
 /// and Take() shrinks the block to the bytes written and hands that same
 /// block to the network layer — no intermediate std::vector, no copy.
 class QuicPacketWriter {
@@ -88,7 +86,7 @@ class QuicPacketWriter {
     len_ += n;
   }
   /// Zero-fills to `n` bytes total in one memset (RFC 9000 §14.1 Initial
-  /// padding; the legacy path pads with a per-byte push_back loop).
+  /// padding).
   void pad_to(std::size_t n) {
     assert(n >= len_ && n <= buf_.size());
     std::memset(data_ + len_, 0, n - len_);
@@ -171,14 +169,8 @@ class QuicConnection {
     bool lost = false;
     std::vector<SentStreamChunk> chunks;  // for retransmission
   };
-  struct RecvStream {
-    std::map<std::uint64_t, std::vector<std::uint8_t>> segments;  // offset -> data
-    std::uint64_t delivered = 0;
-    std::optional<std::uint64_t> fin_offset;
-  };
-  /// Default-path reassembly: one contiguous window anchored at `delivered`
-  /// plus a merged list of received absolute byte ranges, replacing the
-  /// per-segment map<offset, vector> above.
+  /// Stream reassembly: one contiguous window anchored at `delivered` plus a
+  /// merged list of received absolute byte ranges.
   struct RecvAssembly {
     std::vector<std::uint8_t> window;  // bytes at [delivered, delivered + window.size())
     std::vector<std::pair<std::uint64_t, std::uint64_t>> ranges;  // merged [first,last], ascending
@@ -197,12 +189,10 @@ class QuicConnection {
   void AckInfo(SentPacketInfo& info);
   void AckRange(std::uint64_t lo, std::uint64_t hi);
   void DetectLosses();
-  void RetireSettled();
+  void RetireSettled(std::uint64_t limit);
   void MaybeSendPending();
-  void SendPendingStreams();
-  void SendPacket(std::vector<std::uint8_t> frames, bool ack_eliciting,
-                  std::vector<SentStreamChunk> chunks, bool long_header, std::uint8_t long_type);
-  QuicPacketWriter BeginPacket(bool long_header, std::uint8_t long_type);
+  QuicPacketWriter BeginPacket(bool long_header, std::uint8_t long_type,
+                               std::size_t capacity = kMaxPacketSize);
   void FinishPacket(QuicPacketWriter&& w, bool ack_eliciting,
                     std::vector<SentStreamChunk>* chunks, bool pad_initial = false);
   SentPacketInfo* FindSent(std::uint64_t pn);
@@ -214,8 +204,7 @@ class QuicConnection {
   void OnPto();
   net::SimTime PtoInterval() const;
   void UpdateRtt(net::SimTime rtt_sample);
-  template <class Out>
-  void AppendAckFrameTo(Out& out);
+  void AppendAckFrameTo(QuicPacketWriter& out);
   void RecordReceivedPn(std::uint64_t pn);
   std::size_t CongestionBudget() const;
 
@@ -225,13 +214,11 @@ class QuicConnection {
   net::NodeId peer_node_;
   std::uint16_t peer_port_;
   bool is_client_;
-  const bool legacy_;  ///< VTP_QUIC_PATH=legacy: frozen reference implementation
   bool established_ = false;
   bool closed_ = false;
 
   std::uint64_t next_pn_ = 0;
-  std::map<std::uint64_t, SentPacketInfo> sent_packets_;  // legacy path only
-  // Default path: sent packets live in a ring, slot = pn & (size - 1).
+  // Sent packets live in a ring, slot = pn & (size - 1).
   // Live window is [ring_base_, next_pn_); the settled prefix is retired by
   // advancing ring_base_, and the ring doubles (re-indexing live entries)
   // when an unsettled window outgrows it.
@@ -266,8 +253,7 @@ class QuicConnection {
   std::uint64_t pto_epoch_ = 0;  // invalidates stale PTO timers
   int pto_backoff_ = 0;
 
-  std::map<std::uint64_t, RecvStream> recv_streams_;      // legacy path only
-  std::map<std::uint64_t, RecvAssembly> recv_assembly_;   // default path
+  std::map<std::uint64_t, RecvAssembly> recv_assembly_;
   std::deque<std::vector<std::uint8_t>> datagram_queue_;  // pre-handshake sends
 
   StreamDataHandler on_stream_data_;
@@ -275,7 +261,7 @@ class QuicConnection {
   EstablishedHandler on_established_;
   CloseHandler on_close_;
 
-  /// Registry handles behind the legacy QuicStats accessor. Increments are
+  /// Registry handles behind the back-compat QuicStats accessor. Increments are
   /// plain adds through stable pointers — same hot-path cost as the struct
   /// fields they replaced.
   struct StatsHandles {
@@ -322,7 +308,6 @@ class QuicEndpoint {
   friend class QuicConnection;
 
   void OnPacket(const net::Packet& p);
-  void SendRaw(net::NodeId dst, std::uint16_t dst_port, std::vector<std::uint8_t> payload);
   void SendRaw(net::NodeId dst, std::uint16_t dst_port, net::PacketBuffer payload);
   std::uint64_t NewCid();
 

@@ -336,26 +336,26 @@ void TelepresenceSession::SetupSpatialAdaptation() {
         "adapt.tx" + std::to_string(i)));
   }
 
-  // The 200 ms control tick: sample each uplink's transport counters, run
-  // the controller, apply level changes, and drive the per-subscriber
-  // coarse-stream requests.
-  auto ticker = std::make_shared<std::function<void()>>();
-  *ticker = [this, ticker] {
-    if (sim_->now() >= config_.duration) return;
-    const net::SimTime now = sim_->now();
-    for (std::size_t i = 0; i < quic_conns_.size(); ++i) {
-      const transport::QuicStats st = quic_conns_[i]->stats();
-      path_estimators_[i]->OnCounters(st.bytes_sent, st.packets_sent,
-                                      st.packets_declared_lost, st.smoothed_rtt_ms, now);
-      if (adapt_controllers_[i]->Update(path_estimators_[i]->estimate(), now)) {
-        const transport::AdaptLevel& spec = adapt_controllers_[i]->level_spec();
-        spatial_senders_[i]->ApplyLevel(spec.rung, spec.fec, spec.freeze);
-      }
+  sim_->After(net::Millis(500), [this] { AdaptTick(); });
+}
+
+// The 200 ms control tick: sample each uplink's transport counters, run the
+// controller, apply level changes, and drive the per-subscriber coarse-stream
+// requests.
+void TelepresenceSession::AdaptTick() {
+  if (sim_->now() >= config_.duration) return;
+  const net::SimTime now = sim_->now();
+  for (std::size_t i = 0; i < quic_conns_.size(); ++i) {
+    const transport::QuicStats st = quic_conns_[i]->stats();
+    path_estimators_[i]->OnCounters(st.bytes_sent, st.packets_sent, st.packets_declared_lost,
+                                    st.smoothed_rtt_ms, now);
+    if (adapt_controllers_[i]->Update(path_estimators_[i]->estimate(), now)) {
+      const transport::AdaptLevel& spec = adapt_controllers_[i]->level_spec();
+      spatial_senders_[i]->ApplyLevel(spec.rung, spec.fec, spec.freeze);
     }
-    UpdateSubscriberAdapt(now);
-    sim_->After(net::Millis(200), *ticker);
-  };
-  sim_->After(net::Millis(500), *ticker);
+  }
+  UpdateSubscriberAdapt(now);
+  sim_->After(net::Millis(200), [this] { AdaptTick(); });
 }
 
 void TelepresenceSession::SendRungRequest(std::size_t participant, std::uint8_t target,
@@ -540,19 +540,7 @@ void TelepresenceSession::SetupRenderLoops() {
     };
 
     if (config_.delivery_culling) {
-      // Push subscription changes to the SFU four times a second.
-      auto updater = std::make_shared<std::function<void()>>();
-      *updater = [this, self, updater] {
-        if (sim_->now() >= config_.duration) return;
-        if (desired_masks_[self] != sent_masks_[self]) {
-          sent_masks_[self] = desired_masks_[self];
-          std::vector<std::uint8_t> msg = {kRelayTagLocal, static_cast<std::uint8_t>(self),
-                                           kMediaSubscription, sent_masks_[self]};
-          quic_conns_[self]->SendDatagram(msg);
-        }
-        sim_->After(net::Millis(250), *updater);
-      };
-      sim_->After(net::Millis(600), *updater);
+      sim_->After(net::Millis(600), [this, self] { CullingTick(self); });
     }
 
     // Rendering starts once media is flowing.
@@ -560,6 +548,19 @@ void TelepresenceSession::SetupRenderLoops() {
       render_loops_[self]->Start(config_.duration, on_frame);
     });
   }
+}
+
+// Pushes participant `self`'s subscription changes to the SFU four times a
+// second.
+void TelepresenceSession::CullingTick(std::size_t self) {
+  if (sim_->now() >= config_.duration) return;
+  if (desired_masks_[self] != sent_masks_[self]) {
+    sent_masks_[self] = desired_masks_[self];
+    std::vector<std::uint8_t> msg = {kRelayTagLocal, static_cast<std::uint8_t>(self),
+                                     kMediaSubscription, sent_masks_[self]};
+    quic_conns_[self]->SendDatagram(msg);
+  }
+  sim_->After(net::Millis(250), [this, self] { CullingTick(self); });
 }
 
 net::Netem TelepresenceSession::UplinkNetem(std::size_t participant) {

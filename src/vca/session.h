@@ -188,6 +188,8 @@ class TelepresenceSession {
   void Setup2dPipelines();
   void SetupRenderLoops();
   void SetupSpatialAdaptation();
+  void AdaptTick();
+  void CullingTick(std::size_t self);
   void UpdateSubscriberAdapt(net::SimTime now);
   void SendRungRequest(std::size_t participant, std::uint8_t target, bool coarse);
 

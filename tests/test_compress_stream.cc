@@ -1,8 +1,8 @@
 // Tests for the streaming compression hot path: LzrEncoder / MatchFinder /
 // counting-sink sizes / the shared CodecEngine. The core contract under test
-// is differential: the fused streaming encoder must be byte-identical to the
-// legacy tokenize-then-encode compressor, and every stream must round-trip
-// exactly.
+// is byte-identity: the fused streaming encoder must reproduce the seed
+// tokenize-then-encode compressor's streams (pinned as goldens), and every
+// stream must round-trip exactly.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -97,23 +97,35 @@ std::vector<std::vector<std::uint8_t>> AllCorpora() {
   return corpora;
 }
 
-// ---- differential greedy identity ------------------------------------------
+// ---- greedy stream goldens -------------------------------------------------
 
-TEST(LzrStream, GreedyIsByteIdenticalToLegacy) {
-  LzrEncoder encoder;
-  std::vector<std::uint8_t> out;
-  for (const auto& data : AllCorpora()) {
-    const std::vector<std::uint8_t> legacy = LzrCompressLegacy(data, Greedy());
-    out.clear();
-    encoder.CompressInto(data, out, Greedy());
-    EXPECT_EQ(out, legacy) << "greedy stream diverged on input of " << data.size() << " bytes";
-  }
+std::uint64_t Fnv1a(std::span<const std::uint8_t> data) {
+  std::uint64_t h = 1469598103934665603ull;
+  for (const std::uint8_t b : data) h = (h ^ b) * 1099511628211ull;
+  return h;
 }
 
-TEST(LzrStream, FreeFunctionWrapperMatchesEncoder) {
+// FNV-1a of the greedy LZR1 stream for each AllCorpora() input, recorded
+// from the seed's tokenize-then-encode compressor. The streaming encoder and
+// the free-function wrapper must both reproduce every stream byte for byte.
+constexpr std::uint64_t kAllCorporaStreamFnv[] = {
+    0x3DED3FC1B0790104ull, 0xB5D4326143EBC8E8ull, 0x2A3D904E72A7EA1Cull,
+    0xC95AB7DF3B5A83D1ull, 0x94428FC21176ACACull, 0x6F1E5B5EC3A676C5ull,
+    0xB0C53ED5D8DE54F9ull, 0xD33F6B4018AA9DA0ull, 0xA827A25C54E2F6D2ull,
+    0x3B0968FFFE859473ull, 0xB307D3B343399F56ull, 0xC75EBC16D0C69056ull,
+    0xCB99D21F994EA214ull, 0xECE8144FE9048B5Eull,
+};
+
+TEST(LzrStream, GreedyStreamsMatchSeedGoldens) {
+  const std::vector<std::vector<std::uint8_t>> corpora = AllCorpora();
+  ASSERT_EQ(corpora.size(), std::size(kAllCorporaStreamFnv));
   LzrEncoder encoder;
-  for (const auto& data : AllCorpora()) {
-    EXPECT_EQ(LzrCompress(data), LzrCompressLegacy(data, Greedy()));
+  std::vector<std::uint8_t> out;
+  for (std::size_t i = 0; i < corpora.size(); ++i) {
+    out.clear();
+    encoder.CompressInto(corpora[i], out, Greedy());
+    EXPECT_EQ(Fnv1a(out), kAllCorporaStreamFnv[i]) << "encoder, corpus " << i;
+    EXPECT_EQ(Fnv1a(LzrCompress(corpora[i])), kAllCorporaStreamFnv[i]) << "wrapper, corpus " << i;
   }
 }
 

@@ -311,13 +311,8 @@ TEST(Fuzz, QuicEndpointSurvivesGarbagePackets) {
 
 // Garbage delivered to an *established* connection reaches the frame parser
 // and ACK processing, not just the endpoint demux — the deepest attack
-// surface. Run against both transport paths.
-void FuzzEstablishedConnection(const char* path) {
-  if (std::string(path) == "legacy") {
-    setenv("VTP_QUIC_PATH", "legacy", 1);
-  } else {
-    unsetenv("VTP_QUIC_PATH");
-  }
+// surface.
+TEST(Fuzz, EstablishedQuicConnectionSurvivesForgedFrames) {
   net::Simulator sim(13);
   net::Network network(&sim);
   network.BuildBackbone();
@@ -376,15 +371,6 @@ void FuzzEstablishedConnection(const char* path) {
   conn->SendDatagram(std::vector<std::uint8_t>(100, 1));
   sim.RunUntil(sim.now() + net::Millis(300));
   EXPECT_EQ(conn->stats().datagrams_sent, sent_before + 1);
-  unsetenv("VTP_QUIC_PATH");
-}
-
-TEST(Fuzz, EstablishedQuicConnectionSurvivesForgedFrames) {
-  FuzzEstablishedConnection("default");
-}
-
-TEST(Fuzz, EstablishedQuicConnectionSurvivesForgedFramesLegacy) {
-  FuzzEstablishedConnection("legacy");
 }
 
 TEST(Fuzz, RtpReceiverSurvivesGarbage) {

@@ -251,10 +251,9 @@ TEST(Snapshot, DeterministicAcrossBenchThreadCounts) {
 
 TEST(Config, CatalogueListsEveryKnob) {
   core::Config& config = core::Config::Instance();
-  const char* const knobs[] = {"VTP_FULL", "VTP_BENCH_THREADS", "VTP_BENCH_JSON",
-                               "VTP_SIM_SCHEDULER", "VTP_QUIC_PATH", "VTP_OBS", "VTP_ADAPT",
-                               "VTP_FLEET_PATH", "VTP_BENCH_REQUIRE_CLEAN", "VTP_MEDIUM",
-                               "VTP_LISTEN_ADDR", "VTP_CONNECT", "VTP_FAULT_BURST",
+  const char* const knobs[] = {"VTP_FULL", "VTP_BENCH_THREADS", "VTP_BENCH_JSON", "VTP_OBS",
+                               "VTP_ADAPT", "VTP_FLEET_PATH", "VTP_BENCH_REQUIRE_CLEAN",
+                               "VTP_MEDIUM", "VTP_LISTEN_ADDR", "VTP_CONNECT", "VTP_FAULT_BURST",
                                "VTP_FAULT_REORDER", "VTP_FAULT_DUP", "VTP_FAULT_FLAP",
                                "VTP_FAULT_RAMP"};
   for (const char* name : knobs) EXPECT_NE(config.Find(name), nullptr) << name;
@@ -276,18 +275,18 @@ TEST(Config, CatalogueListsEveryKnob) {
 }
 
 TEST(Config, ChoiceKnobKeepsEnvEqualsPrecedence) {
-  unsetenv("VTP_QUIC_PATH");
-  EXPECT_TRUE(core::knobs::kQuicPath.Is("default"));
-  EXPECT_FALSE(core::knobs::kQuicPath.Is("legacy"));
-  setenv("VTP_QUIC_PATH", "legacy", 1);
-  EXPECT_TRUE(core::knobs::kQuicPath.Is("legacy"));
-  EXPECT_FALSE(core::knobs::kQuicPath.Is("default"));
-  EXPECT_TRUE(core::Config::Instance().Find("VTP_QUIC_PATH")->overridden());
+  unsetenv("VTP_FLEET_PATH");
+  EXPECT_TRUE(core::knobs::kFleetPath.Is("express"));
+  EXPECT_FALSE(core::knobs::kFleetPath.Is("hops"));
+  setenv("VTP_FLEET_PATH", "hops", 1);
+  EXPECT_TRUE(core::knobs::kFleetPath.Is("hops"));
+  EXPECT_FALSE(core::knobs::kFleetPath.Is("express"));
+  EXPECT_TRUE(core::Config::Instance().Find("VTP_FLEET_PATH")->overridden());
   // An unrecognised value falls back to the default, same as core::EnvEquals.
-  setenv("VTP_QUIC_PATH", "warp-drive", 1);
-  EXPECT_TRUE(core::knobs::kQuicPath.Is("default"));
-  EXPECT_EQ(core::knobs::kQuicPath.Get(), "default");
-  unsetenv("VTP_QUIC_PATH");
+  setenv("VTP_FLEET_PATH", "warp-drive", 1);
+  EXPECT_TRUE(core::knobs::kFleetPath.Is("express"));
+  EXPECT_EQ(core::knobs::kFleetPath.Get(), "express");
+  unsetenv("VTP_FLEET_PATH");
 }
 
 TEST(Config, BoolKnobParsesAndFallsBack) {

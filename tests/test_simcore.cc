@@ -1,12 +1,15 @@
-// Tests for the simulation-core overhaul: the timer-wheel scheduler (against
-// the legacy heap engine), the pooled packet buffers, and the parallel bench
-// runner. The differential tests are the determinism contract: both engines
-// must produce byte-identical execution orders and results for any trace.
+// Tests for the simulation core: the timer-wheel scheduler (against a
+// sorted-vector reference model), the pooled packet buffers, and the
+// parallel bench runner. The differential test is the determinism contract:
+// the wheel must replay any event trace in exactly the (time, seq) order the
+// reference model defines.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <array>
 #include <atomic>
 #include <cstdlib>
+#include <functional>
 #include <random>
 #include <stdexcept>
 #include <vector>
@@ -29,7 +32,7 @@ using net::Simulator;
 // --- wheel scheduler semantics ---------------------------------------------
 
 TEST(TimerWheel, SameInstantIsFifo) {
-  Simulator sim(1, Simulator::Scheduler::kWheel);
+  Simulator sim(1);
   std::vector<int> order;
   sim.At(net::Micros(100), [&order] { order.push_back(1); });
   sim.At(net::Micros(100), [&order] { order.push_back(2); });
@@ -42,7 +45,7 @@ TEST(TimerWheel, SameInstantIsFifo) {
 TEST(TimerWheel, SameTickDifferentTimesStayOrdered) {
   // Distinct nanosecond times inside one 1.024 us wheel tick must still run
   // in time order, not insertion order.
-  Simulator sim(1, Simulator::Scheduler::kWheel);
+  Simulator sim(1);
   std::vector<int> order;
   sim.At(900, [&order] { order.push_back(2); });
   sim.At(100, [&order] { order.push_back(0); });
@@ -52,7 +55,7 @@ TEST(TimerWheel, SameTickDifferentTimesStayOrdered) {
 }
 
 TEST(TimerWheel, EventsCanScheduleMoreEvents) {
-  Simulator sim(1, Simulator::Scheduler::kWheel);
+  Simulator sim(1);
   std::vector<net::SimTime> fired;
   sim.At(net::Millis(1), [&] {
     fired.push_back(sim.now());
@@ -68,7 +71,7 @@ TEST(TimerWheel, EventsCanScheduleMoreEvents) {
 }
 
 TEST(TimerWheel, RunUntilAdvancesClockAndStops) {
-  Simulator sim(1, Simulator::Scheduler::kWheel);
+  Simulator sim(1);
   std::vector<int> order;
   sim.At(net::Millis(10), [&order] { order.push_back(10); });
   sim.At(net::Millis(20), [&order] { order.push_back(20); });
@@ -82,7 +85,7 @@ TEST(TimerWheel, RunUntilAdvancesClockAndStops) {
 }
 
 TEST(TimerWheel, PastEventsClampToNow) {
-  Simulator sim(1, Simulator::Scheduler::kWheel);
+  Simulator sim(1);
   net::SimTime ran_at = -1;
   sim.At(net::Millis(5), [&] {
     sim.At(net::Millis(1), [&] { ran_at = sim.now(); });  // in the past
@@ -92,7 +95,7 @@ TEST(TimerWheel, PastEventsClampToNow) {
 }
 
 TEST(TimerWheel, StopMidRunAndResume) {
-  Simulator sim(1, Simulator::Scheduler::kWheel);
+  Simulator sim(1);
   std::vector<int> order;
   sim.At(net::Millis(1), [&] {
     order.push_back(1);
@@ -102,12 +105,12 @@ TEST(TimerWheel, StopMidRunAndResume) {
   sim.Run();
   EXPECT_EQ(order, (std::vector<int>{1}));
   EXPECT_EQ(sim.now(), net::Millis(1));
-  sim.Run();  // resumes; Run() clears the stop flag like the legacy engine
+  sim.Run();  // resumes; Run() clears the stop flag
   EXPECT_EQ(order, (std::vector<int>{1, 2}));
 }
 
 TEST(TimerWheel, FarTimersCrossWheelLevelsAndOverflow) {
-  Simulator sim(1, Simulator::Scheduler::kWheel);
+  Simulator sim(1);
   std::vector<int> order;
   // Spread across level 0 (us), level 1 (ms), level 2 (minutes), and past the
   // ~2.4 h wheel horizon into the overflow heap.
@@ -122,7 +125,7 @@ TEST(TimerWheel, FarTimersCrossWheelLevelsAndOverflow) {
 }
 
 TEST(TimerWheel, OversizedCapturesFallBackToHeap) {
-  Simulator sim(1, Simulator::Scheduler::kWheel);
+  Simulator sim(1);
   std::array<char, 100> big{};
   big[0] = 1;
   int out = 0;
@@ -132,22 +135,49 @@ TEST(TimerWheel, OversizedCapturesFallBackToHeap) {
   EXPECT_EQ(sim.scheduler_stats().callback_heap_allocs, 1u);
 }
 
-TEST(Scheduler, EnvSelectsEngine) {
-  setenv("VTP_SIM_SCHEDULER", "heap", 1);
-  Simulator heap_sim(1);
-  EXPECT_EQ(heap_sim.scheduler(), Simulator::Scheduler::kHeap);
-  unsetenv("VTP_SIM_SCHEDULER");
-  Simulator wheel_sim(1);
-  EXPECT_EQ(wheel_sim.scheduler(), Simulator::Scheduler::kWheel);
-}
+// --- differential: wheel vs a sorted-vector reference ---------------------
 
-// --- differential: wheel vs legacy heap ------------------------------------
+/// The (time, seq) execution-order contract written as plainly as possible:
+/// one vector kept sorted by time, new events inserted after every event
+/// already due at the same instant (FIFO), executed front to back.
+class ReferenceScheduler {
+ public:
+  net::SimTime now() const { return now_; }
+  std::uint64_t events_executed() const { return executed_; }
+
+  void After(net::SimTime delay, std::function<void()> fn) {
+    const net::SimTime t = now_ + delay;
+    const auto at = std::upper_bound(queue_.begin(), queue_.end(), t,
+                                     [](net::SimTime v, const Event& e) { return v < e.time; });
+    queue_.insert(at, Event{t, std::move(fn)});
+  }
+
+  void Run() {
+    while (!queue_.empty()) {
+      Event e = std::move(queue_.front());
+      queue_.erase(queue_.begin());
+      now_ = e.time;
+      ++executed_;
+      e.fn();
+    }
+  }
+
+ private:
+  struct Event {
+    net::SimTime time;
+    std::function<void()> fn;
+  };
+  std::vector<Event> queue_;
+  net::SimTime now_ = 0;
+  std::uint64_t executed_ = 0;
+};
 
 /// A self-expanding random event tree. Every node logs its id; both engines
 /// must replay the identical log because the rng draws happen in execution
 /// order, which the determinism contract fixes.
+template <class Sim>
 struct TraceNode {
-  Simulator* sim;
+  Sim* sim;
   std::vector<std::uint64_t>* log;
   std::mt19937_64* rng;
   std::uint64_t* next_id;
@@ -159,9 +189,10 @@ struct TraceNode {
     if (depth >= 4) return;
     const int kids = static_cast<int>((*rng)() % 3);
     for (int k = 0; k < kids; ++k) {
-      // Mostly short delays (including 0 → same-instant FIFO), occasionally
-      // far ones that land in outer wheel levels or the overflow heap.
-      net::SimTime delay = static_cast<net::SimTime>((*rng)() % net::Millis(5));
+      // Mostly short delays on a 100 us grid, so many events share an
+      // instant and FIFO order matters; occasionally far ones that land in
+      // outer wheel levels or the overflow heap.
+      net::SimTime delay = static_cast<net::SimTime>((*rng)() % 50) * net::Micros(100);
       if ((*rng)() % 16 == 0) delay = static_cast<net::SimTime>((*rng)() % net::Seconds(9000));
       sim->After(delay, TraceNode{sim, log, rng, next_id, depth + 1, (*next_id)++});
     }
@@ -174,14 +205,14 @@ struct TraceResult {
   net::SimTime end_time;
 };
 
-TraceResult RunTrace(Simulator::Scheduler scheduler) {
-  Simulator sim(123, scheduler);
+template <class Sim>
+TraceResult RunTrace(Sim& sim) {
   TraceResult result;
   std::mt19937_64 rng(99);
   std::uint64_t next_id = 0;
   for (int i = 0; i < 200; ++i) {
-    const auto delay = static_cast<net::SimTime>(rng() % net::Millis(2));
-    sim.After(delay, TraceNode{&sim, &result.log, &rng, &next_id, 0, next_id});
+    const auto delay = static_cast<net::SimTime>(rng() % 20) * net::Micros(100);
+    sim.After(delay, TraceNode<Sim>{&sim, &result.log, &rng, &next_id, 0, next_id});
     ++next_id;
   }
   sim.Run();
@@ -191,31 +222,34 @@ TraceResult RunTrace(Simulator::Scheduler scheduler) {
 }
 
 TEST(SchedulerDifferential, RandomTraceExecutesIdentically) {
-  const TraceResult wheel = RunTrace(Simulator::Scheduler::kWheel);
-  const TraceResult heap = RunTrace(Simulator::Scheduler::kHeap);
-  EXPECT_EQ(wheel.executed, heap.executed);
-  EXPECT_EQ(wheel.end_time, heap.end_time);
-  ASSERT_EQ(wheel.log.size(), heap.log.size());
-  EXPECT_EQ(wheel.log, heap.log);
+  Simulator wheel_sim(123);
+  ReferenceScheduler reference_sim;
+  const TraceResult wheel = RunTrace(wheel_sim);
+  const TraceResult reference = RunTrace(reference_sim);
+  EXPECT_EQ(wheel.executed, reference.executed);
+  EXPECT_EQ(wheel.end_time, reference.end_time);
+  ASSERT_EQ(wheel.log.size(), reference.log.size());
+  EXPECT_EQ(wheel.log, reference.log);
   EXPECT_GT(wheel.log.size(), 200u);  // the tree actually expanded
+  EXPECT_GE(wheel_sim.scheduler_stats().overflow_inserts, 1u);  // far timers were exercised
 }
 
-TEST(SchedulerDifferential, RttMatrixIsBitIdenticalAcrossEngines) {
+TEST(SchedulerGolden, RttMatrixPinned) {
   core::RttProbeSpec spec;
   spec.clients = {{"W", "SanFrancisco"}, {"E", "NewYork"}};
   spec.servers = {{"S1", "SanJose"}, {"S2", "Ashburn"}};
   spec.pings_per_pair = 5;
-
-  setenv("VTP_SIM_SCHEDULER", "wheel", 1);
-  const core::RttMatrix wheel = core::MeasureRttMatrix(spec);
-  setenv("VTP_SIM_SCHEDULER", "heap", 1);
-  const core::RttMatrix heap = core::MeasureRttMatrix(spec);
-  unsetenv("VTP_SIM_SCHEDULER");
-
+  // Recorded while the heap engine still ran as a bit-identical twin of the
+  // wheel; [client][server] = {mean, stddev} in ms.
+  const double golden[2][2][2] = {
+      {{8.1636208000000003, 0.16769453779464608}, {69.129925199999988, 1.4034024160648164}},
+      {{72.677843200000012, 0.28040336475256289}, {12.671037600000002, 0.27957228747613733}},
+  };
+  const core::RttMatrix m = core::MeasureRttMatrix(spec);
   for (std::size_t c = 0; c < spec.clients.size(); ++c) {
     for (std::size_t s = 0; s < spec.servers.size(); ++s) {
-      EXPECT_EQ(wheel.rtt_ms[c][s].mean, heap.rtt_ms[c][s].mean) << c << "," << s;
-      EXPECT_EQ(wheel.rtt_ms[c][s].stddev, heap.rtt_ms[c][s].stddev) << c << "," << s;
+      EXPECT_DOUBLE_EQ(m.rtt_ms[c][s].mean, golden[c][s][0]) << c << "," << s;
+      EXPECT_DOUBLE_EQ(m.rtt_ms[c][s].stddev, golden[c][s][1]) << c << "," << s;
     }
   }
 }

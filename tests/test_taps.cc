@@ -119,14 +119,6 @@ TEST(WallClock, NextEventTimePeeksWithoutExecuting) {
   EXPECT_EQ(*sim.NextEventTime(), net::Millis(3));
 }
 
-// The same invariants on the legacy heap engine (the wheel is the default).
-TEST(WallClock, NextEventTimeHeapEngine) {
-  net::Simulator sim(1, net::Simulator::Scheduler::kHeap);
-  EXPECT_FALSE(sim.NextEventTime().has_value());
-  sim.At(net::Millis(2), [] {});
-  EXPECT_EQ(*sim.NextEventTime(), net::Millis(2));
-}
-
 // ---------------------------------------------------------------------------
 // TAPS façade semantics.
 // ---------------------------------------------------------------------------

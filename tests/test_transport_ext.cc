@@ -1,6 +1,5 @@
 // Tests for the transport extensions: FEC, the playout buffer, QUIC
-// connection close, ACK-range edge cases, and the legacy-vs-default
-// transport-path differential suite.
+// connection close, ACK-range edge cases, and the QUIC wire goldens.
 #include <gtest/gtest.h>
 
 #include <cstdlib>
@@ -328,20 +327,7 @@ class AckHarness : public ::testing::Test {
   net::NodeId a_ = 0, b_ = 0;
 };
 
-class AckPathCase : public AckHarness,
-                    public ::testing::WithParamInterface<const char*> {
- protected:
-  AckPathCase() {
-    if (std::string(GetParam()) == "legacy") {
-      setenv("VTP_QUIC_PATH", "legacy", 1);
-    } else {
-      unsetenv("VTP_QUIC_PATH");
-    }
-  }
-  ~AckPathCase() override { unsetenv("VTP_QUIC_PATH"); }
-};
-
-TEST_P(AckPathCase, OutOfOrderAckRangesAllSettle) {
+TEST_F(AckHarness, OutOfOrderAckRangesAllSettle) {
   QuicEndpoint client(&net_, a_, 9100), server(&net_, b_, 4433);
   QuicConnection* conn = Establish(client, server, 20);
   const std::uint64_t cid = FirstCid(a_, 9100);
@@ -362,7 +348,7 @@ TEST_P(AckPathCase, OutOfOrderAckRangesAllSettle) {
   EXPECT_EQ(conn->stats().datagrams_sent, sent_before + 1);
 }
 
-TEST_P(AckPathCase, DuplicateAcksAreIdempotent) {
+TEST_F(AckHarness, DuplicateAcksAreIdempotent) {
   QuicEndpoint client(&net_, a_, 9101), server(&net_, b_, 4433);
   QuicConnection* conn = Establish(client, server, 10);
   const std::uint64_t cid = FirstCid(a_, 9101);
@@ -382,7 +368,7 @@ TEST_P(AckPathCase, DuplicateAcksAreIdempotent) {
   EXPECT_EQ(conn->stats().datagrams_sent, sent_before + 1);
 }
 
-TEST_P(AckPathCase, AckOfUnsentPacketsIsDroppedHarmlessly) {
+TEST_F(AckHarness, AckOfUnsentPacketsIsDroppedHarmlessly) {
   QuicEndpoint client(&net_, a_, 9102), server(&net_, b_, 4433);
   QuicConnection* conn = Establish(client, server, 5);
   const std::uint64_t cid = FirstCid(a_, 9102);
@@ -404,7 +390,7 @@ TEST_P(AckPathCase, AckOfUnsentPacketsIsDroppedHarmlessly) {
   EXPECT_EQ(conn->stats().datagrams_sent, sent_before + 1);
 }
 
-TEST_P(AckPathCase, LateAckOfRetransmittedPacketIsBenign) {
+TEST_F(AckHarness, LateAckOfRetransmittedPacketIsBenign) {
   net::Netem netem(&net_, a_, net_.AccessRouter(a_));
   QuicEndpoint client(&net_, a_, 9103), server(&net_, b_, 4433);
   std::vector<std::uint8_t> received;
@@ -446,8 +432,6 @@ TEST_P(AckPathCase, LateAckOfRetransmittedPacketIsBenign) {
   EXPECT_EQ(conn->stats().datagrams_sent, sent_before + 1);
 }
 
-INSTANTIATE_TEST_SUITE_P(Paths, AckPathCase, ::testing::Values("default", "legacy"));
-
 // --- pre-handshake datagram queue cap -----------------------------------------------
 
 TEST_F(AckHarness, PreHandshakeQueueCapDropsOldest) {
@@ -474,12 +458,12 @@ TEST_F(AckHarness, PreHandshakeQueueCapDropsOldest) {
   EXPECT_EQ(first_bytes.back(), static_cast<std::uint8_t>(199));
 }
 
-// --- legacy vs default path differential suite --------------------------------------
+// --- mixed-traffic session goldens --------------------------------------------------
 //
-// The default (pooled-writer / ring-buffer) path must be indistinguishable
-// from the legacy path on the wire and at the application edge. Each
-// scenario runs twice in identical deterministic simulations — once per
-// path — and every observable is compared.
+// One deterministic session mixing streams, datagrams and loss; every wire
+// and application-edge observable is pinned. The values were recorded while
+// the legacy std::vector/std::map transport still ran beside the pooled
+// path and both produced them byte for byte.
 
 std::uint64_t Fnv1a(std::uint64_t h, std::span<const std::uint8_t> data) {
   for (const std::uint8_t b : data) {
@@ -498,8 +482,7 @@ struct DifferentialResult {
   QuicStats client_stats;
 };
 
-/// One mixed-traffic session (streams + datagrams + loss) on the path
-/// selected by VTP_QUIC_PATH at entry.
+/// One mixed-traffic session (streams + datagrams + loss).
 DifferentialResult RunDifferentialSession(double loss) {
   net::Simulator sim(1);
   net::Network net(&sim);
@@ -565,38 +548,125 @@ DifferentialResult RunDifferentialSession(double loss) {
   return r;
 }
 
-class DifferentialLoss : public ::testing::TestWithParam<double> {};
+struct DifferentialGolden {
+  double loss;
+  std::uint64_t wire_packets;
+  std::uint64_t wire_digest;
+  std::uint64_t stream_digest;
+  std::uint64_t datagram_digest;
+  std::uint64_t datagrams;
+  std::uint64_t packets_sent;
+  std::uint64_t packets_received;
+  std::uint64_t packets_declared_lost;
+  std::uint64_t bytes_sent;
+  std::uint64_t datagrams_sent;
+  double smoothed_rtt_ms;
+};
 
-TEST_P(DifferentialLoss, LegacyAndDefaultPathsAreIndistinguishable) {
-  setenv("VTP_QUIC_PATH", "legacy", 1);
-  const DifferentialResult legacy = RunDifferentialSession(GetParam());
-  unsetenv("VTP_QUIC_PATH");
-  const DifferentialResult fresh = RunDifferentialSession(GetParam());
+void PrintTo(const DifferentialGolden& g, std::ostream* os) { *os << "loss " << g.loss; }
+
+class DifferentialLoss : public ::testing::TestWithParam<DifferentialGolden> {};
+
+TEST_P(DifferentialLoss, MixedTrafficSessionPinned) {
+  const DifferentialGolden& g = GetParam();
+  const DifferentialResult r = RunDifferentialSession(g.loss);
 
   // Byte-identical wire traffic...
-  EXPECT_EQ(fresh.wire_packets, legacy.wire_packets);
-  EXPECT_EQ(fresh.wire_digest, legacy.wire_digest);
+  EXPECT_EQ(r.wire_packets, g.wire_packets);
+  EXPECT_EQ(r.wire_digest, g.wire_digest);
   // ...identical application-edge delivery...
-  EXPECT_EQ(fresh.stream_bytes, legacy.stream_bytes);
-  EXPECT_EQ(fresh.stream_digest, legacy.stream_digest);
-  EXPECT_EQ(fresh.datagrams, legacy.datagrams);
-  EXPECT_EQ(fresh.datagram_digest, legacy.datagram_digest);
+  EXPECT_EQ(r.stream_digest, g.stream_digest);
+  EXPECT_EQ(r.datagrams, g.datagrams);
+  EXPECT_EQ(r.datagram_digest, g.datagram_digest);
   // ...and identical transport accounting.
-  EXPECT_EQ(fresh.client_stats.packets_sent, legacy.client_stats.packets_sent);
-  EXPECT_EQ(fresh.client_stats.packets_received, legacy.client_stats.packets_received);
-  EXPECT_EQ(fresh.client_stats.packets_declared_lost,
-            legacy.client_stats.packets_declared_lost);
-  EXPECT_EQ(fresh.client_stats.bytes_sent, legacy.client_stats.bytes_sent);
-  EXPECT_EQ(fresh.client_stats.datagrams_sent, legacy.client_stats.datagrams_sent);
-  EXPECT_DOUBLE_EQ(fresh.client_stats.smoothed_rtt_ms,
-                   legacy.client_stats.smoothed_rtt_ms);
+  EXPECT_EQ(r.client_stats.packets_sent, g.packets_sent);
+  EXPECT_EQ(r.client_stats.packets_received, g.packets_received);
+  EXPECT_EQ(r.client_stats.packets_declared_lost, g.packets_declared_lost);
+  EXPECT_EQ(r.client_stats.bytes_sent, g.bytes_sent);
+  EXPECT_EQ(r.client_stats.datagrams_sent, g.datagrams_sent);
+  EXPECT_DOUBLE_EQ(r.client_stats.smoothed_rtt_ms, g.smoothed_rtt_ms);
   // Sanity: the scenario exercised real traffic.
-  EXPECT_EQ(fresh.stream_bytes, 85000u);
-  EXPECT_GT(fresh.datagrams, 0u);
+  EXPECT_EQ(r.stream_bytes, 85000u);
+  EXPECT_GT(r.datagrams, 0u);
 }
 
-INSTANTIATE_TEST_SUITE_P(LossGrid, DifferentialLoss,
-                         ::testing::Values(0.0, 0.05, 0.15));
+INSTANTIATE_TEST_SUITE_P(
+    LossGrid, DifferentialLoss,
+    ::testing::Values(
+        DifferentialGolden{0.0, 305, 2376505587123877405ull, 13772861694762608535ull,
+                           13988156583958052683ull, 121, 201, 104, 0, 132510, 121,
+                           72.513040000000004},
+        DifferentialGolden{0.05, 312, 628325727634693295ull, 14031647498654739551ull,
+                           6169015798094680620ull, 119, 208, 110, 6, 136282, 121,
+                           77.550110000000004},
+        DifferentialGolden{0.15, 351, 6339120356240156292ull, 10996975010591629869ull,
+                           2224278682106785997ull, 101, 272, 130, 51, 158782, 121,
+                           78.718502999999998}));
+
+// --- oversized DATAGRAM frames -----------------------------------------------------
+//
+// 1172 B is the largest DATAGRAM payload whose frame fits the 1200-byte
+// packet block; anything larger goes out as one packet sized to the frame.
+// Each case pins the full bytes of every packet on the client's access link
+// (both directions) and the payloads the server delivers.
+
+TEST(QuicDatagram, OversizedFramesPinned) {
+  struct Golden {
+    std::size_t size;
+    std::uint64_t wire_digest;
+    std::uint64_t delivered_digest;
+  };
+  const Golden goldens[] = {
+      {1172, 2246654051064089898ull, 13072546111678985735ull},
+      {1173, 3967223897767285260ull, 12614487435031523594ull},
+      {3000, 13245436453793321326ull, 8955097869005611747ull},
+  };
+  for (const Golden& g : goldens) {
+    SCOPED_TRACE(g.size);
+    net::Simulator sim(1);
+    net::Network net(&sim);
+    net.BuildBackbone();
+    const auto a = net.AddHost("a", "SanFrancisco");
+    const auto b = net.AddHost("b", "NewYork");
+    net.ComputeRoutes();
+
+    std::uint64_t wire_packets = 0;
+    std::uint64_t wire_digest = 1469598103934665603ull;
+    const auto tap = [&](const net::Packet& p, net::SimTime) {
+      ++wire_packets;
+      wire_digest = Fnv1a(wire_digest, p.payload.view());
+    };
+    net.link(a, net.AccessRouter(a)).set_tap(tap);
+    net.link(net.AccessRouter(a), a).set_tap(tap);
+
+    std::uint64_t delivered = 0;
+    std::uint64_t delivered_digest = 1469598103934665603ull;
+    QuicEndpoint client(&net, a, 9300), server(&net, b, 4433);
+    server.set_on_accept([&](QuicConnection* conn) {
+      conn->set_on_datagram([&](std::span<const std::uint8_t> d) {
+        ++delivered;
+        delivered_digest = Fnv1a(delivered_digest, d);
+      });
+    });
+    QuicConnection* conn = client.Connect(b, 4433);
+    sim.RunUntil(net::Millis(300));
+    ASSERT_TRUE(conn->established());
+    for (int i = 0; i < 3; ++i) {
+      std::vector<std::uint8_t> payload(g.size);
+      for (std::size_t k = 0; k < payload.size(); ++k) {
+        payload[k] = static_cast<std::uint8_t>(k * 7 + static_cast<std::size_t>(i));
+      }
+      conn->SendDatagram(payload);
+    }
+    sim.RunUntil(net::Seconds(2));
+
+    EXPECT_EQ(delivered, 3u);
+    EXPECT_EQ(conn->stats().datagrams_sent, 3u);
+    EXPECT_EQ(wire_packets, 11u);
+    EXPECT_EQ(wire_digest, g.wire_digest);
+    EXPECT_EQ(delivered_digest, g.delivered_digest);
+  }
+}
 
 // --- FEC differential & reconciliation ----------------------------------------------
 
