@@ -2,191 +2,46 @@
 // the workload the paper's scalability story is bounded by — an SFU fanning
 // every inbound datagram out to N-1 receivers (§4.2, Figure 6).
 //
-//   1. fan-out throughput and observability overhead — a 5-persona session
-//      (5 clients, one SFU, star topology) pushing 90 FPS semantic-sized
-//      datagrams through the relay for a fixed simulated duration, with the
-//      frame tracer off vs armed (registry counters are always on). Best of
-//      interleaved reps per side; the packets/s delta must stay under 3%
-//      (the bench fails above 5%);
-//   2. steady-state allocations — a global operator-new counter reset after
-//      a warmup second; the tracer-off run must not touch the heap per
-//      forwarded packet once pools and rings are warm;
-//   3. per-stage latency breakdown — a small spatial TelepresenceSession,
+//   1. fan-out throughput and observability overhead — the 5-persona
+//      SfuFanout session (bench/sfu_fanout.h) for a fixed simulated
+//      duration, with the frame tracer off vs armed (registry counters are
+//      always on). Best of interleaved reps per side; the packets/s delta
+//      must stay under 3% (the bench fails above 5%);
+//   2. per-stage latency breakdown — a small spatial TelepresenceSession,
 //      with the Figure-4-style capture->...->playout stage table produced
 //      entirely from obs::Snapshot and cross-checked against the receivers'
 //      frames_decoded and a bench-side percentile recomputation.
 //
-// Wire-level behaviour is pinned by the tier-1 goldens in
-// test_transport_ext.cc, not here. Results go to BENCH_transport.json
-// (override with VTP_BENCH_JSON); `--smoke` shrinks the run for CI. Exit is
-// nonzero on any steady-state allocation, obs overhead > 5%, or an obs
-// snapshot that disagrees with the receivers' own accounting.
-#include <atomic>
-#include <cstdlib>
-#include <cstring>
+// Wire-level behaviour and the zero steady-state allocations per forward
+// are pinned by tier-1 tests in test_transport_ext.cc, not here. Results go
+// to BENCH_transport.json (override with VTP_BENCH_JSON); `--smoke` shrinks
+// the run for CI. Exit is nonzero on obs overhead > 5%, forwarding that
+// changes with the tracer, or an obs snapshot that disagrees with the
+// receivers' own accounting.
 #include <iostream>
-#include <memory>
-#include <new>
 #include <string>
-#include <vector>
 
 #include "bench/bench_util.h"
 #include "bench/report.h"
-#include "netsim/network.h"
+#include "bench/sfu_fanout.h"
 #include "obs/snapshot.h"
 #include "obs/trace.h"
-#include "transport/quic.h"
-#include "transport/taps.h"
 #include "vca/session.h"
-#include "vca/sfu.h"
 
 using namespace vtp;
 
-// ---- allocation counter -----------------------------------------------------
-// Counts every operator-new in the process; the steady-state section resets
-// it after warmup. Single-threaded bench, but atomic keeps it honest.
-
 namespace {
-std::atomic<std::uint64_t> g_allocs{0};
-}  // namespace
-
-void* operator new(std::size_t size) {
-  g_allocs.fetch_add(1, std::memory_order_relaxed);
-  if (void* p = std::malloc(size ? size : 1)) return p;
-  throw std::bad_alloc();
-}
-void* operator new[](std::size_t size) { return ::operator new(size); }
-void operator delete(void* p) noexcept { std::free(p); }
-void operator delete(void* p, std::size_t) noexcept { std::free(p); }
-void operator delete[](void* p) noexcept { std::free(p); }
-void operator delete[](void* p, std::size_t) noexcept { std::free(p); }
-
-namespace {
-
-constexpr int kPersonas = 5;
-constexpr std::uint16_t kSfuPort = 7000;
-constexpr std::size_t kPayloadBytes = 240;  // a semantic frame's ballpark
-
-constexpr std::uint64_t kFnvOffset = 1469598103934665603ull;
-constexpr std::uint64_t kFnvPrime = 1099511628211ull;
-
-std::uint64_t Fnv(std::uint64_t h, const std::uint8_t* p, std::size_t n) {
-  for (std::size_t i = 0; i < n; ++i) h = (h ^ p[i]) * kFnvPrime;
-  return h;
-}
-
-/// One client persona: ticks at 90 FPS, refreshing a reusable payload in
-/// place (xorshift over 64-bit words, deterministic per sender) and sending
-/// it as a QUIC datagram tagged for SFU fan-out.
-struct PersonaSender {
-  net::Simulator* sim = nullptr;
-  transport::QuicConnection* conn = nullptr;
-  std::vector<std::uint8_t> payload;
-  std::uint64_t rng = 0;
-  net::SimTime until = 0;
-  net::SimTime dt = 0;
-
-  std::uint64_t seq = 0;
-
-  void Start(int id, std::uint64_t seed) {
-    payload.assign(kPayloadBytes, 0);
-    payload[0] = vca::kRelayTagLocal;
-    payload[1] = static_cast<std::uint8_t>(id);
-    payload[2] = 0;  // semantic kind: fans out, and exercises the SFU's
-    payload[3] = 0;  // relay-stamp parse (codec tag + uleb128 frame index)
-    rng = seed;
-    Tick();
-  }
-
-  void Tick() {
-    // Frame index as a padded (non-canonical but valid) 4-byte uleb128, so
-    // the header stays fixed-width and the random body never moves.
-    payload[4] = static_cast<std::uint8_t>(0x80u | (seq & 0x7Fu));
-    payload[5] = static_cast<std::uint8_t>(0x80u | ((seq >> 7) & 0x7Fu));
-    payload[6] = static_cast<std::uint8_t>(0x80u | ((seq >> 14) & 0x7Fu));
-    payload[7] = static_cast<std::uint8_t>((seq >> 21) & 0x7Fu);
-    ++seq;
-    for (std::size_t i = 8; i + 8 <= payload.size(); i += 8) {
-      rng ^= rng << 13;
-      rng ^= rng >> 7;
-      rng ^= rng << 17;
-      std::memcpy(payload.data() + i, &rng, 8);
-    }
-    conn->SendDatagram(payload);
-    if (sim->now() + dt <= until) sim->After(dt, [this] { Tick(); });
-  }
-};
 
 struct SessionResult {
-  std::uint64_t forwarded = 0;         ///< SFU forwards over the whole run
-  std::uint64_t delivered = 0;         ///< datagrams received across clients
-  std::uint64_t payload_digest = kFnvOffset;  ///< delivered bytes, in order
+  std::uint64_t forwarded = 0;
+  std::uint64_t payload_digest = 0;
   std::uint64_t prehandshake_drops = 0;
-  std::uint64_t steady_allocs = 0;     ///< operator-new count after warmup
-  std::uint64_t steady_forwarded = 0;  ///< forwards after warmup
 };
 
-/// Runs one 5-persona SFU fan-out session. The star topology (every host
-/// one 1 Gbps hop from the hub router) keeps generic netsim cost minimal so
-/// the measurement isolates the transport layer.
-SessionResult RunSession(net::SimTime duration, net::SimTime warmup, bool obs_trace) {
-  SessionResult r;
-
-  net::Simulator sim(1);
-  if (obs_trace) sim.tracer().Enable(/*max_spans=*/1024);
-  net::Network net(&sim);
-  const net::GeoPoint here{41.88, -87.63};
-  const net::NodeId hub = net.AddNode("hub", here, net::Region::kMiddleUs, /*is_router=*/true);
-  const net::LinkConfig access{.rate_bps = 1e9, .prop_delay = net::Millis(1)};
-  const net::NodeId server = net.AddNode("sfu", here, net::Region::kMiddleUs, false);
-  net.Connect(server, hub, access);
-  net::NodeId clients[kPersonas];
-  for (int i = 0; i < kPersonas; ++i) {
-    clients[i] = net.AddNode("c" + std::to_string(i), here, net::Region::kMiddleUs, false);
-    net.Connect(clients[i], hub, access);
-  }
-  net.ComputeRoutes();
-
-  vca::SfuServer sfu(&net, server, kSfuPort, vca::TransportKind::kQuicDatagram);
-
-  std::vector<std::unique_ptr<transport::taps::Connection>> connections;
-  std::vector<transport::QuicConnection*> conns;
-  std::vector<PersonaSender> senders(kPersonas);
-  for (int i = 0; i < kPersonas; ++i) {
-    connections.push_back(transport::taps::Preconnection{}
-                              .WithLocal({clients[i], static_cast<std::uint16_t>(9000 + i)})
-                              .WithRemote({server, kSfuPort})
-                              .Initiate(net));
-    transport::QuicConnection* conn = connections.back()->quic();
-    conn->set_on_datagram([&r](std::span<const std::uint8_t> data) {
-      ++r.delivered;
-      r.payload_digest = Fnv(r.payload_digest, data.data(), data.size());
-    });
-    conns.push_back(conn);
-    senders[static_cast<std::size_t>(i)].sim = &sim;
-    senders[static_cast<std::size_t>(i)].conn = conn;
-    senders[static_cast<std::size_t>(i)].until = duration;
-    senders[static_cast<std::size_t>(i)].dt = net::kSecond / 90;
-    // Stagger starts so the five ticks don't land on one instant forever.
-    sim.At(net::Millis(i), [&senders, i] {
-      senders[static_cast<std::size_t>(i)].Start(i, 0x9E3779B97F4A7C15ull * (i + 1));
-    });
-  }
-
-  std::uint64_t warm_forwarded = 0;
-  sim.At(warmup, [&] {
-    warm_forwarded = sfu.forwarded_count();
-    g_allocs.store(0, std::memory_order_relaxed);
-  });
-  sim.RunUntil(duration);
-
-  r.steady_allocs = g_allocs.load(std::memory_order_relaxed);
-  r.forwarded = sfu.forwarded_count();
-  r.steady_forwarded = r.forwarded - warm_forwarded;
-  for (const transport::QuicConnection* conn : conns) {
-    r.prehandshake_drops += conn->stats().datagrams_dropped_prehandshake;
-  }
-  return r;
+SessionResult RunSession(net::SimTime duration, bool obs_trace) {
+  bench::SfuFanout fanout(duration, obs_trace);
+  fanout.RunUntil(duration);
+  return {fanout.forwarded(), fanout.payload_digest(), fanout.prehandshake_drops()};
 }
 
 }  // namespace
@@ -194,33 +49,32 @@ SessionResult RunSession(net::SimTime duration, net::SimTime warmup, bool obs_tr
 int main(int argc, char** argv) {
   const bool smoke = argc > 1 && std::string(argv[1]) == "--smoke";
   const net::SimTime duration = smoke ? net::Seconds(3) : net::Seconds(12);
-  const net::SimTime warmup = net::Seconds(1);
   const int reps = smoke ? 2 : 5;
 
   std::cout << "Transport hot-path benchmark: pooled-writer QUIC + SFU fan-out"
             << (smoke ? " (smoke)" : "") << "\n"
-            << kPersonas << " personas, " << net::ToSeconds(duration) << " s simulated, " << reps
-            << " reps\n";
+            << bench::SfuFanout::kPersonas << " personas, " << net::ToSeconds(duration)
+            << " s simulated, " << reps << " reps\n";
 
   // ---- 1: throughput with the tracer off vs armed -------------------------
   bench::Banner("1. fan-out throughput and obs overhead (tracer off vs armed, best of " +
                 std::to_string(reps) + " interleaved reps)");
   // One untimed session per side first: the first run of each kind in a
   // process pays for cold pools, span buffers and page faults.
-  RunSession(duration, warmup, /*obs_trace=*/false);
-  RunSession(duration, warmup, /*obs_trace=*/true);
+  RunSession(duration, /*obs_trace=*/false);
+  RunSession(duration, /*obs_trace=*/true);
   double obs_off_best = 0, obs_on_best = 0;
   SessionResult obs_off_r, obs_on_r;
   for (int rep = 0; rep < reps; ++rep) {
     {
       const bench::WallTimer timer;
-      obs_off_r = RunSession(duration, warmup, /*obs_trace=*/false);
+      obs_off_r = RunSession(duration, /*obs_trace=*/false);
       const double s = timer.seconds();
       if (rep == 0 || s < obs_off_best) obs_off_best = s;
     }
     {
       const bench::WallTimer timer;
-      obs_on_r = RunSession(duration, warmup, /*obs_trace=*/true);
+      obs_on_r = RunSession(duration, /*obs_trace=*/true);
       const double s = timer.seconds();
       if (rep == 0 || s < obs_on_best) obs_on_best = s;
     }
@@ -244,19 +98,8 @@ int main(int argc, char** argv) {
             << "% (target <3%, hard fail >5%); identical forwarding: "
             << (obs_same_work ? "yes" : "NO") << "\n";
 
-  // ---- 2: steady-state allocations (tracer-off run) ------------------------
-  bench::Banner("2. steady-state allocations (after " + core::Fmt(net::ToSeconds(warmup), 0) +
-                " s warmup)");
-  const double allocs_per_packet =
-      obs_off_r.steady_forwarded > 0 ? static_cast<double>(obs_off_r.steady_allocs) /
-                                           static_cast<double>(obs_off_r.steady_forwarded)
-                                     : 0;
-  std::cout << obs_off_r.steady_allocs << " allocs / " << obs_off_r.steady_forwarded
-            << " forwarded = " << core::Fmt(allocs_per_packet, 2) << " per packet\n";
-  const bool alloc_free = obs_off_r.steady_allocs == 0;
-
-  // ---- 3: per-stage latency breakdown from obs::Snapshot --------------------
-  bench::Banner("3. frame-lifecycle breakdown (3-persona spatial session, from obs::Snapshot)");
+  // ---- 2: per-stage latency breakdown from obs::Snapshot --------------------
+  bench::Banner("2. frame-lifecycle breakdown (3-persona spatial session, from obs::Snapshot)");
   bool trace_ok = true;
   obs::Snapshot session_snap;
   {
@@ -311,7 +154,7 @@ int main(int argc, char** argv) {
   bench::JsonReport report("transport");
   core::JsonWriter& w = report.writer();
   w.Key("smoke"); w.Bool(smoke);
-  w.Key("personas"); w.Int(kPersonas);
+  w.Key("personas"); w.Int(bench::SfuFanout::kPersonas);
   w.Key("duration_s"); w.Number(net::ToSeconds(duration));
   w.Key("reps"); w.Int(reps);
   w.Key("fanout");
@@ -320,14 +163,7 @@ int main(int argc, char** argv) {
   w.Key("wall_s"); w.Number(obs_off_best);
   w.Key("packets_per_s"); w.Number(obs_off_pps);
   w.EndObject();
-  w.Key("steady_state");
-  w.BeginObject();
-  w.Key("allocs"); w.Int(static_cast<std::int64_t>(obs_off_r.steady_allocs));
-  w.Key("forwarded"); w.Int(static_cast<std::int64_t>(obs_off_r.steady_forwarded));
-  w.Key("allocs_per_packet"); w.Number(allocs_per_packet);
-  w.EndObject();
   w.Key("prehandshake_drops"); w.Int(static_cast<std::int64_t>(obs_off_r.prehandshake_drops));
-  w.Key("alloc_free"); w.Bool(alloc_free);
   w.Key("obs_overhead");
   w.BeginObject();
   w.Key("off_packets_per_s"); w.Number(obs_off_pps);
@@ -344,8 +180,7 @@ int main(int argc, char** argv) {
   const std::string path = report.Write();
   std::cout << "\nwrote " << path << "\n";
 
-  if (!alloc_free) std::cout << "FAIL: allocated in steady state\n";
   if (!obs_ok) std::cout << "FAIL: obs overhead > 5% or changed forwarding\n";
   if (!trace_ok) std::cout << "FAIL: obs snapshot disagrees with the receivers' accounting\n";
-  return alloc_free && obs_ok && trace_ok ? 0 : 1;
+  return obs_ok && trace_ok ? 0 : 1;
 }

@@ -36,7 +36,7 @@
 
 namespace vtp::simd {
 
-/// Compile-time ISA the wrapper resolved to (benches record this).
+/// Compile-time ISA the wrapper resolved to (test_core checks it per build).
 inline constexpr const char* kIsaName =
 #if defined(VTP_SIMD_SSE2)
     "sse2";

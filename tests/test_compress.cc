@@ -10,6 +10,7 @@
 #include "compress/lzr.h"
 #include "compress/range_coder.h"
 #include "compress/varint.h"
+#include "mesh/generator.h"
 
 namespace vtp::compress {
 namespace {
@@ -278,13 +279,38 @@ TEST_P(LzrRoundTrip, RoundTripsDataKind) {
         data.insert(data.end(), bytes, bytes + 4);
       }
       break;
+    case 7: {                                        // mesh position residuals
+      // What a delta mesh codec would feed lzr: 14-bit quantized head-scan
+      // vertices, delta-coded per axis, zigzagged and written as uleb128.
+      const mesh::TriangleMesh head = mesh::GenerateHead(10000, 11);
+      const mesh::Aabb box = head.Bounds();
+      const mesh::Vec3 size = box.Size();
+      const float grid = static_cast<float>((1u << 14) - 1);
+      const auto quantize = [&](float v, float lo, float extent) {
+        return extent <= 0 ? 0 : static_cast<std::int32_t>((v - lo) / extent * grid);
+      };
+      std::int32_t prev[3] = {0, 0, 0};
+      for (const mesh::Vec3& p : head.positions) {
+        const std::int32_t q[3] = {quantize(p.x, box.min.x, size.x),
+                                   quantize(p.y, box.min.y, size.y),
+                                   quantize(p.z, box.min.z, size.z)};
+        for (int c = 0; c < 3; ++c) {
+          const std::int32_t d = q[c] - prev[c];
+          prev[c] = q[c];
+          PutUleb128(data, (static_cast<std::uint32_t>(d) << 1) ^
+                               static_cast<std::uint32_t>(d >> 31));
+        }
+      }
+      break;
+    }
     default: break;
   }
   const auto compressed = LzrCompress(data);
+  EXPECT_EQ(LzrCompressedSize(data), compressed.size());
   EXPECT_EQ(LzrDecompress(compressed), data);
 }
 
-INSTANTIATE_TEST_SUITE_P(DataKinds, LzrRoundTrip, ::testing::Range(0, 7));
+INSTANTIATE_TEST_SUITE_P(DataKinds, LzrRoundTrip, ::testing::Range(0, 8));
 
 TEST(Lzr, CompressesRepetitiveData) {
   const std::vector<std::uint8_t> data(100000, 7);

@@ -5,13 +5,11 @@
 // stream must round-trip exactly.
 #include <gtest/gtest.h>
 
-#include <atomic>
-#include <cstdlib>
-#include <new>
 #include <random>
 #include <span>
 #include <vector>
 
+#include "alloc_counter.h"
 #include "compress/codec_engine.h"
 #include "compress/crc32.h"
 #include "compress/lz77.h"
@@ -21,30 +19,6 @@
 #include "semantic/codec.h"
 #include "semantic/generator.h"
 #include "semantic/keypoints.h"
-
-// ---- allocation counting ----------------------------------------------------
-// Global counter for the zero-allocation steady-state checks. Counting only;
-// all allocation behaviour is the default.
-//
-// GCC 12 cannot see through the replaced global operator new when it inlines
-// std::vector's deallocation and flags a malloc/free "mismatch" that is in
-// fact matched (both sides of the replacement use malloc/free).
-#pragma GCC diagnostic ignored "-Wmismatched-new-delete"
-namespace {
-std::atomic<std::uint64_t> g_allocs{0};
-}
-
-void* operator new(std::size_t size) {
-  g_allocs.fetch_add(1, std::memory_order_relaxed);
-  if (void* p = std::malloc(size ? size : 1)) return p;
-  throw std::bad_alloc();
-}
-
-void* operator new[](std::size_t size) { return ::operator new(size); }
-void operator delete(void* p) noexcept { std::free(p); }
-void operator delete(void* p, std::size_t) noexcept { std::free(p); }
-void operator delete[](void* p) noexcept { std::free(p); }
-void operator delete[](void* p, std::size_t) noexcept { std::free(p); }
 
 namespace vtp::compress {
 namespace {

@@ -1,11 +1,12 @@
 // Tests for the measurement framework: statistics, tables, the Table 1 RTT
-// harness, and the §4.3 display-latency probe.
+// harness, the §4.3 display-latency probe, and the SIMD backend selection.
 #include <gtest/gtest.h>
 
 #include <sstream>
 
 #include "core/display_latency.h"
 #include "core/rtt_matrix.h"
+#include "core/simd.h"
 #include "core/stats.h"
 #include "core/table.h"
 
@@ -146,6 +147,23 @@ TEST(DisplayLatency, RemotePrerenderingTracksInjectedDelay) {
   const double delayed_diff = MeasureDisplayLatency(config).difference_ms;
   // Two one-way injections of 500 ms ~ +1,000 ms on the request/response.
   EXPECT_NEAR(delayed_diff - base_diff, 1000.0, 60.0);
+}
+
+// --- SIMD backend ---------------------------------------------------------------
+
+TEST(Simd, BuildSelectsExpectedBackend) {
+  // The VTP_SIMD_SCALAR=ON build must really run the portable backend (its
+  // codec goldens would prove nothing otherwise); every other x86-64 or
+  // aarch64 build must resolve to a vector ISA. The expectation comes from
+  // the CMake option (tests/CMakeLists.txt), not from the define under test.
+#if defined(VTP_EXPECT_SIMD_SCALAR)
+  EXPECT_STREQ(simd::kIsaName, "scalar");
+  EXPECT_FALSE(simd::kVectorIsa);
+#elif defined(__x86_64__) || defined(_M_X64) || defined(__aarch64__) || defined(_M_ARM64)
+  EXPECT_TRUE(simd::kVectorIsa) << simd::kIsaName;
+#else
+  GTEST_SKIP() << "no vector ISA expected on this target (" << simd::kIsaName << ")";
+#endif
 }
 
 }  // namespace

@@ -1,10 +1,13 @@
 // Tests for the transport extensions: FEC, the playout buffer, QUIC
-// connection close, ACK-range edge cases, and the QUIC wire goldens.
+// connection close, ACK-range edge cases, the QUIC wire goldens, and the
+// allocation-free SFU forward path.
 #include <gtest/gtest.h>
 
 #include <cstdlib>
 #include <set>
 
+#include "alloc_counter.h"
+#include "bench/sfu_fanout.h"
 #include "netsim/capture.h"
 #include "netsim/netem.h"
 #include "netsim/network.h"
@@ -666,6 +669,22 @@ TEST(QuicDatagram, OversizedFramesPinned) {
     EXPECT_EQ(wire_digest, g.wire_digest);
     EXPECT_EQ(delivered_digest, g.delivered_digest);
   }
+}
+
+// --- steady-state allocations on the SFU forward path -------------------------
+
+TEST(SfuFanout, SteadyStateForwardingDoesNotAllocate) {
+  // Five personas fanning 90 FPS datagrams through one SFU, tracer off. Once
+  // a second of traffic has warmed the packet pools, send rings and ACK
+  // state, relaying each datagram to four receivers must not touch the heap.
+  bench::SfuFanout fanout(net::Seconds(3), /*obs_trace=*/false);
+  fanout.RunUntil(net::Seconds(1));
+  const std::uint64_t warm_forwarded = fanout.forwarded();
+  const std::uint64_t before = g_allocs.load();
+  fanout.RunUntil(net::Seconds(3));
+  const std::uint64_t allocs = g_allocs.load() - before;
+  EXPECT_GT(fanout.forwarded(), warm_forwarded);
+  EXPECT_EQ(allocs, 0u) << "over " << fanout.forwarded() - warm_forwarded << " forwards";
 }
 
 // --- FEC differential & reconciliation ----------------------------------------------

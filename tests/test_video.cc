@@ -7,6 +7,7 @@
 #include <thread>
 #include <vector>
 
+#include "alloc_counter.h"
 #include "compress/bitstream.h"
 #include "netsim/random.h"
 #include "video/codec.h"
@@ -187,6 +188,59 @@ TEST(VideoCodec, EncodeIntoMatchesEncode) {
     ASSERT_TRUE(dec.DecodeInto(reused.bytes, decoded));
     EXPECT_EQ(decoded.width, kSmall.width);
   }
+}
+
+TEST(VideoCodec, LongGopSequenceDecodesAtHighQuality) {
+  // Three GOPs of I and P frames at a mid QP: every frame decodes, and the
+  // last one (the end of a P chain) is still reconstructed at >= 40 dB.
+  TalkingHeadConfig config;
+  config.resolution = kSmall;
+  TalkingHeadSource src(config, 77);
+  VideoEncoder enc(kSmall, {.gop_length = 10});
+  VideoDecoder dec(kSmall);
+  EncodedFrame encoded;
+  VideoFrame frame, decoded;
+  for (int i = 0; i < 30; ++i) {
+    frame = src.Next();
+    enc.EncodeInto(frame, 14, encoded);
+    ASSERT_TRUE(dec.DecodeInto(encoded.bytes, decoded)) << "frame " << i;
+  }
+  EXPECT_GE(Psnr(frame, decoded), 40.0);
+}
+
+TEST(VideoCodec, SteadyStateEncodeDecodeDoesNotAllocate) {
+  // Once an encoder and a decoder have seen a GOP, their reference frames,
+  // block scratch and output buffers are sized: warm EncodeInto and
+  // DecodeInto must not touch the heap, on I frames or P frames.
+  TalkingHeadConfig config;
+  config.resolution = kSmall;
+  TalkingHeadSource src(config, 31);
+  std::vector<VideoFrame> sequence;
+  for (int i = 0; i < 10; ++i) sequence.push_back(src.Next());
+
+  VideoEncoder enc(kSmall, {.gop_length = 10});
+  VideoDecoder dec(kSmall);
+  EncodedFrame encoded;
+  VideoFrame decoded;
+  std::vector<std::vector<std::uint8_t>> streams;
+  for (const VideoFrame& f : sequence) {
+    enc.EncodeInto(f, 14, encoded);
+    streams.push_back(encoded.bytes);
+    ASSERT_TRUE(dec.DecodeInto(encoded.bytes, decoded));
+  }
+
+  const std::uint64_t before_encode = g_allocs.load();
+  for (const VideoFrame& f : sequence) enc.EncodeInto(f, 14, encoded);
+  const std::uint64_t encode_allocs = g_allocs.load() - before_encode;
+
+  bool all_decoded = true;
+  const std::uint64_t before_decode = g_allocs.load();
+  for (const auto& s : streams) all_decoded = dec.DecodeInto(s, decoded) && all_decoded;
+  const std::uint64_t decode_allocs = g_allocs.load() - before_decode;
+
+  EXPECT_EQ(encode_allocs, 0u) << "warm EncodeInto touched the heap";
+  EXPECT_EQ(decode_allocs, 0u) << "warm DecodeInto touched the heap";
+  EXPECT_TRUE(all_decoded);
 }
 
 TEST(VideoCodec, TruncatedAndBitFlippedFramesThrowOrReject) {
