@@ -134,7 +134,11 @@ std::optional<SemanticFrame> SemanticDecoder::DecodeFrame(std::span<const std::u
 
   std::span<const std::uint8_t> body_view = payload.subspan(pos);
   if (tag & kFlagLz) {
-    compress::LzrDecompressInto(body_view, body_);
+    if (engine_ != nullptr) {
+      engine_->DecompressInto(stream_, body_view, body_);
+    } else {
+      compress::LzrDecompressInto(body_view, body_);
+    }
     body_view = body_;
   }
 

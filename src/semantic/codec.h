@@ -121,7 +121,18 @@ class SemanticDecoder {
   /// without its predecessor (reconstruction impossible until a keyframe).
   std::optional<SemanticFrame> DecodeFrame(std::span<const std::uint8_t> payload);
 
+  /// Routes the LZ stage through a session-shared CodecEngine, whose memo
+  /// serves a body that another decoder of the same `stream` (the sender
+  /// id) already decoded. Dequantisation and temporal delta stay in this
+  /// decoder. Pass nullptr to detach. The engine must outlive this decoder.
+  void AttachEngine(compress::CodecEngine* engine, std::uint8_t stream) {
+    engine_ = engine;
+    stream_ = stream;
+  }
+
  private:
+  compress::CodecEngine* engine_ = nullptr;  ///< optional shared LZ stage
+  std::uint8_t stream_ = 0;
   std::optional<std::uint64_t> last_frame_;
   std::vector<std::int32_t> prev_quantized_;
   // Reused decode scratch (lz body, quantized coords).

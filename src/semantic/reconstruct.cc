@@ -6,8 +6,9 @@
 
 namespace vtp::semantic {
 
-PersonaReconstructor::PersonaReconstructor(mesh::TriangleMesh base, ReconstructorConfig config)
-    : current_(std::move(base)) {
+ReconstructorRig::ReconstructorRig(std::shared_ptr<const mesh::TriangleMesh> base,
+                                   ReconstructorConfig config)
+    : base_(std::move(base)) {
   if (!(std::isfinite(config.influence_sigma_m) && config.influence_sigma_m > 0)) {
     throw std::invalid_argument("influence_sigma_m must be finite and positive");
   }
@@ -24,9 +25,9 @@ PersonaReconstructor::PersonaReconstructor(mesh::TriangleMesh base, Reconstructo
     std::uint16_t keypoint;
   };
   std::vector<Candidate> candidates;
-  for (std::uint32_t vi = 0; vi < current_.positions.size(); ++vi) {
+  for (std::uint32_t vi = 0; vi < base_->positions.size(); ++vi) {
     candidates.clear();
-    const Vec3 v = current_.positions[vi];
+    const Vec3 v = base_->positions[vi];
     for (std::size_t k = 0; k < neutral_points_.size(); ++k) {
       const Vec3 d = v - neutral_points_[k];
       const float d2 = d.Dot(d);
@@ -54,17 +55,30 @@ PersonaReconstructor::PersonaReconstructor(mesh::TriangleMesh base, Reconstructo
   }
 }
 
+const std::shared_ptr<const ReconstructorRig>& LazyRig::Get() {
+  if (!rig_) rig_ = std::make_shared<const ReconstructorRig>(base_, config_);
+  return rig_;
+}
+
+PersonaReconstructor::PersonaReconstructor(mesh::TriangleMesh base, ReconstructorConfig config)
+    : PersonaReconstructor(std::make_shared<const ReconstructorRig>(
+          std::make_shared<const mesh::TriangleMesh>(std::move(base)), config)) {}
+
+PersonaReconstructor::PersonaReconstructor(std::shared_ptr<const ReconstructorRig> rig)
+    : rig_(std::move(rig)), current_(rig_->base()) {}
+
 const mesh::TriangleMesh& PersonaReconstructor::Apply(std::span<const Vec3> points) {
   if (points.size() != kSemanticPoints) {
     throw std::invalid_argument("reconstruction requires all 74 semantic points");
   }
+  const ReconstructorRig& rig = *rig_;
   // Displacements of each keypoint from its neutral position.
   std::array<Vec3, kSemanticPoints> delta;
   for (std::size_t k = 0; k < kSemanticPoints; ++k) {
-    delta[k] = points[k] - neutral_points_[k];
+    delta[k] = points[k] - rig.neutral_points_[k];
   }
   // Only influenced vertices move; everything else keeps the base pose.
-  for (const VertexInfluence& inf : influences_) {
+  for (const ReconstructorRig::VertexInfluence& inf : rig.influences_) {
     Vec3 offset{};
     for (std::size_t i = 0; i < inf.weight.size(); ++i) {
       if (inf.weight[i] == 0) break;

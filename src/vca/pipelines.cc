@@ -184,13 +184,36 @@ void SpatialPersonaSender::Tick(net::SimTime until) {
 // SpatialPersonaReceiver
 // ---------------------------------------------------------------------------
 
+namespace {
+
+/// One private rig per non-null base. The caller keeps the meshes alive:
+/// each rig holds a non-owning pointer (a shared_ptr with no owner).
+std::map<std::uint8_t, std::shared_ptr<semantic::LazyRig>> OwnRigs(
+    const std::map<std::uint8_t, const mesh::TriangleMesh*>& bases) {
+  std::map<std::uint8_t, std::shared_ptr<semantic::LazyRig>> rigs;
+  for (const auto& [sender, base] : bases) {
+    if (base == nullptr) continue;
+    rigs[sender] = std::make_shared<semantic::LazyRig>(
+        std::shared_ptr<const mesh::TriangleMesh>(std::shared_ptr<void>(), base));
+  }
+  return rigs;
+}
+
+}  // namespace
+
+SpatialPersonaReceiver::SpatialPersonaReceiver(
+    net::Simulator* sim, std::map<std::uint8_t, std::shared_ptr<semantic::LazyRig>> rigs,
+    std::size_t reconstruct_stride, double nominal_fps, compress::CodecEngine* engine)
+    : sim_(sim),
+      rigs_(std::move(rigs)),
+      reconstruct_stride_(std::max<std::size_t>(1, reconstruct_stride)),
+      nominal_fps_(nominal_fps),
+      engine_(engine) {}
+
 SpatialPersonaReceiver::SpatialPersonaReceiver(
     net::Simulator* sim, std::map<std::uint8_t, const mesh::TriangleMesh*> bases,
-    std::size_t reconstruct_stride, double nominal_fps)
-    : sim_(sim),
-      bases_(std::move(bases)),
-      reconstruct_stride_(std::max<std::size_t>(1, reconstruct_stride)),
-      nominal_fps_(nominal_fps) {}
+    std::size_t reconstruct_stride, double nominal_fps, compress::CodecEngine* engine)
+    : SpatialPersonaReceiver(sim, OwnRigs(bases), reconstruct_stride, nominal_fps, engine) {}
 
 void SpatialPersonaReceiver::OnDatagram(std::span<const std::uint8_t> data) {
   if (data.size() < 4) return;
@@ -199,7 +222,12 @@ void SpatialPersonaReceiver::OnDatagram(std::span<const std::uint8_t> data) {
   const std::uint8_t sender = data[1];
   const std::uint8_t media = data[2];
 
-  Remote& remote = remotes_[sender];
+  const auto [it, created] = remotes_.try_emplace(sender);
+  Remote& remote = it->second;
+  if (created) {
+    remote.decoder.AttachEngine(engine_, sender);
+    if (const auto rig = rigs_.find(sender); rig != rigs_.end()) remote.rig = rig->second;
+  }
   if (media == kMediaAudio) {
     ++remote.stats.audio_frames;
     return;
@@ -225,10 +253,6 @@ void SpatialPersonaReceiver::OnDatagram(std::span<const std::uint8_t> data) {
 void SpatialPersonaReceiver::ProcessSemantic(std::uint8_t sender, Remote& remote,
                                              std::span<const std::uint8_t> data,
                                              bool freeze) {
-  if (remote.base == nullptr) {
-    const auto it = bases_.find(sender);
-    if (it != bases_.end()) remote.base = it->second;
-  }
   try {
     // Arrival log, pre-decode: the frame index is in the payload header
     // ([tag][uleb128 index]...), so gaps are visible even on frames the
@@ -267,11 +291,12 @@ void SpatialPersonaReceiver::ProcessSemantic(std::uint8_t sender, Remote& remote
       remote.recent_decodes.pop_front();
     }
     bool reconstructed = false;
-    if (remote.base != nullptr &&
+    if (remote.rig != nullptr &&
         ++remote.decoded_since_reconstruct >= reconstruct_stride_) {
       remote.decoded_since_reconstruct = 0;
       if (!remote.reconstructor) {
-        remote.reconstructor = std::make_unique<semantic::PersonaReconstructor>(*remote.base);
+        remote.reconstructor =
+            std::make_unique<semantic::PersonaReconstructor>(remote.rig->Get());
       }
       remote.reconstructor->Apply(frame->points);
       reconstructed = true;
@@ -363,7 +388,14 @@ double SpatialPersonaReceiver::DownlinkLossEstimate(std::uint8_t sender,
 
 void SpatialPersonaReceiver::ResetDecoder(std::uint8_t sender) {
   const auto it = remotes_.find(sender);
-  if (it != remotes_.end()) it->second.decoder = semantic::SemanticDecoder();
+  if (it == remotes_.end()) return;
+  it->second.decoder = semantic::SemanticDecoder();
+  it->second.decoder.AttachEngine(engine_, sender);
+}
+
+void SpatialPersonaReceiver::AttachEngine(compress::CodecEngine* engine) {
+  engine_ = engine;
+  for (auto& [sender, remote] : remotes_) remote.decoder.AttachEngine(engine_, sender);
 }
 
 std::uint64_t SpatialPersonaReceiver::total_frames_decoded() const {

@@ -189,13 +189,26 @@ class SpatialPersonaReceiver {
     std::uint64_t audio_frames = 0;
   };
 
-  /// `bases` maps sender id -> base persona mesh for reconstruction
-  /// (pass nullptr meshes or an empty map to skip reconstruction).
+  /// `rigs` maps sender id -> that persona's reconstruction rig (senders
+  /// without an entry are not reconstructed). A session hands every
+  /// receiver of one persona the same LazyRig, so the rig is built once.
   /// `reconstruct_stride` applies the deformation on every Nth decoded
   /// frame (measurement sampling; availability accounting sees every frame).
+  /// `engine` (optional) routes every decoder's LZ stage through a
+  /// session-shared compress::CodecEngine, whose memo decodes each relayed
+  /// body once for all receivers. The engine must outlive this receiver.
+  SpatialPersonaReceiver(net::Simulator* sim,
+                         std::map<std::uint8_t, std::shared_ptr<semantic::LazyRig>> rigs,
+                         std::size_t reconstruct_stride = 9, double nominal_fps = 90.0,
+                         compress::CodecEngine* engine = nullptr);
+
+  /// Same, with a rig of this receiver's own per base mesh in `bases`
+  /// (pass nullptr meshes or an empty map to skip reconstruction). The
+  /// meshes must outlive this receiver.
   SpatialPersonaReceiver(net::Simulator* sim,
                          std::map<std::uint8_t, const mesh::TriangleMesh*> bases,
-                         std::size_t reconstruct_stride = 9, double nominal_fps = 90.0);
+                         std::size_t reconstruct_stride = 9, double nominal_fps = 90.0,
+                         compress::CodecEngine* engine = nullptr);
 
   /// Feeds one received QUIC datagram (with the relay-tag wrapper).
   void OnDatagram(std::span<const std::uint8_t> data);
@@ -212,8 +225,13 @@ class SpatialPersonaReceiver {
 
   /// Drops `sender`'s decoder state (rung-switch resync: the next
   /// standalone frame restarts the temporal chain cleanly instead of
-  /// delta-decoding against a mismatched quantization grid).
+  /// delta-decoding against a mismatched quantization grid). The fresh
+  /// decoder stays on the shared engine.
   void ResetDecoder(std::uint8_t sender);
+
+  /// Routes decoders created from now on, and every existing one, through
+  /// `engine`; nullptr detaches them (each decodes its own copy).
+  void AttachEngine(compress::CodecEngine* engine);
 
   const RemoteStats& remote(std::uint8_t sender) const;
   std::size_t known_senders() const { return remotes_.size(); }
@@ -231,7 +249,7 @@ class SpatialPersonaReceiver {
     semantic::SemanticDecoder decoder;
     std::unique_ptr<semantic::PersonaReconstructor> reconstructor;
     std::unique_ptr<transport::FecDecoder> fec;
-    const mesh::TriangleMesh* base = nullptr;
+    std::shared_ptr<semantic::LazyRig> rig;  ///< null: not reconstructed
     RemoteStats stats;
     std::uint64_t decoded_since_reconstruct = 0;
     std::deque<net::SimTime> recent_decodes;      // decode times, last second
@@ -252,9 +270,10 @@ class SpatialPersonaReceiver {
                        std::span<const std::uint8_t> payload, bool freeze);
 
   net::Simulator* sim_;
-  std::map<std::uint8_t, const mesh::TriangleMesh*> bases_;
+  std::map<std::uint8_t, std::shared_ptr<semantic::LazyRig>> rigs_;
   std::size_t reconstruct_stride_;
   double nominal_fps_;
+  compress::CodecEngine* engine_ = nullptr;  ///< session-shared LZ stage (optional)
   std::uint8_t self_id_ = 0xFF;  ///< 0xFF = unset (spans keep receiver 0xFF)
   std::map<std::uint8_t, Remote> remotes_;
 };

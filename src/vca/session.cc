@@ -221,14 +221,21 @@ void TelepresenceSession::SetupSpatialPipelines() {
   }
 
   // Pre-captured persona (enrollment) and its LOD ladder, per participant.
+  // Each persona's reconstruction rig is shared by all its receivers and
+  // built on the first reconstruct, so setup does not pay for it.
+  std::vector<std::shared_ptr<semantic::LazyRig>> rigs;
   for (std::size_t i = 0; i < n; ++i) {
-    ladders_.push_back(std::make_unique<render::PersonaLodLadder>(
-        config_.seed * 1000 + i, config_.lod_policy, config_.persona_triangles));
+    auto ladder = std::make_shared<render::PersonaLodLadder>(
+        config_.seed * 1000 + i, config_.lod_policy, config_.persona_triangles);
+    rigs.push_back(std::make_shared<semantic::LazyRig>(
+        std::shared_ptr<const mesh::TriangleMesh>(ladder, &ladder->base())));
+    ladders_.push_back(std::move(ladder));
   }
 
   // One codec engine for the whole session: every spatial sender's LZ
-  // stage shares a single warm match-finder arena. Engine-level counters
-  // surface in snapshots under "codec.engine".
+  // stage shares a single warm match-finder arena, and every receiver's LZ
+  // decode goes through its memo, so each relayed body is decoded once.
+  // Engine-level counters surface in snapshots under "codec.engine".
   codec_engine_ = std::make_unique<compress::CodecEngine>();
   {
     obs::MetricRegistry& reg = sim_->metrics();
@@ -239,6 +246,10 @@ void TelepresenceSession::SetupSpatialPipelines() {
                  [eng] { return static_cast<double>(eng->stats().bytes_in); });
     reg.NewProbe("codec.engine.bytes_out",
                  [eng] { return static_cast<double>(eng->stats().bytes_out); });
+    reg.NewProbe("codec.engine.decode_hits",
+                 [eng] { return static_cast<double>(eng->stats().decode_hits); });
+    reg.NewProbe("codec.engine.decode_misses",
+                 [eng] { return static_cast<double>(eng->stats().decode_misses); });
   }
 
   // Connect everyone to their assigned server; peer-connect servers after
@@ -263,18 +274,17 @@ void TelepresenceSession::SetupSpatialPipelines() {
     connections_.push_back(std::move(connection));
 
     // Receiver: reconstruct every other participant's persona.
-    std::map<std::uint8_t, const mesh::TriangleMesh*> bases;
+    std::map<std::uint8_t, std::shared_ptr<semantic::LazyRig>> remote_rigs;
     std::vector<std::uint8_t> remote_ids;
     for (std::size_t j = 0; j < n; ++j) {
       if (j == i) continue;
       remote_ids.push_back(static_cast<std::uint8_t>(j));
-      if (config_.enable_reconstruction) {
-        bases[static_cast<std::uint8_t>(j)] = &ladders_[j]->base();
-      }
+      if (config_.enable_reconstruction) remote_rigs[static_cast<std::uint8_t>(j)] = rigs[j];
     }
     remote_ids_.push_back(std::move(remote_ids));
     auto receiver = std::make_unique<SpatialPersonaReceiver>(
-        sim_.get(), std::move(bases), config_.reconstruct_stride, config_.spatial_fps);
+        sim_.get(), std::move(remote_rigs), config_.reconstruct_stride, config_.spatial_fps,
+        codec_engine_.get());
     receiver->set_self_id(static_cast<std::uint8_t>(i));
     if (adapt_enabled_) {
       // Demux: SFU coarse-stream notifications route to the sender (created

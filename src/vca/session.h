@@ -147,6 +147,12 @@ class TelepresenceSession {
   const net::Capture& capture(std::size_t participant) const;
   const render::RenderLoop* render_loop(std::size_t participant) const;
   const SpatialPersonaReceiver* spatial_receiver(std::size_t participant) const;
+  /// Pre-run hook, e.g. to detach a receiver from the session's codec
+  /// engine for an A/B run.
+  SpatialPersonaReceiver* spatial_receiver(std::size_t participant) {
+    return participant < spatial_receivers_.size() ? spatial_receivers_[participant].get()
+                                                   : nullptr;
+  }
   const SpatialPersonaSender* spatial_sender(std::size_t participant) const;
   const VideoPersonaReceiver* video_receiver(std::size_t participant) const;
 
@@ -211,14 +217,16 @@ class TelepresenceSession {
   std::vector<std::size_t> assigned_server_;  ///< per participant
 
   // Spatial mode.
-  std::vector<std::unique_ptr<render::PersonaLodLadder>> ladders_;  ///< per participant
+  /// Per participant; shared so each persona's reconstruction rig can hold
+  /// the ladder's base mesh without a copy.
+  std::vector<std::shared_ptr<render::PersonaLodLadder>> ladders_;
   /// Per-participant TAPS connections to their assigned SFU (the façade owns
   /// the underlying QUIC endpoints); quic_conns_ caches the protocol handles
   /// the demux/adapt/subscription machinery needs.
   std::vector<std::unique_ptr<transport::taps::Connection>> connections_;
   std::vector<transport::QuicConnection*> quic_conns_;
   /// Session-shared codec engine: one lzr arena for every spatial sender
-  /// (metrics under "codec.engine").
+  /// and one decode memo for every receiver (metrics under "codec.engine").
   std::unique_ptr<compress::CodecEngine> codec_engine_;
   std::vector<std::unique_ptr<SpatialPersonaSender>> spatial_senders_;
   std::vector<std::unique_ptr<SpatialPersonaReceiver>> spatial_receivers_;

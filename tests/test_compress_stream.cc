@@ -304,6 +304,117 @@ TEST(CodecEngine, SharedSteadyStateDoesNotAllocate) {
   EXPECT_EQ(g_allocs.load() - before, 0u) << "warm shared-engine encode touched the heap";
 }
 
+// ---- shared decode memo -------------------------------------------------------
+
+/// `count` distinct LZR1 bodies: float32 keypoint frames, as a session ships.
+std::vector<std::vector<std::uint8_t>> PackedFrames(int count, std::uint64_t seed) {
+  semantic::KeypointTrackGenerator generator({}, seed);
+  semantic::SemanticEncoder plain({.lz_compress = false});
+  LzrEncoder encoder;
+  std::vector<std::vector<std::uint8_t>> out;
+  for (int i = 0; i < count; ++i) {
+    const auto frame = plain.EncodeFrame(semantic::ExtractSemanticSubset(generator.Next()));
+    out.emplace_back();
+    encoder.CompressInto(std::span(frame).subspan(2), out.back());  // past tag and index
+  }
+  return out;
+}
+
+TEST(CodecEngine, DecodeHitReturnsTheBytesOfAFreshDecode) {
+  CodecEngine engine;
+  std::vector<std::uint8_t> expected, first, second;
+  for (const auto& packed : PackedFrames(6, 60)) {
+    LzrDecompressInto(packed, expected);
+    engine.DecompressInto(3, packed, first);
+    engine.DecompressInto(3, packed, second);
+    EXPECT_EQ(first, expected);
+    EXPECT_EQ(second, expected);
+  }
+  EXPECT_EQ(engine.stats().decode_misses, 6u);
+  EXPECT_EQ(engine.stats().decode_hits, 6u);
+}
+
+TEST(CodecEngine, SameSizeBodyWithOneFlippedByteMisses) {
+  const auto packed = PackedFrames(1, 61).front();
+  std::vector<std::uint8_t> original, expected, out;
+  LzrDecompressInto(packed, original);
+  // Flip the latest byte whose flip still decodes, to something else.
+  std::vector<std::uint8_t> flipped;
+  for (std::size_t i = packed.size(); i-- > 8 && flipped.empty();) {
+    std::vector<std::uint8_t> candidate = packed;
+    candidate[i] ^= 0x01;
+    try {
+      LzrDecompressInto(candidate, expected);
+    } catch (const CorruptStream&) {
+      continue;
+    }
+    if (expected != original) flipped = std::move(candidate);
+  }
+  ASSERT_FALSE(flipped.empty());
+  ASSERT_EQ(flipped.size(), packed.size());
+
+  CodecEngine engine;
+  engine.DecompressInto(0, packed, out);
+  engine.DecompressInto(0, flipped, out);
+  EXPECT_EQ(out, expected);
+  EXPECT_EQ(engine.stats().decode_hits, 0u);
+  EXPECT_EQ(engine.stats().decode_misses, 2u);
+}
+
+TEST(CodecEngine, CorruptBodyIsNeverMemoised) {
+  std::vector<std::uint8_t> corrupt = PackedFrames(1, 62).front();
+  corrupt[0] = 'X';  // not LZR1
+  CodecEngine engine;
+  std::vector<std::uint8_t> out;
+  EXPECT_THROW(engine.DecompressInto(0, corrupt, out), CorruptStream);
+  EXPECT_THROW(engine.DecompressInto(0, corrupt, out), CorruptStream);
+  EXPECT_THROW(engine.DecompressInto(0, {}, out), CorruptStream);
+  EXPECT_EQ(engine.stats().decode_hits, 0u);
+  EXPECT_EQ(engine.stats().decode_misses, 3u);
+}
+
+TEST(CodecEngine, WarmDecodeHitAndMissDoNotAllocate) {
+  CodecEngine engine;
+  std::vector<std::uint8_t> out, packed;
+  // Warm every slot of stream 0, and `out`, with bodies larger than a frame.
+  LzrEncoder encoder;
+  for (std::uint32_t i = 0; i < CodecEngine::kDecodeSlotsPerStream; ++i) {
+    packed.clear();
+    encoder.CompressInto(RandomCorpus(4096, 100 + i), packed);
+    engine.DecompressInto(0, packed, out);
+  }
+  const auto frames = PackedFrames(2, 63);
+
+  const std::uint64_t before = g_allocs.load();
+  engine.DecompressInto(0, frames[0], out);  // miss, stored over the oldest slot
+  engine.DecompressInto(0, frames[0], out);  // hit
+  engine.DecompressInto(0, frames[1], out);  // miss
+  EXPECT_EQ(g_allocs.load() - before, 0u) << "warm memo decode touched the heap";
+  EXPECT_EQ(engine.stats().decode_hits, 1u);
+  EXPECT_EQ(engine.stats().decode_misses, CodecEngine::kDecodeSlotsPerStream + 2);
+}
+
+TEST(CodecEngine, EachStreamEvictsOnlyItsOwnOldestBody) {
+  const int slots = static_cast<int>(CodecEngine::kDecodeSlotsPerStream);
+  const auto bodies = PackedFrames(slots + 2, 64);
+  CodecEngine engine;
+  std::vector<std::uint8_t> out;
+  engine.DecompressInto(1, bodies[slots + 1], out);  // stream 1's only body
+  for (int i = 0; i <= slots; ++i) engine.DecompressInto(0, bodies[i], out);
+  ASSERT_EQ(engine.stats().decode_misses, static_cast<std::uint64_t>(slots + 2));
+
+  // Stream 0's 17th body evicted its first; stream 1 kept its slot.
+  engine.DecompressInto(1, bodies[slots + 1], out);
+  EXPECT_EQ(engine.stats().decode_hits, 1u);
+  for (int i = 1; i <= slots; ++i) engine.DecompressInto(0, bodies[i], out);
+  EXPECT_EQ(engine.stats().decode_hits, static_cast<std::uint64_t>(slots + 1));
+  engine.DecompressInto(0, bodies[0], out);
+  EXPECT_EQ(engine.stats().decode_misses, static_cast<std::uint64_t>(slots + 3));
+  // A body is memoised under its own stream only.
+  engine.DecompressInto(1, bodies[1], out);
+  EXPECT_EQ(engine.stats().decode_misses, static_cast<std::uint64_t>(slots + 4));
+}
+
 // ---- decode buffer reuse ----------------------------------------------------
 
 TEST(LzrStream, DecompressIntoReusesBuffer) {

@@ -4,7 +4,9 @@
 
 #include <cmath>
 #include <cstdint>
+#include <cstring>
 #include <limits>
+#include <memory>
 
 #include "compress/bitstream.h"
 #include "mesh/generator.h"
@@ -268,6 +270,61 @@ TEST(Reconstructor, GoldenApplyDigest) {
   }
   EXPECT_EQ(recon.influenced_vertex_count(), 11536u);
   EXPECT_EQ(h, 9288102567650967682ull);
+}
+
+bool SamePositions(const mesh::TriangleMesh& a, const mesh::TriangleMesh& b) {
+  return a.positions.size() == b.positions.size() &&
+         std::memcmp(a.positions.data(), b.positions.data(),
+                     a.positions.size() * sizeof(Vec3)) == 0;
+}
+
+// GoldenApplyDigest's pins, through a rig that two reconstructors share.
+// The second one applies other frames in between and must not disturb the
+// first.
+TEST(Reconstructor, SharedRigHoldsTheGoldenDigestAndKeepsReceiversApart) {
+  const auto rig = std::make_shared<const ReconstructorRig>(
+      std::make_shared<const mesh::TriangleMesh>(mesh::GeneratePersona(1000)));
+  PersonaReconstructor recon(rig);
+  PersonaReconstructor other(rig);
+  EXPECT_TRUE(SamePositions(other.current(), rig->base()));
+  KeypointTrackGenerator track({}, 77);
+  KeypointTrackGenerator other_track({}, 78);
+  std::uint64_t h = 1469598103934665603ull;
+  for (int f = 0; f < 200; ++f) {
+    const mesh::TriangleMesh& out = recon.Apply(ExtractSemanticSubset(track.Next()));
+    other.Apply(ExtractSemanticSubset(other_track.Next()));
+    const auto* p = reinterpret_cast<const std::uint8_t*>(out.positions.data());
+    for (std::size_t i = 0; i < out.positions.size() * sizeof(Vec3); ++i) {
+      h = (h ^ p[i]) * 1099511628211ull;
+    }
+  }
+  EXPECT_EQ(recon.influenced_vertex_count(), 11536u);
+  EXPECT_EQ(h, 9288102567650967682ull);
+  EXPECT_FALSE(SamePositions(other.current(), recon.current()));
+}
+
+TEST(Reconstructor, LazyRigBuildsOnceOnFirstUse) {
+  LazyRig lazy(std::make_shared<const mesh::TriangleMesh>(mesh::GeneratePersona(5, 2000)));
+  const std::shared_ptr<const ReconstructorRig> first = lazy.Get();
+  ASSERT_NE(first, nullptr);
+  EXPECT_EQ(lazy.Get(), first);
+  PersonaReconstructor a(lazy.Get());
+  PersonaReconstructor b(lazy.Get());
+  EXPECT_EQ(first.use_count(), 4);  // first, the lazy slot, a and b
+}
+
+TEST(Reconstructor, InvalidConfigThrowsFromTheRig) {
+  const auto persona = std::make_shared<const mesh::TriangleMesh>(mesh::GeneratePersona(4, 600));
+  const float inf = std::numeric_limits<float>::infinity();
+  const float nan = std::numeric_limits<float>::quiet_NaN();
+  for (const float sigma : {0.0f, -0.02f, inf, nan}) {
+    EXPECT_THROW(ReconstructorRig(persona, {.influence_sigma_m = sigma}), std::invalid_argument)
+        << sigma;
+    LazyRig lazy(persona, {.influence_sigma_m = sigma});
+    EXPECT_THROW(lazy.Get(), std::invalid_argument) << sigma;
+  }
+  EXPECT_THROW(ReconstructorRig(persona, {.max_influence_m = -0.01f}), std::invalid_argument);
+  EXPECT_EQ(ReconstructorRig(persona, {.max_influence_m = 0}).influenced_vertex_count(), 0u);
 }
 
 TEST(Reconstructor, InvalidConfigThrows) {

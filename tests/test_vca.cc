@@ -2,7 +2,10 @@
 // telepresence sessions.
 #include <gtest/gtest.h>
 
+#include <cstdlib>
+
 #include "obs/snapshot.h"
+#include "semantic/generator.h"
 #include "transport/classifier.h"
 #include "vca/profile.h"
 #include "vca/session.h"
@@ -135,6 +138,193 @@ TEST(SpatialSession, GeoDistributedStrategyUsesMultipleServers) {
     EXPECT_GT(p.persona_available_fraction, 0.95);  // relay mesh delivers
     EXPECT_NEAR(p.uplink_mbps.mean, 0.67, 0.15);
   }
+}
+
+// --- fan-out decode memo ---------------------------------------------------------------
+
+SessionConfig FiveUserFaceTime(net::SimTime duration) {
+  SessionConfig config;
+  for (const char* metro : {"NewYork", "Chicago", "Dallas", "Seattle", "Miami"}) {
+    config.participants.push_back(
+        {.name = metro, .metro = metro, .device = DeviceType::kVisionPro});
+  }
+  config.duration = duration;
+  return config;
+}
+
+double EngineGauge(TelepresenceSession& session, const std::string& name) {
+  return obs::Snapshot::Capture(session.sim().metrics()).gauge("codec.engine." + name);
+}
+
+/// Semantic payloads that reached an LZ decode on any receiver: every frame
+/// decoded or refused by its decoder (these sessions carry no corrupt
+/// payloads, so no failure stops before the LZ stage).
+double ReceiverDecodes(const TelepresenceSession& session, std::size_t n) {
+  std::uint64_t total = 0;
+  for (std::size_t i = 0; i < n; ++i) {
+    for (std::size_t j = 0; j < n; ++j) {
+      if (j == i) continue;
+      const auto& remote = session.spatial_receiver(i)->remote(static_cast<std::uint8_t>(j));
+      total += remote.frames_decoded + remote.decode_failures;
+    }
+  }
+  return static_cast<double>(total);
+}
+
+TEST(SpatialSession, FiveUserCallDecodesEachRelayedBodyOnce) {
+  TelepresenceSession session(FiveUserFaceTime(net::Seconds(4)));
+  session.Run();
+  const double hits = EngineGauge(session, "decode_hits");
+  const double misses = EngineGauge(session, "decode_misses");
+  // Four receivers per sender frame: one decodes, three copy.
+  EXPECT_GT(misses, 1000);
+  EXPECT_EQ(hits, 3 * misses);
+  EXPECT_EQ(hits + misses, ReceiverDecodes(session, 5));
+}
+
+TEST(SpatialReceiver, CorruptCopyMissesTheMemoAndFailsAlone) {
+  net::Simulator sim(1);
+  compress::CodecEngine engine;
+  std::vector<std::unique_ptr<SpatialPersonaReceiver>> receivers;
+  for (int r = 0; r < 4; ++r) {
+    receivers.push_back(std::make_unique<SpatialPersonaReceiver>(
+        &sim, std::map<std::uint8_t, const mesh::TriangleMesh*>{}, 9, 90.0, &engine));
+  }
+  constexpr std::uint8_t kSender = 3;
+  constexpr int kFrames = 20;
+  semantic::KeypointTrackGenerator track({}, 5);
+  semantic::SemanticEncoder encoder;
+  for (int f = 0; f < kFrames; ++f) {
+    std::vector<std::uint8_t> datagram = {kRelayTagRelayed, kSender, kMediaSemantic};
+    const auto payload = encoder.EncodeFrame(semantic::ExtractSemanticSubset(track.Next()));
+    datagram.insert(datagram.end(), payload.begin(), payload.end());
+    for (std::size_t r = 0; r < receivers.size(); ++r) {
+      std::vector<std::uint8_t> copy = datagram;
+      // Frame 5 reaches receiver 0 corrupt before anyone decoded it; frame
+      // 12 reaches receiver 3 corrupt after the others did. Byte 5 is the
+      // first of the body's LZR1 magic (wrapper, mode tag, frame index).
+      if ((f == 5 && r == 0) || (f == 12 && r == 3)) copy[5] ^= 0xFF;
+      receivers[r]->OnDatagram(copy);
+    }
+  }
+  for (std::size_t r = 0; r < receivers.size(); ++r) {
+    const std::uint64_t corrupted = (r == 0 || r == 3) ? 1 : 0;
+    const auto& remote = receivers[r]->remote(kSender);
+    EXPECT_EQ(remote.decode_failures, corrupted) << r;
+    EXPECT_EQ(remote.frames_decoded, kFrames - corrupted) << r;
+  }
+  EXPECT_EQ(engine.stats().decode_misses, kFrames + 2u);
+  EXPECT_EQ(engine.stats().decode_hits, 4u * kFrames - (kFrames + 2u));
+}
+
+/// A five-user call with 5% loss on user 0's uplink (as `vtp run
+/// --loss=0.05` applies it) and on user 2's downlink, so receivers see
+/// different frame sets.
+struct LossyRun {
+  SessionReport report;
+  std::vector<SpatialPersonaReceiver::RemoteStats> remotes;  ///< [receiver][sender]
+  double decode_hits = 0;
+  double decode_misses = 0;
+  std::uint64_t user0_frames_at_user1 = 0;
+  std::uint64_t user0_frames_at_user2 = 0;
+};
+
+LossyRun RunLossyFiveUser(bool shared_decode) {
+  TelepresenceSession session(FiveUserFaceTime(net::Seconds(4)));
+  session.UplinkNetem(0).SetLoss(0.05);
+  session.DownlinkNetem(2).SetLoss(0.05);
+  if (!shared_decode) {
+    for (std::size_t i = 0; i < 5; ++i) session.spatial_receiver(i)->AttachEngine(nullptr);
+  }
+  session.Run();
+  LossyRun run;
+  run.report = session.BuildReport();
+  for (std::size_t i = 0; i < 5; ++i) {
+    for (std::uint8_t j = 0; j < 5; ++j) {
+      run.remotes.push_back(session.spatial_receiver(i)->remote(j));
+    }
+  }
+  run.decode_hits = EngineGauge(session, "decode_hits");
+  run.decode_misses = EngineGauge(session, "decode_misses");
+  run.user0_frames_at_user1 = session.spatial_receiver(1)->remote(0).frames_decoded;
+  run.user0_frames_at_user2 = session.spatial_receiver(2)->remote(0).frames_decoded;
+  return run;
+}
+
+void ExpectSameSummary(const core::Summary& a, const core::Summary& b, const std::string& what) {
+  EXPECT_EQ(a.n, b.n) << what;
+  EXPECT_EQ(a.mean, b.mean) << what;
+  EXPECT_EQ(a.min, b.min) << what;
+  EXPECT_EQ(a.max, b.max) << what;
+  EXPECT_EQ(a.p50, b.p50) << what;
+  EXPECT_EQ(a.p95, b.p95) << what;
+}
+
+TEST(SpatialSession, LossyCallMatchesDetachedDecoders) {
+  const LossyRun shared = RunLossyFiveUser(true);
+  const LossyRun detached = RunLossyFiveUser(false);
+  EXPECT_GT(shared.decode_hits, 0);
+  EXPECT_EQ(detached.decode_hits + detached.decode_misses, 0);
+  EXPECT_NE(shared.user0_frames_at_user1, shared.user0_frames_at_user2);
+
+  ASSERT_EQ(shared.remotes.size(), detached.remotes.size());
+  for (std::size_t k = 0; k < shared.remotes.size(); ++k) {
+    const auto& a = shared.remotes[k];
+    const auto& b = detached.remotes[k];
+    EXPECT_EQ(a.frames_decoded, b.frames_decoded) << k;
+    EXPECT_EQ(a.decode_failures, b.decode_failures) << k;
+    EXPECT_EQ(a.last_frame_time, b.last_frame_time) << k;
+    EXPECT_EQ(a.last_frame_index, b.last_frame_index) << k;
+    EXPECT_EQ(a.audio_frames, b.audio_frames) << k;
+  }
+  // Every field `vtp run --json` prints.
+  ASSERT_EQ(shared.report.participants.size(), detached.report.participants.size());
+  EXPECT_EQ(shared.report.server_metros, detached.report.server_metros);
+  for (std::size_t i = 0; i < shared.report.participants.size(); ++i) {
+    const ParticipantReport& a = shared.report.participants[i];
+    const ParticipantReport& b = detached.report.participants[i];
+    EXPECT_EQ(a.uplink_protocol, b.uplink_protocol);
+    EXPECT_EQ(a.rtp_payload_type, b.rtp_payload_type);
+    ExpectSameSummary(a.uplink_mbps, b.uplink_mbps, a.name + " uplink");
+    ExpectSameSummary(a.downlink_mbps, b.downlink_mbps, a.name + " downlink");
+    ExpectSameSummary(a.gpu_ms, b.gpu_ms, a.name + " gpu");
+    ExpectSameSummary(a.cpu_ms, b.cpu_ms, a.name + " cpu");
+    EXPECT_EQ(a.triangles.mean, b.triangles.mean) << a.name;
+    EXPECT_EQ(a.persona_available_fraction, b.persona_available_fraction) << a.name;
+    EXPECT_EQ(a.deadline_miss_rate, b.deadline_miss_rate) << a.name;
+  }
+}
+
+TEST(SpatialSession, DecoderResetKeepsTheSharedEngine) {
+  // VTP_ADAPT is read once, when the session is built.
+  setenv("VTP_ADAPT", "1", 1);
+  SessionConfig config;
+  for (const char* metro : {"SanFrancisco", "NewYork", "Chicago"}) {
+    config.participants.push_back(
+        {.name = metro, .metro = metro, .device = DeviceType::kVisionPro});
+  }
+  config.duration = net::Seconds(12);
+  config.enable_reconstruction = false;
+  TelepresenceSession session(std::move(config));
+  unsetenv("VTP_ADAPT");
+  ASSERT_TRUE(session.adapt_enabled());
+  // A lossy downlink moves user 1 onto the coarse streams and back, and
+  // each switch resets the matching decoder. The loss starts after the
+  // QUIC handshakes: the server never resends a lost HANDSHAKE_DONE.
+  net::Netem netem = session.DownlinkNetem(1);
+  session.sim().At(net::Seconds(1), [&netem] { netem.SetLoss(0.25); });
+  session.sim().At(net::Seconds(5), [&netem] { netem.SetLoss(0); });
+  session.Run();
+
+  std::uint64_t rung_requests = 0;
+  for (const auto& [name, counter] : session.sim().metrics().counters()) {
+    if (name.ends_with(".rung_requests")) rung_requests += counter.value();
+  }
+  EXPECT_GT(rung_requests, 0u);
+  // Every decode after a reset still goes through the engine.
+  const double hits = EngineGauge(session, "decode_hits");
+  EXPECT_GT(hits, 0);
+  EXPECT_EQ(hits + EngineGauge(session, "decode_misses"), ReceiverDecodes(session, 3));
 }
 
 // --- 2D sessions ---------------------------------------------------------------------

@@ -20,13 +20,13 @@
 // All subcommands share one flag parser (core::Flags) and one
 // --obs-dump=FILE snapshot path.
 //
-// Examples:
+// Examples (an indented line continues the command above it):
 //   vtp run --app=facetime --metros=SanFrancisco,NewYork --duration=20
-//   vtp run --app=webex --metros=SanFrancisco,Chicago,Miami \
+//   vtp run --app=webex --metros=SanFrancisco,Chicago,Miami
 //           --devices=vp,mac,ipad --cap-uplink-kbps=1200 --json
 //   vtp run --app=facetime --metros=SanFrancisco,NewYork --obs-dump=obs.json
 //   vtp serve --port=4433 --duration=10 --obs-dump=server_obs.json
-//   VTP_MEDIUM=socket vtp client --connect=127.0.0.1:4433 --personas=5 \
+//   VTP_MEDIUM=socket vtp client --connect=127.0.0.1:4433 --personas=5
 //           --duration=5 --obs-dump=client_obs.json
 //   vtp rtt --clients=SanFrancisco,Dallas,NewYork --apps=facetime,zoom
 //   vtp probe --mode=remote --delay-ms=500
