@@ -83,6 +83,50 @@ TEST(FleetDeterminism, WindowedEngineMatchesDirectSingleThreadedReference) {
   EXPECT_EQ(direct.events, windowed.events);
 }
 
+// --- golden digests ----------------------------------------------------------
+//
+// Recorded while the per-hop engine and the single-threaded Simulator::Run()
+// harness still existed and produced these same values: the pins hold the
+// one remaining engine to every behaviour those differential runs checked.
+
+struct Golden {
+  std::uint64_t digest;
+  std::uint64_t hops;
+  std::uint64_t frames_delivered;
+};
+
+void ExpectGolden(const FleetResult& r, const Golden& g) {
+  EXPECT_EQ(r.digest, g.digest) << std::hex << "shards=" << r.shards << " digest=0x" << r.digest;
+  EXPECT_EQ(r.hops, g.hops) << "shards=" << r.shards;
+  EXPECT_EQ(r.frames_delivered, g.frames_delivered) << "shards=" << r.shards;
+}
+
+TEST(FleetGolden, SmallFleetCleanRun) {
+  for (int shards : {1, 2, 4}) {
+    FleetConfig cfg = SmallFleet();
+    cfg.shards = shards;
+    const FleetResult r = FleetSim(cfg).Run();
+    ExpectGolden(r, {0xcbdeffed232ba8aeull, 25330, 5733});
+    // No per-hop or per-frame Simulator events: one bin tick per
+    // millisecond of generation horizon, per shard.
+    EXPECT_EQ(r.events, 2035u * static_cast<std::uint64_t>(shards));
+  }
+}
+
+TEST(FleetGolden, BenchSmokeConfig) {
+  // bench_fleet --smoke's fleet: seed 7, 64 sessions, 3 s.
+  for (int shards : {1, 2}) {
+    FleetConfig cfg;
+    cfg.seed = 7;
+    cfg.target_sessions = 64;
+    cfg.duration = net::Seconds(3);
+    cfg.mean_session_s = 20;
+    cfg.diurnal_period_s = 3;
+    cfg.shards = shards;
+    ExpectGolden(FleetSim(cfg).Run(), {0x7324c4e9ec4771a2ull, 57315, 12026});
+  }
+}
+
 // --- per-flow RNG streams ----------------------------------------------------
 
 TEST(FleetDeterminism, ProbeSessionDrawsAreShardCountInvariant) {
@@ -241,6 +285,7 @@ TEST(FleetExpress, FaultedScenarioForcesFallbackAndStaysBitIdentical) {
         << results[i].path << " shards=" << results[i].shards;
     EXPECT_EQ(results[i].merged.ToJson(), results[0].merged.ToJson());
   }
+  for (const FleetResult& r : results) ExpectGolden(r, {0xb9bc65bac12b9cecull, 24825, 5573});
   // Every impairment actually fired and actually bit.
   EXPECT_EQ(results[0].merged.counter("fabric.flap_transitions"), 2u);
   EXPECT_GT(results[0].merged.counter("fabric.fault_transitions"), 0u);
