@@ -7,11 +7,8 @@
 //
 // Hard gates (exit 1 on failure):
 //   * merged-snapshot digests are bit-identical across every shard count
-//     AND across the express / per-hop delivery engines;
-//   * --smoke additionally pins the windowed 1-shard engine against the
-//     plain single-threaded Simulator::Run() reference (RunDirect), in both
-//     engines;
-//   * --baseline=FILE compares the windowed 1-shard frames_per_wall_s
+//     (test_fleet pins the smoke fleet's digest itself);
+//   * --baseline=FILE compares the 1-shard frames_per_wall_s
 //     against the committed report and fails on a >10% regression;
 //   * full mode sustains the session target, and — only on machines with
 //     >= 4 hardware threads, where the comparison is meaningful — requires
@@ -42,7 +39,6 @@ using vtp::vca::FleetResult;
 using vtp::vca::FleetSim;
 
 struct Row {
-  std::string label;
   int shards = 0;
   FleetResult r;
 };
@@ -53,23 +49,21 @@ double Fpws(const Row& row) {
 
 void PrintRow(const Row& row) {
   std::printf(
-      "  %-8s %-7s shards=%d  wall=%6.2fs  frames=%8" PRIu64 "  %9.0f fr/s  p50=%6.2fms  "
-      "p95=%6.2fms  handoffs=%8" PRIu64 "  ff=%9" PRIu64 "  digest=%016" PRIx64 "\n",
-      row.label.c_str(), row.r.path.c_str(), row.shards, row.r.wall_s, row.r.frames_delivered,
-      Fpws(row), row.r.e2e_p50_ms, row.r.e2e_p95_ms, row.r.handoffs, row.r.fastforwards,
-      row.r.digest);
+      "  shards=%d  wall=%6.2fs  frames=%8" PRIu64 "  %9.0f fr/s  p50=%6.2fms  "
+      "p95=%6.2fms  handoffs=%8" PRIu64 "  digest=%016" PRIx64 "\n",
+      row.shards, row.r.wall_s, row.r.frames_delivered, Fpws(row), row.r.e2e_p50_ms,
+      row.r.e2e_p95_ms, row.r.handoffs, row.r.digest);
 }
 
 void WriteRow(vtp::core::JsonWriter& w, const Row& row, double fps) {
   w.BeginObject();
-  w.Key("label"); w.String(row.label);
+  // Every row is a windowed run; the label is what --baseline keys on.
+  w.Key("label"); w.String("windowed");
   w.Key("shards"); w.Int(row.shards);
-  w.Key("path"); w.String(row.r.path);
   w.Key("wall_s"); w.Number(row.r.wall_s);
   w.Key("events"); w.Int(static_cast<std::int64_t>(row.r.events));
   w.Key("hops"); w.Int(static_cast<std::int64_t>(row.r.hops));
   w.Key("handoffs"); w.Int(static_cast<std::int64_t>(row.r.handoffs));
-  w.Key("fastforwards"); w.Int(static_cast<std::int64_t>(row.r.fastforwards));
   w.Key("spills"); w.Int(static_cast<std::int64_t>(row.r.spills));
   w.Key("windows"); w.Int(static_cast<std::int64_t>(row.r.windows));
   w.Key("lookahead_us"); w.Number(vtp::net::ToMicros(row.r.lookahead));
@@ -106,9 +100,9 @@ FleetConfig BaseConfig(bool smoke) {
   return cfg;
 }
 
-/// Pulls the windowed 1-shard frames_per_wall_s out of a committed
-/// BENCH_fleet.json (compact core::JsonWriter output; the first windowed
-/// shards=1 run is the single-core baseline row). Returns -1 when the file
+/// Pulls the 1-shard frames_per_wall_s out of a committed BENCH_fleet.json
+/// (compact core::JsonWriter output; the first "windowed" shards=1 run is
+/// the single-core baseline row). Returns -1 when the file
 /// is missing or doesn't contain the row.
 double ReadBaselineFpws(const std::string& file) {
   std::ifstream in(file);
@@ -162,48 +156,25 @@ int main(int argc, char** argv) {
   }
   if (shard_counts.empty()) shard_counts = smoke ? std::vector<int>{1, 2} : std::vector<int>{1, 2, 4};
 
-  // Windowed rows defer to VTP_FLEET_PATH (default express) so the engines
-  // can be A/B'd per run; the smoke differential rows pin both explicitly.
   FleetSim fleet(cfg);
   std::printf("  schedule: %zu sessions, peak concurrency %d, horizon %.1fs\n",
               fleet.schedule().size(), static_cast<int>(cfg.target_sessions),
               vtp::net::ToSeconds(cfg.duration));
 
   std::vector<Row> rows;
-  if (smoke) {
-    // Differential pins: the same model on a plain Simulator::Run() (no
-    // windows, no mailboxes), in both delivery engines, plus the per-hop
-    // windowed single shard — every digest must match the express rows.
-    for (const char* path : {"express", "hops"}) {
-      FleetConfig c = cfg;
-      c.path = path;
-      FleetSim direct(c);
-      rows.push_back({"direct", 1, direct.RunDirect()});
-      PrintRow(rows.back());
-    }
-    {
-      FleetConfig c = cfg;
-      c.path = "hops";
-      c.shards = 1;
-      FleetSim sim(c);
-      rows.push_back({"refpath", 1, sim.Run()});
-      PrintRow(rows.back());
-    }
-  }
   for (int shards : shard_counts) {
     FleetConfig c = cfg;
     c.shards = shards;
     FleetSim sim(c);
-    rows.push_back({"windowed", shards, sim.Run()});
+    rows.push_back({shards, sim.Run()});
     PrintRow(rows.back());
   }
 
   bool digests_identical = true;
   for (std::size_t i = 1; i < rows.size(); ++i) {
     if (rows[i].r.digest != rows[0].r.digest) {
-      std::printf("FAIL: digest mismatch: %s/%s/%d %016" PRIx64 " vs %s/%s/%d %016" PRIx64 "\n",
-                  rows[i].label.c_str(), rows[i].r.path.c_str(), rows[i].shards, rows[i].r.digest,
-                  rows[0].label.c_str(), rows[0].r.path.c_str(), rows[0].shards, rows[0].r.digest);
+      std::printf("FAIL: digest mismatch: shards=%d %016" PRIx64 " vs shards=%d %016" PRIx64 "\n",
+                  rows[i].shards, rows[i].r.digest, rows[0].shards, rows[0].r.digest);
       digests_identical = false;
     }
   }
@@ -213,21 +184,11 @@ int main(int argc, char** argv) {
     ok = false;
   }
 
-  const Row* gate_row = nullptr;  // windowed express, 1 shard: the baseline row
+  const Row* gate_row = nullptr;  // 1 shard: the baseline row
   for (const Row& row : rows) {
-    if (row.label == "windowed" && row.shards == 1 && row.r.path == "express") {
+    if (row.shards == 1) {
       gate_row = &row;
       break;
-    }
-  }
-  if (smoke) {
-    const Row* hops_row = nullptr;
-    for (const Row& row : rows) {
-      if (row.label == "refpath") hops_row = &row;
-    }
-    if (gate_row != nullptr && hops_row != nullptr && hops_row->r.wall_s > 0) {
-      std::printf("  express vs per-hop, 1 shard: %.2fx frames/wall-s\n",
-                  Fpws(*gate_row) / Fpws(*hops_row));
     }
   }
 
@@ -235,11 +196,11 @@ int main(int argc, char** argv) {
   if (!baseline.empty()) {
     baseline_fpws = ReadBaselineFpws(baseline);
     if (baseline_fpws <= 0) {
-      std::printf("FAIL: no windowed 1-shard frames_per_wall_s in baseline %s\n",
+      std::printf("FAIL: no 1-shard frames_per_wall_s in baseline %s\n",
                   baseline.c_str());
       ok = false;
     } else if (gate_row == nullptr) {
-      std::printf("FAIL: --baseline given but no windowed 1-shard express run\n");
+      std::printf("FAIL: --baseline given but no 1-shard run\n");
       ok = false;
     } else {
       const double fpws = Fpws(*gate_row);
@@ -263,7 +224,6 @@ int main(int argc, char** argv) {
     const Row* one = nullptr;
     const Row* four = nullptr;
     for (const Row& row : rows) {
-      if (row.label != "windowed") continue;
       if (row.shards == 1) one = &row;
       if (row.shards == 4) four = &row;
     }

@@ -9,9 +9,8 @@
 //
 // Precedence is unchanged byte-for-byte: handles resolve the environment at
 // *call time* with the same parsing rules as core/env.h (the benches mutate
-// VTP_OBS / VTP_FLEET_PATH per run via setenv, so values must never be
-// cached), and ChoiceKnob::Is() keeps the allocation-free compare that
-// per-call defaults (the fleet engine pick) rely on.
+// VTP_OBS per run via setenv, so values must never be cached), and
+// ChoiceKnob::Is() keeps an allocation-free compare for per-call checks.
 //
 // Header-only (like env.h) so low-level libraries can consult knobs without
 // a link dependency on vtp_core.
@@ -151,10 +150,10 @@ class StringKnob {
   const char* def_;
 };
 
-/// Enumerated knob (fleet delivery engine, medium backend). `Is()` keeps the
-/// EnvEquals contract — allocation-free, and an unset or unrecognised value
-/// matches only the declared default — so `EnvEquals(name, "hops")`-style
-/// call sites translate byte-for-byte.
+/// Enumerated knob (the medium backend). `Is()` keeps the EnvEquals
+/// contract — allocation-free, and an unset or unrecognised value matches
+/// only the declared default — so `EnvEquals(name, "socket")`-style call
+/// sites translate byte-for-byte.
 class ChoiceKnob {
  public:
   ChoiceKnob(const char* name, const char* def, std::vector<const char*> choices,

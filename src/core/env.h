@@ -42,8 +42,7 @@ inline std::string EnvString(const char* name, const char* fallback) {
 }
 
 /// True when `name` is set to exactly `value`. Allocation-free, so per-call
-/// defaults (e.g. the fleet engine pick from VTP_FLEET_PATH) can consult it
-/// without heap traffic.
+/// checks (ChoiceKnob::Is) can consult it without heap traffic.
 inline bool EnvEquals(const char* name, const char* value) {
   const char* env = std::getenv(name);
   if (env == nullptr) return false;

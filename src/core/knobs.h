@@ -3,10 +3,9 @@
 // Each knob appears exactly once, with its type, default, and help string;
 // the inline handles self-register with core::Config so `vtp --knobs` lists
 // them all. Call sites consult the handle (knobs::kFull.Get(),
-// knobs::kFleetPath.Is("express")) instead of scattering EnvInt/EnvFlag/
-// getenv parsing through the tree — resolution still happens per call, so
-// benches that setenv() a knob mid-run (the obs and fleet-engine A/Bs)
-// behave exactly as before.
+// knobs::kMedium.Get()) instead of scattering EnvInt/EnvFlag/getenv parsing
+// through the tree — resolution still happens per call, so benches that
+// setenv() a knob mid-run (the obs on/off A/Bs) behave exactly as before.
 #pragma once
 
 #include "core/config.h"
@@ -40,15 +39,6 @@ inline const BoolKnob kObs{"VTP_OBS", true,
 /// differential suite in test_transport_ext.cc pins this).
 inline const BoolKnob kAdapt{"VTP_ADAPT", false,
                              "enable the adaptive delivery control loop (rate ladder + FEC)"};
-
-/// Fleet-sim delivery engine (vca::FleetSim; bench_fleet A/Bs these per
-/// run). Express fast-forwards fabric hops analytically from the (arrive,
-/// key) heap with zero per-hop Simulator events; hops is the original
-/// event-per-link-traversal engine, kept as the differential reference.
-/// Digests are bit-identical either way (DESIGN §13).
-inline const ChoiceKnob kFleetPath{
-    "VTP_FLEET_PATH", "express", {"express", "hops"},
-    "fleet delivery engine: analytic express fast-forwarding or per-hop events"};
 
 /// Makes bench::JsonReport refuse to write a report whose git header would
 /// record a -dirty tree. CI sets this so committed BENCH_*.json baselines

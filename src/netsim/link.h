@@ -62,10 +62,10 @@ class DirectedLink {
 
   /// The outcome of offering one packet to the link: either dropped, or
   /// serialized with a computed arrival instant (plus an optional duplicate
-  /// arrival when netem duplication fired). Produced by PlanTransmit, which
-  /// is the single place queue/loss/serialization decisions are made — both
-  /// the event-scheduling Transmit path and the sharded core's handoff seam
-  /// (TransmitInto) consume it, so they stay decision-for-decision identical.
+  /// arrival when netem duplication fired). Produced by PlanTransmitAt,
+  /// which is the single place queue/loss/serialization decisions are made —
+  /// both the event-scheduling Transmit path and the sharded fleet fabric
+  /// (FabricShard) consume it, so they stay decision-for-decision identical.
   struct TxPlan {
     bool dropped = false;
     SimTime start = 0;       ///< transmission start (tap instant)
@@ -99,13 +99,13 @@ class DirectedLink {
   TxPlan PlanTransmit(std::uint32_t bytes) { return PlanTransmitAt(sim_->now(), bytes); }
 
   /// PlanTransmit at an explicit offer instant `now` instead of the
-  /// simulator clock. The express fleet path processes hops in global
+  /// simulator clock. The sharded fleet fabric processes hops in global
   /// (arrive, key) order at event times *later* than the hop's logical
   /// arrival; passing the logical instant here makes every queue/loss/
   /// serialization decision — and therefore every counter and RNG draw —
-  /// identical to the per-hop schedule, where offers always happen at
-  /// sim->now() == arrive. Offers to one link must be made in nondecreasing
-  /// `now` order (both engines guarantee this).
+  /// identical to a schedule that offered each hop at sim->now() == arrive.
+  /// Offers to one link must be made in nondecreasing `now` order (the
+  /// fabric's hop heap guarantees this).
   TxPlan PlanTransmitAt(SimTime now, std::uint32_t bytes) {
     TxPlan plan;
 
@@ -191,28 +191,6 @@ class DirectedLink {
     sim_->At(plan.arrive, [deliver = std::move(deliver), p = std::move(p)]() mutable {
       deliver(std::move(p));
     });
-  }
-
-  /// The sharded core's handoff seam: like Transmit, but instead of
-  /// scheduling delivery events it reports the computed arrival instant(s)
-  /// synchronously — handoff(Packet, SimTime arrive), once per delivered
-  /// copy. A cross-shard mailbox can therefore be filled at *transmission*
-  /// time, which is what makes the link's propagation delay a valid
-  /// conservative-lookahead bound (the record exists a full prop-delay
-  /// before it is due anywhere).
-  template <class Handoff>
-  void TransmitInto(Packet p, Handoff&& handoff) {
-    const TxPlan plan = PlanTransmit(p.wire_bytes());
-    if (plan.dropped) return;
-    if (tap_) {
-      const SimTime start = plan.start;
-      Packet shared = p;
-      sim_->At(start, [this, shared, start] {
-        if (tap_) tap_(shared, start);
-      });
-    }
-    if (plan.duplicated) handoff(Packet(p), plan.dup_arrive);
-    handoff(std::move(p), plan.arrive);
   }
 
   /// netem-style impairments (applied on top of the base config).

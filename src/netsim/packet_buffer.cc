@@ -76,24 +76,6 @@ void PacketBuffer::assign(std::size_t n, std::uint8_t value) {
   std::memset(block_->data(), value, n);
 }
 
-void* PacketBuffer::ReleaseBlock() {
-  if (block_ == nullptr) return nullptr;
-  assert(block_->refs == 1);
-  PacketPool::Block* b = block_;
-  block_ = nullptr;
-  // The block no longer belongs to this thread's pool; keep the live-buffer
-  // gauge honest on both sides of the handoff.
-  --PacketPool::ThreadLocal().stats_.outstanding;
-  return b;
-}
-
-PacketBuffer PacketBuffer::AdoptBlock(void* block) {
-  PacketBuffer buf;
-  buf.block_ = static_cast<PacketPool::Block*>(block);
-  if (buf.block_ != nullptr) ++PacketPool::ThreadLocal().stats_.outstanding;
-  return buf;
-}
-
 void PacketBuffer::Unref() {
   if (block_ != nullptr && --block_->refs == 0) {
     PacketPool::ThreadLocal().Release(block_);

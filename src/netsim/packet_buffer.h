@@ -147,24 +147,6 @@ class PacketBuffer {
   /// Number of handles sharing this block (0 for an empty handle).
   std::uint32_t ref_count() const { return block_ == nullptr ? 0 : block_->refs; }
 
-  // --- cross-thread handoff ------------------------------------------------
-  //
-  // Pools are thread-local and refcounts non-atomic, so a PacketBuffer must
-  // never be *shared* across threads. A sole-owner block can however be
-  // handed off whole: ReleaseBlock detaches the block from this thread
-  // (decrementing its pool's outstanding count), the opaque pointer rides a
-  // synchronized channel (the sharded core's SPSC mailboxes), and
-  // AdoptBlock re-wraps it on the receiving thread, whose pool will recycle
-  // it on the final Unref. The channel's release/acquire pair is the
-  // happens-before edge that makes the non-atomic header safe.
-
-  /// Detaches the sole-owner block for a cross-thread handoff. Requires
-  /// ref_count() == 1 (asserted); returns nullptr for an empty handle.
-  void* ReleaseBlock();
-
-  /// Re-wraps a block detached by ReleaseBlock on this thread.
-  static PacketBuffer AdoptBlock(void* block);
-
  private:
   void Unref();
 

@@ -66,20 +66,6 @@ FabricTopology::FabricTopology(std::size_t metro_count, std::vector<FabricEdge> 
       }
     }
   }
-  // Memoize route lengths by walking the (now final) next-hop table once.
-  hop_count_.assign(n, std::vector<int>(n, -1));
-  for (std::size_t i = 0; i < n; ++i) {
-    for (std::size_t j = 0; j < n; ++j) {
-      int at = static_cast<int>(i);
-      int hops = 0;
-      while (at != static_cast<int>(j) && hops <= static_cast<int>(n)) {
-        at = next_hop_[static_cast<std::size_t>(at)][j];
-        if (at < 0) break;
-        ++hops;
-      }
-      if (at == static_cast<int>(j)) hop_count_[i][j] = hops;
-    }
-  }
 }
 
 FabricTopology FabricTopology::Backbone(double rate_bps) {
@@ -171,11 +157,10 @@ SimTime FabricTopology::Lookahead(const std::vector<int>& owner, SimTime horizon
 }
 
 FabricShard::FabricShard(const FabricTopology* topo, const std::vector<int>* owner, int shard_id,
-                         std::uint64_t seed, bool express)
+                         std::uint64_t seed)
     : topo_(topo),
       owner_(owner),
       shard_id_(shard_id),
-      express_(express),
       sim_(DeriveSeed(seed, RngDomain::kShardCore, static_cast<std::uint64_t>(shard_id))) {
   topo_->ValidatePartition(*owner_);
   const std::size_t n = topo_->metro_count();
@@ -216,69 +201,34 @@ DirectedLink& FabricShard::link(int a, int b) {
   return *links_[static_cast<std::size_t>(idx)];
 }
 
-void FabricShard::PushHop(const FleetHop& hop) { PushLocal(hop); }
-
-void FabricShard::PushLocal(const FleetHop& hop) {
+void FabricShard::PushHop(const FleetHop& hop) {
   hops_.push_back(hop);
   std::push_heap(hops_.begin(), hops_.end(), HopLater{});
-  // Per-hop engine: one drain event per queued hop. Later drains for the
-  // same instant find the heap already empty or future-dated and fall
-  // through. Every hop is queued strictly before its arrival instant, so
-  // the drain runs in-order and the (arrive, key) heap order — not
-  // scheduling order — decides execution. The express engine schedules
-  // nothing here: its owner drains at bin ticks and window boundaries.
-  if (!express_) sim_.At(hop.arrive, [this] { DrainDue(); });
-}
-
-void FabricShard::DrainDue() {
-  while (!hops_.empty() && hops_.front().arrive <= sim_.now()) {
-    std::pop_heap(hops_.begin(), hops_.end(), HopLater{});
-    const FleetHop due = hops_.back();
-    hops_.pop_back();
-    if (const std::optional<FleetHop> cont = ProcessHop(due)) PushLocal(*cont);
-  }
 }
 
 void FabricShard::DrainUpTo(SimTime bound) {
   while (!hops_.empty() && hops_.front().arrive <= bound) {
     std::pop_heap(hops_.begin(), hops_.end(), HopLater{});
-    FleetHop cur = hops_.back();
+    const FleetHop due = hops_.back();
     hops_.pop_back();
-    for (;;) {
-      const std::optional<FleetHop> cont = ProcessHop(cur);
-      if (!cont) break;
-      // Inline fast-forward: the continuation is provably the next hop in
-      // the (arrive, key) total order — nothing queued precedes it and it
-      // is inside the bound — so executing it immediately skips the heap
-      // round-trip. Anything else re-enters the heap.
-      if (cont->arrive <= bound &&
-          (hops_.empty() || cont->arrive < hops_.front().arrive ||
-           (cont->arrive == hops_.front().arrive && cont->key < hops_.front().key))) {
-        ++fastforwards_;
-        cur = *cont;
-        continue;
-      }
-      PushLocal(*cont);
-      break;
-    }
+    ProcessHop(due);
   }
 }
 
-std::optional<FleetHop> FabricShard::ProcessHop(const FleetHop& hop) {
+void FabricShard::ProcessHop(const FleetHop& hop) {
   ++hops_processed_;
   if (hop.at == hop.dst) {
     if (deliver_) deliver_(hop);
-    return std::nullopt;
+    return;
   }
   const int next = topo_->next_hop(hop.at, hop.dst);
-  if (next < 0) return std::nullopt;  // unreachable: drop
-  // Offer the frame to the link at the hop's logical instant. In per-hop
-  // mode hop.arrive == sim().now() (the drain event fires exactly then); in
-  // express mode the clock may be ahead, but offers still happen in global
-  // (arrive, key) order, so the link sees the identical offer sequence.
+  if (next < 0) return;  // unreachable: drop
+  // Offer the frame to the link at the hop's logical instant. The clock may
+  // be ahead of it, but offers happen in global (arrive, key) order, so the
+  // link sees the same offer sequence at any shard count.
   const DirectedLink::TxPlan plan =
       link(hop.at, next).PlanTransmitAt(hop.arrive, hop.bytes + kIpUdpOverheadBytes);
-  if (plan.dropped) return std::nullopt;
+  if (plan.dropped) return;
   FleetHop cont = hop;
   cont.at = static_cast<std::uint8_t>(next);
   if (plan.duplicated) {
@@ -287,18 +237,13 @@ std::optional<FleetHop> FabricShard::ProcessHop(const FleetHop& hop) {
     Route(dup);
   }
   cont.arrive = plan.arrive + kFabricHopDelay;
-  if (owner_of(next) != shard_id_) {
-    ++handoffs_posted_;
-    post_(owner_of(next), cont);
-    return std::nullopt;
-  }
-  return cont;
+  Route(cont);
 }
 
 void FabricShard::Route(const FleetHop& hop) {
   const int dst_shard = owner_of(hop.at);
   if (dst_shard == shard_id_) {
-    PushLocal(hop);
+    PushHop(hop);
     return;
   }
   ++handoffs_posted_;
@@ -309,9 +254,7 @@ bool FabricShard::ScheduleFlap(int a, int b, SimTime at, SimTime duration) {
   DirectedLink& flapped = link(a, b);  // validates the edge in every shard
   if (!owns(a)) return false;
   // Drain strictly below the transition instant before mutating: hops due
-  // exactly at the instant then see the post-transition state, matching the
-  // per-hop engine where fault events (scheduled pre-run, lower seq) run
-  // FIFO-first at their instant. A no-op in per-hop mode.
+  // exactly at the instant then see the post-transition state.
   sim_.At(at, [this, &flapped] {
     DrainUpTo(sim_.now() - 1);
     flapped.set_extra_loss(1.0);

@@ -11,23 +11,18 @@
 // handoff is a 40-byte copy — no allocation, no shared blocks) and are
 // ingested at window boundaries in a deterministic total order.
 //
-// Two delivery engines share one decision path (DESIGN §13):
+// Delivery runs without per-hop Simulator events (DESIGN §13). Hops
+// accumulate in the (arrive, key) heap and DrainUpTo(bound) executes them in
+// that exact order, offering each to its link at the hop's *logical* instant
+// (DirectedLink::PlanTransmitAt). Drains happen at model bin ticks, at window
+// boundaries (before the mailbox exchange), at the start of every
+// fault-transition event (so state mutations never reorder against in-flight
+// hops), and at the end of the run.
 //
-//   * per-hop ("hops"): every queued hop gets a Simulator drain event at its
-//     arrival instant — the original engine, one event per link traversal;
-//   * express: no per-hop events at all. Hops accumulate in the (arrive,
-//     key) heap and DrainUpTo(bound) fast-forwards them in that exact order,
-//     offering each to its link at the hop's *logical* instant
-//     (DirectedLink::PlanTransmitAt). Drains happen at model bin ticks, at
-//     window boundaries (before the mailbox exchange), at the start of every
-//     fault-transition event (so state mutations never reorder against
-//     in-flight hops), and at the end of the run.
-//
-// Both engines execute the identical hop sequence against identical link
-// state, so every counter, histogram observation, and RNG draw — and
-// therefore the merged obs::Snapshot digest — is bit-identical between them
-// and across any shard count (pinned by test_fleet.cc and the bench_fleet
-// smoke).
+// Every shard count executes the identical hop sequence against identical
+// link state, so every counter, histogram observation, and RNG draw — and
+// therefore the merged obs::Snapshot digest — is bit-identical across shard
+// counts (pinned by test_fleet.cc and the bench_fleet smoke).
 #pragma once
 
 #include <atomic>
@@ -35,7 +30,6 @@
 #include <functional>
 #include <memory>
 #include <mutex>
-#include <optional>
 #include <stdexcept>
 #include <string>
 #include <vector>
@@ -54,8 +48,7 @@ inline constexpr SimTime kFabricHopDelay = Micros(50);
 /// Addressing and ordering metadata for one frame copy traversing the
 /// fabric. `key` is a model-assigned flow key, unique per in-flight copy; it
 /// breaks ties between hops due at the same instant, which is what keeps
-/// execution order independent of the shard count (and of the delivery
-/// engine). The fleet model is metrics-only, so the record carries the wire
+/// execution order independent of the shard count. The fleet model is metrics-only, so the record carries the wire
 /// size and the send timestamp instead of payload bytes — hops cross shard
 /// boundaries by value.
 struct FleetHop {
@@ -136,12 +129,6 @@ class FabricTopology {
   SimTime path_delay(int from, int to) const {
     return dist_[static_cast<std::size_t>(from)][static_cast<std::size_t>(to)];
   }
-  /// Link count of the shortest path (memoized at construction; 0 for
-  /// from == to, -1 when unreachable). The express bench reports mean route
-  /// length from this without walking routes.
-  int hop_count(int from, int to) const {
-    return hop_count_[static_cast<std::size_t>(from)][static_cast<std::size_t>(to)];
-  }
 
   /// Splits the metros into `shards` contiguous groups of roughly equal
   /// weight (default weight 1 per metro; the fleet passes 0 for metros that
@@ -167,7 +154,6 @@ class FabricTopology {
   std::vector<FabricEdge> edges_;
   std::vector<std::vector<int>> next_hop_;
   std::vector<std::vector<SimTime>> dist_;
-  std::vector<std::vector<int>> hop_count_;
 };
 
 /// One shard: a Simulator owning the *entire* backbone's DirectedLinks
@@ -175,45 +161,36 @@ class FabricTopology {
 /// owned partition ever carries traffic) plus the hop heap that orders
 /// metro-to-metro continuations. The model layers on top via set_deliver
 /// (hops reaching their destination metro) and drives traffic in with
-/// PushHop; the parallel runner wires set_post to the mailboxes and calls
-/// Ingest at window boundaries.
+/// PushHop; the parallel runner wires set_post to the mailboxes and pushes
+/// their records at window boundaries.
 class FabricShard {
  public:
   using DeliverFn = std::function<void(const FleetHop&)>;
   using PostFn = std::function<void(int dst_shard, const FleetHop&)>;
 
-  /// `express` selects the delivery engine (see the file comment): false
-  /// schedules one Simulator event per queued hop; true relies on the owner
-  /// calling DrainUpTo at its drain points.
+  /// Queued hops run only when the owner calls DrainUpTo at its drain
+  /// points (see the file comment).
   FabricShard(const FabricTopology* topo, const std::vector<int>* owner, int shard_id,
-              std::uint64_t seed, bool express = false);
+              std::uint64_t seed);
 
   Simulator& sim() { return sim_; }
   int shard_id() const { return shard_id_; }
-  bool express() const { return express_; }
   bool owns(int metro) const { return (*owner_)[static_cast<std::size_t>(metro)] == shard_id_; }
   int owner_of(int metro) const { return (*owner_)[static_cast<std::size_t>(metro)]; }
 
   void set_deliver(DeliverFn fn) { deliver_ = std::move(fn); }
   void set_post(PostFn fn) { post_ = std::move(fn); }
 
-  /// Queues a hop due at `hop.arrive` (strictly in the future) at a metro
-  /// this shard owns. The model's traffic entry point, and the target of
-  /// boundary ingestion.
+  /// Queues a hop due at `hop.arrive` at a metro this shard owns: the
+  /// model's traffic entry point, and where the runner adopts mailbox
+  /// records at window boundaries (consumer thread only).
   void PushHop(const FleetHop& hop);
 
-  /// Adopts a mailbox record into the hop heap (consumer thread only; the
-  /// runner pre-sorts each boundary batch by (arrive, key)).
-  void Ingest(const FleetHop& hop) { PushHop(hop); }
-
-  /// Express engine: executes every queued hop with arrive <= `bound` in
-  /// (arrive, key) order, offering each to its link at the hop's logical
-  /// instant. Continuations landing inside the bound are fast-forwarded in
-  /// the same call — inline, without touching the heap, whenever the
-  /// continuation is provably the next hop in the total order. Exact for
+  /// Executes every queued hop with arrive <= `bound` in (arrive, key)
+  /// order, offering each to its link at the hop's logical instant;
+  /// continuations landing inside the bound run in the same call. Exact for
   /// any bound <= sim().now(): every hop with arrive <= bound is already
-  /// queued (pushes are strictly future-dated from their cause). No-op in
-  /// per-hop mode, where due hops never linger in the heap.
+  /// queued (pushes are strictly future-dated from their cause).
   void DrainUpTo(SimTime bound);
 
   /// The directed link `a`->`b` (owned by whichever shard owns `a`; every
@@ -224,10 +201,9 @@ class FabricShard {
   /// the directed boundary link a->b. Only the shard owning `a` — the
   /// transmitting side, where the link's queue lives — arms anything, so
   /// the flap fires exactly once regardless of shard count. Returns whether
-  /// this shard armed it. Every fault transition drains the express heap
+  /// this shard armed it. Every fault transition drains the hop heap
   /// strictly below its instant first, so hops due exactly at the
-  /// transition see the post-transition state in both engines (fault
-  /// events are scheduled pre-run and run FIFO-first at their instant).
+  /// transition see the post-transition state.
   bool ScheduleFlap(int a, int b, SimTime at, SimTime duration);
 
   /// Arms a Gilbert–Elliott burst-loss episode on the directed link a->b
@@ -246,8 +222,6 @@ class FabricShard {
   std::uint64_t hops_processed() const { return hops_processed_; }
   /// Records posted to other shards' mailboxes (0 for a single shard).
   std::uint64_t handoffs_posted() const { return handoffs_posted_; }
-  /// Continuations executed inline by DrainUpTo without a heap round-trip.
-  std::uint64_t fastforwards() const { return fastforwards_; }
   /// Hops still queued (nonzero after a run means the drain horizon was too
   /// short for in-flight traffic).
   std::size_t hops_pending() const { return hops_.size(); }
@@ -260,19 +234,15 @@ class FabricShard {
     }
   };
 
-  void DrainDue();
-  /// Delivers or forwards one hop. Returns the on-shard continuation (if
-  /// any) instead of queueing it, so DrainUpTo can fast-forward chains.
-  std::optional<FleetHop> ProcessHop(const FleetHop& hop);
-  /// Heap-queues or mails a forwarded copy (netem duplicates take this
-  /// path; the primary continuation flows through ProcessHop's return).
+  /// Delivers one hop, or forwards it over its next link and routes the
+  /// copies that survive.
+  void ProcessHop(const FleetHop& hop);
+  /// Heap-queues a forwarded copy, or mails it to the shard owning its metro.
   void Route(const FleetHop& hop);
-  void PushLocal(const FleetHop& hop);
 
   const FabricTopology* topo_;
   const std::vector<int>* owner_;
   int shard_id_;
-  bool express_;
   Simulator sim_;
   std::vector<std::unique_ptr<DirectedLink>> links_;  ///< 2 per edge, [2i]=a->b, [2i+1]=b->a
   std::vector<std::unique_ptr<Rng>> link_rngs_;       ///< per directed link, logical-id seeded
@@ -284,7 +254,6 @@ class FabricShard {
   obs::Counter* fault_transitions_ = nullptr;
   std::uint64_t hops_processed_ = 0;
   std::uint64_t handoffs_posted_ = 0;
-  std::uint64_t fastforwards_ = 0;
 };
 
 }  // namespace vtp::net

@@ -10,7 +10,6 @@
 #include <stdexcept>
 #include <utility>
 
-#include "core/knobs.h"
 #include "core/thread_pool.h"
 #include "netsim/random.h"
 
@@ -101,19 +100,15 @@ class Barrier {
 /// (counter-mode SplitMix64 — 8 bytes of state instead of a 2.5 KB
 /// mt19937_64), frame anchors, next-due times, seq counters, and access-
 /// uplink busy horizons, each in its own flat array so batch generation
-/// touches cache lines sequentially. Both delivery engines emit frames from
-/// the same slabs with the same draws:
-///
-///   * express: a calendar-bin ring over next-due times; one self-
-///     rescheduling Simulator event per bin emits every frame due in the
-///     bin and then fast-forwards the fabric (FabricShard::DrainUpTo).
-///   * hops: one Simulator event per frame (the reference engine).
+/// touches cache lines sequentially. A calendar-bin ring over next-due times
+/// drives generation: one self-rescheduling Simulator event per bin emits
+/// every frame due in the bin and then drains the fabric
+/// (FabricShard::DrainUpTo).
 struct FleetWorld {
   const FleetConfig* cfg;
   const std::vector<SessionSpec>* sched;
   FabricShard fabric;
   SimTime period;
-  bool express;
 
   obs::Counter* frames_sent;
   obs::Counter* bytes_sent;
@@ -140,7 +135,7 @@ struct FleetWorld {
   };
   Slabs senders;
 
-  // Express generation state: senders ring-bucketed by next-due bin.
+  // Generation state: senders ring-bucketed by next-due bin.
   SimTime bin_width = 0;
   SimTime gen_end = 0;
   std::vector<std::vector<std::uint32_t>> ring;
@@ -152,12 +147,11 @@ struct FleetWorld {
 
   FleetWorld(const FleetConfig* config, const net::FabricTopology* topo,
              const std::vector<int>* owner, int shard_id, const std::vector<SessionSpec>* schedule,
-             double peak_concurrent, bool express_path)
+             double peak_concurrent)
       : cfg(config),
         sched(schedule),
-        fabric(topo, owner, shard_id, config->seed, express_path),
-        period(static_cast<SimTime>(std::llround(net::kSecond / config->fps))),
-        express(express_path) {
+        fabric(topo, owner, shard_id, config->seed),
+        period(static_cast<SimTime>(std::llround(net::kSecond / config->fps))) {
     obs::MetricRegistry& reg = fabric.sim().metrics();
     frames_sent = reg.NewCounter("fleet.frames_sent");
     bytes_sent = reg.NewCounter("fleet.bytes_sent");
@@ -225,23 +219,15 @@ struct FleetWorld {
                      });
   }
 
-  /// Schedules frame generation for every owned sender: the calendar-bin
-  /// tick chain (express) or one event per sender (hops).
+  /// Starts the calendar-bin tick chain that generates every owned
+  /// sender's frames.
   void Start() {
     senders_started->Inc(senders.size());
-    if (express) {
-      if (!senders.size()) return;
-      fabric.sim().At(0, [this] { BinTick(0); });
-      return;
-    }
-    for (std::size_t i = 0; i < senders.size(); ++i) {
-      fabric.sim().At(senders.next_due[i], [this, i] { Tick(i); });
-    }
+    if (senders.size()) fabric.sim().At(0, [this] { BinTick(0); });
   }
 
   /// Emits the frame due at `due` from sender `idx`: size draw, counters,
   /// access-uplink serialization, and the leg-0 hop into the fabric.
-  /// Identical math and draw order in both engines.
   void EmitFrame(std::size_t idx, SimTime due) {
     std::int64_t jitter = 0;
     if (cfg->frame_jitter_bytes > 0) {
@@ -272,20 +258,7 @@ struct FleetWorld {
     senders.seq[idx] = s + 1;
   }
 
-  /// Hops engine: one event per frame, rescheduling itself at the next due.
-  void Tick(std::size_t idx) {
-    const SimTime due = fabric.sim().now();
-    if (due >= senders.stop[idx]) {
-      if (senders.part[idx] == 0) sessions_completed->Inc();
-      return;
-    }
-    EmitFrame(idx, due);
-    fabric.sim().At(
-        senders.anchor[idx] + static_cast<SimTime>(senders.seq[idx]) * period,
-        [this, idx] { Tick(idx); });
-  }
-
-  /// Express engine: emits every frame sender `idx` has due before
+  /// Emits every frame sender `idx` has due before
   /// `bin_end`, then re-buckets it at its next due bin (or retires it once
   /// past its stop time).
   void RunSenderInBin(std::uint32_t idx, SimTime bin_end) {
@@ -303,9 +276,9 @@ struct FleetWorld {
     ring[static_cast<std::size_t>(due / bin_width) % ring.size()].push_back(idx);
   }
 
-  /// Express engine: the per-bin generation tick. Admits senders whose
+  /// The per-bin generation tick. Admits senders whose
   /// anchor falls in [t, t + bin_width), runs this bin's bucket, then
-  /// fast-forwards the fabric strictly below t — every hop pushed by this
+  /// drains the fabric strictly below t — every hop pushed by this
   /// bin arrives at or after t, so the drain bound never overtakes a push.
   void BinTick(SimTime t) {
     while (admit_cursor < admit_order.size()) {
@@ -330,8 +303,7 @@ struct FleetWorld {
     if (hop.leg == 0) {
       // At the SFU (initiator metro): rewrite the leg and fan out to the
       // peer's metro. PushHop is legal here — we own the SFU's metro, since
-      // the fabric just delivered to it. hop.arrive is the delivery instant
-      // in both engines (== sim.now() under per-hop events).
+      // the fabric just delivered to it. hop.arrive is the delivery instant.
       frames_relayed->Inc();
       const int peer = 1 - hop.part;
       fabric.PushHop({hop.arrive + cfg->sfu_delay, FlowKey(sp.id, hop.part, 1, hop.seq),
@@ -365,8 +337,8 @@ FleetSim::FleetSim(FleetConfig config)
   if (config_.frame_bytes - config_.frame_jitter_bytes < kHeaderBytes) {
     throw std::invalid_argument("FleetSim: frame_bytes too small for the wire header");
   }
-  if (!config_.path.empty() && config_.path != "express" && config_.path != "hops") {
-    throw std::invalid_argument("FleetSim: path must be \"express\" or \"hops\"");
+  if (!config_.path.empty() && config_.path != "express") {
+    throw std::invalid_argument("FleetSim: path must be \"express\" or empty");
   }
   // The whole fleet's schedule comes from one arrival stream, generated
   // before any world exists: every shard (and every shard count) iterates
@@ -439,11 +411,6 @@ void FleetSim::ScheduleRateRamp(int metro_a, int metro_b, SimTime at, SimTime du
   ramps_.push_back({metro_a, metro_b, at, duration, from_bps, to_bps, steps});
 }
 
-bool FleetSim::UsesExpressPath() const {
-  if (!config_.path.empty()) return config_.path == "express";
-  return core::knobs::kFleetPath.Is("express");
-}
-
 FleetResult FleetSim::Run() {
   std::vector<double> weights(topo_.metro_count(), 0.0);
   for (const SessionSpec& sp : schedule_) {
@@ -452,24 +419,16 @@ FleetResult FleetSim::Run() {
   }
   const std::vector<int> owner = topo_.Partition(config_.shards, &weights);
   const int shards = 1 + *std::max_element(owner.begin(), owner.end());
-  return RunWorlds(owner, shards, /*windowed=*/true);
-}
-
-FleetResult FleetSim::RunDirect() {
-  const std::vector<int> owner(topo_.metro_count(), 0);
-  return RunWorlds(owner, 1, /*windowed=*/false);
-}
-
-FleetResult FleetSim::RunWorlds(const std::vector<int>& owner, int shards, bool windowed) {
   const SimTime end = config_.duration + net::Seconds(1);  // drain margin
-  const SimTime delta = windowed ? topo_.Lookahead(owner, end) : end;
-  const bool express = UsesExpressPath();
+  // With one shard no edge crosses shards, so the lookahead is the whole
+  // run: a single window.
+  const SimTime delta = topo_.Lookahead(owner, end);
 
   std::vector<std::unique_ptr<FleetWorld>> worlds;
   worlds.reserve(static_cast<std::size_t>(shards));
   for (int s = 0; s < shards; ++s) {
     worlds.push_back(std::make_unique<FleetWorld>(&config_, &topo_, &owner, s, &schedule_,
-                                                  peak_concurrent_, express));
+                                                  peak_concurrent_));
     FabricShard& fabric = worlds.back()->fabric;
     for (const Flap& f : flaps_) fabric.ScheduleFlap(f.a, f.b, f.at, f.duration);
     for (const Burst& b : bursts_) fabric.ScheduleBurstLoss(b.a, b.b, b.at, b.duration, b.config);
@@ -494,23 +453,14 @@ FleetResult FleetSim::RunWorlds(const std::vector<int>& owner, int shards, bool 
 
   FleetResult result;
   result.shards = shards;
-  result.path = express ? "express" : "hops";
-  result.lookahead = windowed ? delta : 0;
-  result.shard_workers.assign(static_cast<std::size_t>(shards), -1);
+  result.lookahead = delta;
 
   Barrier barrier(shards);
   std::vector<std::uint64_t> windows_per_shard(static_cast<std::size_t>(shards), 0);
 
   auto shard_main = [&](int s) {
     FleetWorld& world = *worlds[static_cast<std::size_t>(s)];
-    result.shard_workers[static_cast<std::size_t>(s)] = core::ThreadPool::CurrentWorkerIndex();
     world.Start();
-    if (!windowed) {
-      world.fabric.sim().Run();
-      world.fabric.DrainUpTo(end);
-      world.FlushE2e();
-      return;
-    }
     std::vector<FleetHop> batch;
     auto exchange = [&] {
       // Two barriers bracket the ingest: every producer is parked before any
@@ -526,7 +476,7 @@ FleetResult FleetSim::RunWorlds(const std::vector<int>& owner, int shards, bool 
       std::sort(batch.begin(), batch.end(), [](const FleetHop& x, const FleetHop& y) {
         return x.arrive != y.arrive ? x.arrive < y.arrive : x.key < y.key;
       });
-      for (const FleetHop& hop : batch) world.fabric.Ingest(hop);
+      for (const FleetHop& hop : batch) world.fabric.PushHop(hop);
       barrier.Wait();
       return batch.size();
     };
@@ -534,8 +484,8 @@ FleetResult FleetSim::RunWorlds(const std::vector<int>& owner, int shards, bool 
     while (true) {
       // Run this window's events, stopping one tick short of the boundary so
       // ingested hops due exactly at t1 are scheduled before the clock
-      // reaches them. The express heap then fast-forwards to the same point
-      // so every cross-shard hop of the closed window is already posted.
+      // reaches them. The hop heap then drains to the same point so every
+      // cross-shard hop of the closed window is already posted.
       world.fabric.sim().RunUntil(t1 - 1);
       world.fabric.DrainUpTo(world.fabric.sim().now());
       ++windows_per_shard[static_cast<std::size_t>(s)];
@@ -553,8 +503,8 @@ FleetResult FleetSim::RunWorlds(const std::vector<int>& owner, int shards, bool 
 
   const auto wall_start = std::chrono::steady_clock::now();
   if (shards == 1) {
-    // Single world: run inline (the differential reference and the windowed
-    // 1-shard baseline share the calling thread; no pool, no contention).
+    // Single world: run inline on the calling thread (no pool, no
+    // contention).
     shard_main(0);
   } else {
     core::ThreadPool pool(static_cast<unsigned>(shards));
@@ -575,7 +525,6 @@ FleetResult FleetSim::RunWorlds(const std::vector<int>& owner, int shards, bool 
     result.events += world.fabric.sim().events_executed();
     result.hops += world.fabric.hops_processed();
     result.handoffs += world.fabric.handoffs_posted();
-    result.fastforwards += world.fabric.fastforwards();
     result.windows = std::max(result.windows, windows_per_shard[static_cast<std::size_t>(s)]);
   }
   for (const auto& row : mail) {

@@ -5,24 +5,15 @@
 // through net::FabricShard worlds: each frame serializes onto the sender's
 // metro access uplink, rides the backbone to the initiator-metro SFU, is
 // relayed to the peer's metro, and records end-to-end frame latency at the
-// receiver. The same model runs under two delivery engines (VTP_FLEET_PATH,
-// overridable per config):
+// receiver. Delivery runs with zero per-frame and per-hop Simulator events:
+// senders live in structure-of-arrays slabs and generate frames in calendar
+// bins (one self-rescheduling tick per bin), the fabric executes hops from
+// its (arrive, key) heap (FabricShard::DrainUpTo), and e2e latencies flush
+// through obs::Histogram::ObserveBatch. Run() drives N shards in
+// conservative-lookahead windows with SPSC mailbox handoffs, on a
+// core::ThreadPool when N > 1; one shard is a single window on the caller.
 //
-//   * "express" (default): zero per-frame and per-hop Simulator events.
-//     Senders live in structure-of-arrays slabs and generate frames in
-//     calendar bins (one self-rescheduling tick per bin); the fabric
-//     fast-forwards hops analytically from the (arrive, key) heap
-//     (FabricShard::DrainUpTo), and e2e latencies flush through
-//     obs::Histogram::ObserveBatch.
-//   * "hops": one Simulator event per sender frame and per link traversal —
-//     the original engine, kept as the differential reference.
-//
-// And in three harnesses: RunDirect() (one world, plain Simulator::Run()),
-// Run() with shards == 1 (the windowed engine), and Run() with shards > 1
-// (N shards on a core::ThreadPool, conservative-lookahead windows, SPSC
-// mailbox handoffs).
-//
-// All combinations produce bit-identical merged obs::Snapshot digests:
+// Every shard count produces a bit-identical merged obs::Snapshot digest:
 // every stochastic entity draws from a net::DeriveSeed stream keyed by its
 // logical id, the fabric orders hops by (arrive, key) and offers them to
 // links at their logical instants, and the end-to-end histogram observes
@@ -60,8 +51,8 @@ struct FleetConfig {
   int metro_limit = 15;  ///< sessions use metros [0, metro_limit) — US only
   std::uint32_t probe_session = 0;  ///< session whose sender draws are recorded
 
-  /// Delivery engine override: "express" or "hops"; empty defers to the
-  /// VTP_FLEET_PATH knob.
+  /// Only "" or "express", the one delivery engine; kept so callers that
+  /// name the engine explicitly still compile. Anything else throws.
   std::string path;
 };
 
@@ -80,17 +71,16 @@ struct FleetResult {
   obs::Snapshot merged;       ///< all shards' registries, Merge()d in order
   std::uint64_t digest = 0;   ///< FNV-1a over merged.ToJson() — the
                               ///< determinism fingerprint the tests compare
-  std::string path;           ///< delivery engine used ("express" / "hops")
   double wall_s = 0;          ///< wall-clock of the run phase
   std::uint64_t events = 0;   ///< sum of per-shard Simulator events
   std::uint64_t hops = 0;     ///< fabric hops executed (shard-count invariant)
   std::uint64_t handoffs = 0; ///< cross-shard mailbox records (0 unsharded)
-  std::uint64_t fastforwards = 0;  ///< hops executed inline by DrainUpTo
+  std::uint64_t fastforwards = 0;  ///< always 0: no inline fast-forward
+                                   ///< remains; kept for existing readers
   std::uint64_t spills = 0;   ///< mailbox ring overflows into the spill lane
   std::uint64_t windows = 0;  ///< lookahead windows executed
   net::SimTime lookahead = 0; ///< window width used
   int shards = 1;
-  std::vector<int> shard_workers;    ///< ThreadPool worker index per shard
   std::vector<double> probe_draws;   ///< probe session sender draws, part 0
                                      ///< then part 1 (RNG regression pin)
   // Convenience readouts from `merged`.
@@ -105,12 +95,8 @@ class FleetSim {
  public:
   explicit FleetSim(FleetConfig config);
 
-  /// The windowed (shardable) engine; honours config.shards.
+  /// Runs the fleet on config.shards shards.
   FleetResult Run();
-
-  /// Single-threaded reference: same model, same single-shard world, driven
-  /// by one Simulator::Run() with no windows, barriers, or mailboxes.
-  FleetResult RunDirect();
 
   /// Arms a netem flap (full loss on the directed backbone link a->b during
   /// [at, at+duration)) in every run this FleetSim performs. The owning
@@ -132,10 +118,6 @@ class FleetSim {
   const net::FabricTopology& topology() const { return topo_; }
   const std::vector<SessionSpec>& schedule() const { return schedule_; }
 
-  /// The delivery engine a run will use: the config override when set, else
-  /// the VTP_FLEET_PATH knob (resolved per call).
-  bool UsesExpressPath() const;
-
   /// Quantile (ms) of the merged fleet e2e histogram row, 0 when absent.
   static double E2eQuantileMs(const obs::Snapshot& snap, double q);
 
@@ -155,8 +137,6 @@ class FleetSim {
     double from_bps, to_bps;
     int steps;
   };
-
-  FleetResult RunWorlds(const std::vector<int>& owner, int shards, bool windowed);
 
   FleetConfig config_;
   net::FabricTopology topo_;

@@ -1,13 +1,12 @@
 // Tests for the sharded conservative-lookahead simulation core: the
 // determinism contract (bit-identical merged snapshots for any shard count,
-// and the windowed engine pinned against the plain single-threaded
-// Simulator), per-flow RNG stream invariance, topology partitioning rules
-// (zero-delay edges must never cross shards), and exactly-once fault
-// injection on boundary links.
+// and golden digests for the clean, faulted and bench-smoke fleets),
+// per-flow RNG stream invariance, topology partitioning rules (zero-delay
+// edges must never cross shards), and exactly-once fault injection on
+// boundary links.
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <cstdlib>
 #include <stdexcept>
 #include <string>
 #include <utility>
@@ -71,18 +70,6 @@ TEST(FleetDeterminism, MergedDigestIsBitIdenticalAcrossShardCounts) {
   EXPECT_GT(results[2].handoffs, 0u);
 }
 
-TEST(FleetDeterminism, WindowedEngineMatchesDirectSingleThreadedReference) {
-  FleetConfig cfg = SmallFleet();
-  cfg.shards = 1;
-  const FleetResult direct = FleetSim(cfg).RunDirect();
-  const FleetResult windowed = FleetSim(cfg).Run();
-  ASSERT_GT(direct.frames_delivered, 0u);
-  EXPECT_EQ(direct.digest, windowed.digest);
-  EXPECT_EQ(direct.merged.ToJson(), windowed.merged.ToJson());
-  // Same model, same events — the window loop adds no simulation work.
-  EXPECT_EQ(direct.events, windowed.events);
-}
-
 // --- golden digests ----------------------------------------------------------
 //
 // Recorded while the per-hop engine and the single-threaded Simulator::Run()
@@ -124,6 +111,18 @@ TEST(FleetGolden, BenchSmokeConfig) {
     cfg.diurnal_period_s = 3;
     cfg.shards = shards;
     ExpectGolden(FleetSim(cfg).Run(), {0x7324c4e9ec4771a2ull, 57315, 12026});
+  }
+}
+
+TEST(FleetConfig, PathNamesOnlyTheOneEngine) {
+  FleetConfig cfg = SmallFleet();
+  for (const char* ok : {"", "express"}) {
+    cfg.path = ok;
+    EXPECT_NO_THROW(FleetSim{cfg}) << ok;
+  }
+  for (const char* bad : {"hops", "bogus"}) {
+    cfg.path = bad;
+    EXPECT_THROW(FleetSim{cfg}, std::invalid_argument) << bad;
   }
 }
 
@@ -195,56 +194,12 @@ TEST(FabricTopology, BackboneRoutesAreSymmetricallyReachable) {
   }
 }
 
-// --- express vs per-hop delivery engines -------------------------------------
+// --- fault injection ----------------------------------------------------------
 
-TEST(FleetExpress, ConfigAndKnobSelectEngine) {
-  FleetConfig cfg = SmallFleet();
-  unsetenv("VTP_FLEET_PATH");
-  EXPECT_TRUE(FleetSim(cfg).UsesExpressPath());  // knob default
-  setenv("VTP_FLEET_PATH", "hops", 1);
-  EXPECT_FALSE(FleetSim(cfg).UsesExpressPath());
-  cfg.path = "express";  // explicit config override beats the env
-  EXPECT_TRUE(FleetSim(cfg).UsesExpressPath());
-  unsetenv("VTP_FLEET_PATH");
-  cfg.path = "bogus";
-  EXPECT_THROW(FleetSim{cfg}, std::invalid_argument);
-}
-
-TEST(FleetExpress, DigestIsBitIdenticalToPerHopAcrossShardCountsAndHarnesses) {
-  // The tentpole contract: the express engine (no per-hop events, analytic
-  // fast-forwarding from the hop heap) must reproduce the per-hop reference
-  // bit-for-bit — same merged snapshot, any shard count, both harnesses.
-  std::vector<FleetResult> results;
-  for (const char* path : {"hops", "express"}) {
-    FleetConfig cfg = SmallFleet();
-    cfg.path = path;
-    results.push_back(FleetSim(cfg).RunDirect());
-    for (int shards : {1, 2, 4}) {
-      FleetConfig c = SmallFleet();
-      c.path = path;
-      c.shards = shards;
-      results.push_back(FleetSim(c).Run());
-    }
-  }
-  ASSERT_GT(results[0].frames_delivered, 1000u);
-  for (std::size_t i = 1; i < results.size(); ++i) {
-    EXPECT_EQ(results[i].digest, results[0].digest)
-        << results[i].path << " shards=" << results[i].shards;
-    EXPECT_EQ(results[i].merged.ToJson(), results[0].merged.ToJson());
-    EXPECT_EQ(results[i].hops, results[0].hops);
-  }
-  // Express really skipped the per-hop events: same hops, but far fewer
-  // Simulator events than one-per-traversal (results[1] = hops shards=1,
-  // results[5] = express shards=1).
-  EXPECT_EQ(results[1].path, "hops");
-  EXPECT_EQ(results[5].path, "express");
-  EXPECT_LT(results[5].events * 10, results[1].events);
-}
-
-TEST(FleetExpress, FaultedScenarioForcesFallbackAndStaysBitIdentical) {
+TEST(FleetGolden, FaultedScenario) {
   // Flap + Gilbert-Elliott burst + stepped rate ramp, all mid-run: the
-  // express engine must drain around every fault transition and still match
-  // the per-hop reference exactly, at 1 shard and across a 4-way partition.
+  // fabric must drain around every fault transition and still match the
+  // golden exactly, at 1 shard and across a 4-way partition.
   FleetConfig probe_cfg = SmallFleet();
   FleetSim probe(probe_cfg);
   const FleetResult clean_run = probe.Run();
@@ -267,24 +222,16 @@ TEST(FleetExpress, FaultedScenarioForcesFallbackAndStaysBitIdentical) {
   burst.p_exit = 0.25;
   burst.loss_bad = 0.8;
   std::vector<FleetResult> results;
-  for (const char* path : {"hops", "express"}) {
-    for (int shards : {1, 4}) {
-      FleetConfig cfg = SmallFleet();
-      cfg.path = path;
-      cfg.shards = shards;
-      FleetSim fleet(cfg);
-      fleet.ScheduleFlap(flap_e.a, flap_e.b, net::Millis(400), net::Millis(300));
-      fleet.ScheduleBurstLoss(burst_e.a, burst_e.b, net::Millis(200), net::Millis(900), burst);
-      fleet.ScheduleRateRamp(ramp_e.a, ramp_e.b, net::Millis(600), net::Millis(800), 2e9, 2e6,
-                             4);
-      results.push_back(fleet.Run());
-    }
+  for (int shards : {1, 4}) {
+    FleetConfig cfg = SmallFleet();
+    cfg.shards = shards;
+    FleetSim fleet(cfg);
+    fleet.ScheduleFlap(flap_e.a, flap_e.b, net::Millis(400), net::Millis(300));
+    fleet.ScheduleBurstLoss(burst_e.a, burst_e.b, net::Millis(200), net::Millis(900), burst);
+    fleet.ScheduleRateRamp(ramp_e.a, ramp_e.b, net::Millis(600), net::Millis(800), 2e9, 2e6, 4);
+    results.push_back(fleet.Run());
   }
-  for (std::size_t i = 1; i < results.size(); ++i) {
-    EXPECT_EQ(results[i].digest, results[0].digest)
-        << results[i].path << " shards=" << results[i].shards;
-    EXPECT_EQ(results[i].merged.ToJson(), results[0].merged.ToJson());
-  }
+  EXPECT_EQ(results[1].merged.ToJson(), results[0].merged.ToJson());
   for (const FleetResult& r : results) ExpectGolden(r, {0xb9bc65bac12b9cecull, 24825, 5573});
   // Every impairment actually fired and actually bit.
   EXPECT_EQ(results[0].merged.counter("fabric.flap_transitions"), 2u);
@@ -293,8 +240,6 @@ TEST(FleetExpress, FaultedScenarioForcesFallbackAndStaysBitIdentical) {
   EXPECT_GT(results[0].merged.counter(burst_scope + ".dropped_loss"), 0u);
   EXPECT_NE(results[0].digest, clean_run.digest);
 }
-
-// --- fault injection on boundary links --------------------------------------
 
 TEST(FleetFaults, BoundaryFlapFiresExactlyOnceAtAnyShardCount) {
   // Find an edge that crosses shards in the 4-way partition of this fleet's

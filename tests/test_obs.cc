@@ -252,16 +252,17 @@ TEST(Snapshot, DeterministicAcrossBenchThreadCounts) {
 TEST(Config, CatalogueListsEveryKnob) {
   core::Config& config = core::Config::Instance();
   const char* const knobs[] = {"VTP_FULL", "VTP_BENCH_THREADS", "VTP_BENCH_JSON", "VTP_OBS",
-                               "VTP_ADAPT", "VTP_FLEET_PATH", "VTP_BENCH_REQUIRE_CLEAN",
+                               "VTP_ADAPT", "VTP_BENCH_REQUIRE_CLEAN",
                                "VTP_MEDIUM", "VTP_LISTEN_ADDR", "VTP_CONNECT", "VTP_FAULT_BURST",
                                "VTP_FAULT_REORDER", "VTP_FAULT_DUP", "VTP_FAULT_FLAP",
                                "VTP_FAULT_RAMP"};
   for (const char* name : knobs) EXPECT_NE(config.Find(name), nullptr) << name;
   EXPECT_EQ(config.List().size(), std::size(knobs));
-  // The fleet delivery engine defaults to the express path.
-  const core::Config::KnobInfo* fleet_path = config.Find("VTP_FLEET_PATH");
-  ASSERT_NE(fleet_path, nullptr);
-  EXPECT_EQ(fleet_path->def, "express");
+  EXPECT_EQ(config.List().size(), 14u);
+  // The Medium backend defaults to the simulated internetwork.
+  const core::Config::KnobInfo* medium = config.Find("VTP_MEDIUM");
+  ASSERT_NE(medium, nullptr);
+  EXPECT_EQ(medium->def, "sim");
   const core::Config::KnobInfo* obs = config.Find("VTP_OBS");
   ASSERT_NE(obs, nullptr);
   EXPECT_STREQ(obs->type, "bool");
@@ -275,18 +276,18 @@ TEST(Config, CatalogueListsEveryKnob) {
 }
 
 TEST(Config, ChoiceKnobKeepsEnvEqualsPrecedence) {
-  unsetenv("VTP_FLEET_PATH");
-  EXPECT_TRUE(core::knobs::kFleetPath.Is("express"));
-  EXPECT_FALSE(core::knobs::kFleetPath.Is("hops"));
-  setenv("VTP_FLEET_PATH", "hops", 1);
-  EXPECT_TRUE(core::knobs::kFleetPath.Is("hops"));
-  EXPECT_FALSE(core::knobs::kFleetPath.Is("express"));
-  EXPECT_TRUE(core::Config::Instance().Find("VTP_FLEET_PATH")->overridden());
+  unsetenv("VTP_MEDIUM");
+  EXPECT_TRUE(core::knobs::kMedium.Is("sim"));
+  EXPECT_FALSE(core::knobs::kMedium.Is("socket"));
+  setenv("VTP_MEDIUM", "socket", 1);
+  EXPECT_TRUE(core::knobs::kMedium.Is("socket"));
+  EXPECT_FALSE(core::knobs::kMedium.Is("sim"));
+  EXPECT_TRUE(core::Config::Instance().Find("VTP_MEDIUM")->overridden());
   // An unrecognised value falls back to the default, same as core::EnvEquals.
-  setenv("VTP_FLEET_PATH", "warp-drive", 1);
-  EXPECT_TRUE(core::knobs::kFleetPath.Is("express"));
-  EXPECT_EQ(core::knobs::kFleetPath.Get(), "express");
-  unsetenv("VTP_FLEET_PATH");
+  setenv("VTP_MEDIUM", "carrier-pigeon", 1);
+  EXPECT_TRUE(core::knobs::kMedium.Is("sim"));
+  EXPECT_EQ(core::knobs::kMedium.Get(), "sim");
+  unsetenv("VTP_MEDIUM");
 }
 
 TEST(Config, BoolKnobParsesAndFallsBack) {

@@ -388,32 +388,6 @@ TEST(ParallelRepeats, SingleThreadKnobForcesStrictlySerialExecution) {
   EXPECT_EQ(off_pool.load(), 16);
 }
 
-// --- cross-thread block handoff ---------------------------------------------
-
-TEST(PacketBuffer, ReleaseAndAdoptBlockMoveOwnershipAcrossThreads) {
-  const auto base = net::PacketPool::ThreadLocal().stats().outstanding;
-  net::PacketBuffer buf(32);
-  {
-    auto bytes = buf.writable();
-    for (std::size_t i = 0; i < bytes.size(); ++i) bytes[i] = static_cast<std::uint8_t>(i);
-  }
-  EXPECT_EQ(net::PacketPool::ThreadLocal().stats().outstanding, base + 1);
-  void* block = buf.ReleaseBlock();
-  ASSERT_NE(block, nullptr);
-  EXPECT_EQ(buf.size(), 0u);  // handle is empty after release
-  EXPECT_EQ(net::PacketPool::ThreadLocal().stats().outstanding, base);
-
-  bool ok = false;
-  std::thread receiver([block, &ok] {
-    net::PacketBuffer adopted = net::PacketBuffer::AdoptBlock(block);
-    ok = adopted.size() == 32 && adopted[7] == 7 && adopted.ref_count() == 1 &&
-         net::PacketPool::ThreadLocal().stats().outstanding >= 1;
-    // adopted drops here: the block recycles into the receiving thread's pool.
-  });
-  receiver.join();
-  EXPECT_TRUE(ok);
-}
-
 // --- SPSC ring ---------------------------------------------------------------
 
 TEST(SpscRing, PushPopWrapsAndReportsFull) {
