@@ -377,9 +377,11 @@ void QuicConnection::OnDatagramReceived(std::span<const std::uint8_t> payload) {
     const bool was_established = established_;
     ProcessFrames(payload.subspan(pos));
 
-    if (is_long && long_type == kLongTypeInitial && !is_client_ && !established_) {
-      // Server side: answer the Initial with a Handshake packet carrying
-      // HANDSHAKE_DONE, then consider the connection usable.
+    if (is_long && long_type == kLongTypeInitial && !is_client_) {
+      // Server side: answer every Initial with a Handshake packet carrying
+      // HANDSHAKE_DONE, then consider the connection usable. A repeated
+      // Initial means the client has not seen an earlier answer, which may
+      // have been lost; the server's own PTO probes never carry one.
       QuicPacketWriter w = BeginPacket(/*long_header=*/true, kLongTypeHandshake);
       AppendAckFrameTo(w);
       w.push_back(kFrameHandshakeDone);
@@ -722,12 +724,16 @@ void QuicConnection::OnPto() {
   for (std::uint64_t pn = ring_base_; pn < next_pn_; ++pn) {
     resend(sent_ring_[pn & (sent_ring_.size() - 1)]);
   }
-  if (!outstanding && stream_queue_.empty()) return;
-  ++pto_backoff_;
+  // An unestablished client retransmits its Initial even when nothing is
+  // outstanding: the server's later packets may have ACKed the Initial
+  // while the one carrying HANDSHAKE_DONE was lost.
   if (!established_ && is_client_) {
-    StartHandshake();  // retransmit the Initial
+    ++pto_backoff_;
+    StartHandshake();
     return;
   }
+  if (!outstanding && stream_queue_.empty()) return;
+  ++pto_backoff_;
   if (!stream_queue_.empty()) {
     MaybeSendPending();
   } else {

@@ -309,10 +309,9 @@ TEST(SpatialSession, DecoderResetKeepsTheSharedEngine) {
   unsetenv("VTP_ADAPT");
   ASSERT_TRUE(session.adapt_enabled());
   // A lossy downlink moves user 1 onto the coarse streams and back, and
-  // each switch resets the matching decoder. The loss starts after the
-  // QUIC handshakes: the server never resends a lost HANDSHAKE_DONE.
+  // each switch resets the matching decoder.
   net::Netem netem = session.DownlinkNetem(1);
-  session.sim().At(net::Seconds(1), [&netem] { netem.SetLoss(0.25); });
+  netem.SetLoss(0.25);
   session.sim().At(net::Seconds(5), [&netem] { netem.SetLoss(0); });
   session.Run();
 
@@ -325,6 +324,33 @@ TEST(SpatialSession, DecoderResetKeepsTheSharedEngine) {
   const double hits = EngineGauge(session, "decode_hits");
   EXPECT_GT(hits, 0);
   EXPECT_EQ(hits + EngineGauge(session, "decode_misses"), ReceiverDecodes(session, 3));
+}
+
+TEST(SpatialSession, LostHandshakeReplyDoesNotStrandTheUplink) {
+  // Loss on user 1's downlink from t=0 can take the server's answer to user
+  // 1's Initial. The client must keep retransmitting its Initial, and the
+  // server must answer each one, or user 1 never sends a frame.
+  for (double loss : {0.25, 0.5}) {
+    for (std::uint64_t seed = 1; seed <= 8; ++seed) {
+      setenv("VTP_ADAPT", "1", 1);
+      SessionConfig config;
+      for (const char* metro : {"SanFrancisco", "NewYork", "Chicago"}) {
+        config.participants.push_back(
+            {.name = metro, .metro = metro, .device = DeviceType::kVisionPro});
+      }
+      config.duration = net::Seconds(4);
+      config.enable_reconstruction = false;
+      config.seed = seed;
+      TelepresenceSession session(std::move(config));
+      unsetenv("VTP_ADAPT");
+      session.DownlinkNetem(1).SetLoss(loss);
+      session.Run();
+      EXPECT_GT(session.spatial_receiver(0)->remote(1).frames_decoded, 0u)
+          << "loss=" << loss << " seed=" << seed;
+      EXPECT_GT(session.spatial_receiver(2)->remote(1).frames_decoded, 0u)
+          << "loss=" << loss << " seed=" << seed;
+    }
+  }
 }
 
 // --- 2D sessions ---------------------------------------------------------------------
