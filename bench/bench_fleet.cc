@@ -102,8 +102,8 @@ FleetConfig BaseConfig(bool smoke) {
 
 /// Pulls the 1-shard frames_per_wall_s out of a committed BENCH_fleet.json
 /// (compact core::JsonWriter output; the first "windowed" shards=1 run is
-/// the single-core baseline row). Returns -1 when the file
-/// is missing or doesn't contain the row.
+/// the single-core baseline row). Returns -1 when the file is missing or
+/// doesn't contain the row.
 double ReadBaselineFpws(const std::string& file) {
   std::ifstream in(file);
   if (!in) return -1;

@@ -48,9 +48,9 @@ inline constexpr SimTime kFabricHopDelay = Micros(50);
 /// Addressing and ordering metadata for one frame copy traversing the
 /// fabric. `key` is a model-assigned flow key, unique per in-flight copy; it
 /// breaks ties between hops due at the same instant, which is what keeps
-/// execution order independent of the shard count. The fleet model is metrics-only, so the record carries the wire
-/// size and the send timestamp instead of payload bytes — hops cross shard
-/// boundaries by value.
+/// execution order independent of the shard count. The fleet model is
+/// metrics-only, so the record carries the wire size and the send timestamp
+/// instead of payload bytes — hops cross shard boundaries by value.
 struct FleetHop {
   SimTime arrive = 0;     ///< when this copy is due at metro `at`
   std::uint64_t key = 0;  ///< deterministic total-order tiebreak

@@ -258,9 +258,9 @@ struct FleetWorld {
     senders.seq[idx] = s + 1;
   }
 
-  /// Emits every frame sender `idx` has due before
-  /// `bin_end`, then re-buckets it at its next due bin (or retires it once
-  /// past its stop time).
+  /// Emits every frame sender `idx` has due before `bin_end`, then
+  /// re-buckets it at its next due bin (or retires it once past its stop
+  /// time).
   void RunSenderInBin(std::uint32_t idx, SimTime bin_end) {
     SimTime due = senders.next_due[idx];
     for (;;) {
@@ -276,10 +276,10 @@ struct FleetWorld {
     ring[static_cast<std::size_t>(due / bin_width) % ring.size()].push_back(idx);
   }
 
-  /// The per-bin generation tick. Admits senders whose
-  /// anchor falls in [t, t + bin_width), runs this bin's bucket, then
-  /// drains the fabric strictly below t — every hop pushed by this
-  /// bin arrives at or after t, so the drain bound never overtakes a push.
+  /// The per-bin generation tick. Admits senders whose anchor falls in
+  /// [t, t + bin_width), runs this bin's bucket, then drains the fabric
+  /// strictly below t — every hop pushed by this bin arrives at or after t,
+  /// so the drain bound never overtakes a push.
   void BinTick(SimTime t) {
     while (admit_cursor < admit_order.size()) {
       const std::uint32_t idx = admit_order[admit_cursor];
@@ -503,8 +503,7 @@ FleetResult FleetSim::Run() {
 
   const auto wall_start = std::chrono::steady_clock::now();
   if (shards == 1) {
-    // Single world: run inline on the calling thread (no pool, no
-    // contention).
+    // Single world: run inline on the calling thread (no pool).
     shard_main(0);
   } else {
     core::ThreadPool pool(static_cast<unsigned>(shards));
