@@ -1,10 +1,10 @@
 // Adaptive-delivery robustness bench: the §4.3d uplink-cap sweep with the
-// VTP_ADAPT control loop on vs off, plus a Gilbert-Elliott burst-loss
-// recovery scenario.
+// adaptive control loop (SessionConfig::adapt) on vs off, plus a
+// Gilbert-Elliott burst-loss recovery scenario.
 //
 // The paper's finding (§4.3d) is that FaceTime's spatial persona has no
 // rate ladder: capping the uplink below ~700 Kbps kills it. The adaptive
-// controller is the counterfactual — with VTP_ADAPT=1 the persona must
+// controller is the counterfactual — with adaptation on the persona must
 // stay available all the way down to 200 Kbps (the freeze/coarse rungs
 // fit under the cap). CI gates on:
 //
@@ -17,7 +17,6 @@
 // Steady state is measured over the tail window of each run, after the
 // cap-transient (panic overshoot + queue drain + probe climb, ~10-15 s)
 // has settled. `--smoke` trims the cap list and durations for CI.
-#include <cstdlib>
 #include <iostream>
 #include <string>
 #include <vector>
@@ -70,7 +69,9 @@ void FillControllerStats(const vca::TelepresenceSession& session, CapRun* run) {
 
 CapRun RunCappedSession(double cap_kbps, bool adaptive, net::SimTime duration,
                         net::SimTime window) {
-  vca::TelepresenceSession session(vca::TwoPartySpatialConfig(duration));
+  vca::SessionConfig config = vca::TwoPartySpatialConfig(duration);
+  config.adapt = adaptive;
+  vca::TelepresenceSession session(std::move(config));
   net::Netem netem = session.UplinkNetem(0);
   session.sim().After(net::Seconds(4), [&netem, cap_kbps] {
     netem.SetRateBps(cap_kbps * 1e3);
@@ -103,7 +104,9 @@ struct BurstRun {
 // in-burst loss) between t=8s and t=12s. The controller must walk down
 // during the episode and probe back up afterwards.
 BurstRun RunBurstEpisode(net::SimTime duration, net::SimTime window) {
-  vca::TelepresenceSession session(vca::TwoPartySpatialConfig(duration));
+  vca::SessionConfig config = vca::TwoPartySpatialConfig(duration);
+  config.adapt = true;
+  vca::TelepresenceSession session(std::move(config));
   net::Netem netem = session.UplinkNetem(0);
   session.sim().After(net::Seconds(8), [&netem] {
     netem.SetBurstLoss({.p_enter = 0.2, .p_exit = 0.2, .loss_bad = 1.0});
@@ -151,11 +154,8 @@ int main(int argc, char** argv) {
             << "\nCap sweep: " << net::ToSeconds(duration) << " s sessions, cap at t=4 s, "
             << "steady state = last " << net::ToSeconds(window) << " s\n";
 
-  // VTP_ADAPT is read at session construction, so each mode runs as its own
-  // batch with the knob pinned before any worker thread spawns.
   std::vector<CapRun> fixed_runs, adaptive_runs;
   for (const bool adaptive : {false, true}) {
-    setenv("VTP_ADAPT", adaptive ? "1" : "0", 1);
     auto runs = bench::ParallelRepeats(static_cast<int>(caps.size()), [&](int i) {
       return RunCappedSession(caps[static_cast<std::size_t>(i)], adaptive, duration,
                               window);
@@ -180,9 +180,7 @@ int main(int argc, char** argv) {
   table.Print(std::cout);
 
   bench::Banner("burst loss: 4 s Gilbert-Elliott episode, adaptive recovery");
-  setenv("VTP_ADAPT", "1", 1);
   const BurstRun burst = RunBurstEpisode(duration, window);
-  unsetenv("VTP_ADAPT");
   std::cout << "steady availability " << core::Fmt(100 * burst.steady_availability, 0)
             << "%, recovered " << core::Fmt(burst.recovery_s, 1)
             << " s after fault cleared, downswitches " << burst.downswitches

@@ -7,13 +7,12 @@
 //   2. packet churn — a UDP blast across a small topology, exercising link
 //      transmission, forwarding, and pooled payload recycling;
 //   3. obs A/B      — a 5-user FaceTime session with frame-lifecycle tracing
-//      armed (VTP_OBS=1, the default) vs disarmed; the throughput overhead
-//      must stay within the observability budget (<3% target, >5% fails)
-//      and the session reports must agree bit for bit.
+//      armed (SessionConfig::trace_frames, the default) vs disarmed; the
+//      throughput overhead must stay within the observability budget (<3%
+//      target, >5% fails) and the session reports must agree bit for bit.
 //
 // Results always go to BENCH_simcore.json (override the path with
 // VTP_BENCH_JSON) so perf regressions are machine-checkable.
-#include <cstdlib>
 #include <iostream>
 
 #include "bench/bench_util.h"
@@ -154,7 +153,6 @@ struct SessionRun {
 /// persona cap), transport-only so the scheduler share of the wall time is
 /// what the fig6 sweeps actually pay per session.
 SessionRun RunSession(bool obs) {
-  setenv("VTP_OBS", obs ? "1" : "0", 1);
   const char* metros[] = {"SanFrancisco", "NewYork", "Chicago", "Dallas", "Seattle"};
   vca::SessionConfig config;
   config.app = vca::VcaApp::kFaceTime;
@@ -167,6 +165,7 @@ SessionRun RunSession(bool obs) {
   config.seed = 4242;
   config.enable_reconstruction = false;
   config.enable_render = false;
+  config.trace_frames = obs;
   const bench::WallTimer timer;
   vca::TelepresenceSession session(std::move(config));
   session.Run();
@@ -176,7 +175,6 @@ SessionRun RunSession(bool obs) {
   out.events = session.sim().events_executed();
   out.uplink_mbps = report.participants[0].uplink_mbps.mean;
   out.downlink_mbps = report.participants[0].downlink_mbps.mean;
-  unsetenv("VTP_OBS");
   return out;
 }
 

@@ -31,7 +31,6 @@ class JsonReport {
     w_.Key("git"); w_.String(VTP_GIT_DESCRIBE);
     w_.Key("full"); w_.Bool(core::knobs::kFull.Get());
     w_.Key("threads"); w_.Int(BenchThreads());
-    w_.Key("obs"); w_.Bool(core::knobs::kObs.Get());
   }
 
   /// Bench-specific payload goes through the raw writer (the report owns

@@ -4,31 +4,33 @@
 // steps (1.5 Mbps -> 0.9 -> 0.7 -> 0.5 -> 0.25 -> back to unlimited).
 // Every second we print U2's view of U1 (available? decoded rate?) and,
 // with the adaptive control loop on, the ladder level U1's uplink
-// controller picked (VTP_ADAPT; DESIGN §9).
+// controller picked (SessionConfig::adapt; DESIGN §9).
 //
-// Run it both ways:
-//   ./build/examples/poor_connection_demo            # measured behaviour:
-//                                                    # persona dies < ~0.7 Mbps
-//   VTP_ADAPT=1 ./build/examples/poor_connection_demo
-//                                                    # live ladder: persona
-//                                                    # survives every step and
-//                                                    # recovers to full quality
+// The call runs twice in one process: first with FaceTime's measured
+// behaviour (the persona dies below ~0.7 Mbps), then with adaptive
+// delivery (the live ladder keeps the persona through every step and
+// recovers to full quality).
+//
+//   ./build/examples/poor_connection_demo
 //
 // Exits nonzero if the adaptive run fails to recover to 100% availability
-// in the final window (so it doubles as a smoke test).
-#include <cstdlib>
+// in the final window, so it doubles as a test (ctest runs it).
+#include <functional>
 #include <iomanip>
 #include <iostream>
 
-#include "core/knobs.h"
 #include "vca/session.h"
 
 using namespace vtp;
 
-int main() {
-  const bool adaptive = core::knobs::kAdapt.Get();
+namespace {
 
-  vca::TelepresenceSession session(vca::TwoPartySpatialConfig(net::Seconds(54)));
+/// Runs the degrading call and returns whether U1's persona was available
+/// in every sample of the recovery window.
+bool RunCall(bool adaptive) {
+  vca::SessionConfig config = vca::TwoPartySpatialConfig(net::Seconds(54));
+  config.adapt = adaptive;
+  vca::TelepresenceSession session(std::move(config));
 
   // Staircase of uplink caps, like dragging a tc tbf rate down and back up.
   net::Netem netem = session.UplinkNetem(0);
@@ -86,26 +88,30 @@ int main() {
             << (adaptive ? " (adaptive delivery ON)...\n\n" : "...\n\n");
   session.Run();
 
-  if (!adaptive) {
-    std::cout << "\nThe persona survives caps above its ~0.7 Mbps semantic rate and drops\n"
-                 "out below it — there is no lower-quality ladder to fall back to (§4.3).\n"
-                 "Re-run with VTP_ADAPT=1 to watch the control loop ride the ladder down\n"
-                 "and recover.\n";
-    return 0;
+  if (const auto* ctl = session.adapt_controller(0)) {
+    std::cout << "\nController: " << ctl->downswitches() << " downswitches, "
+              << ctl->upswitches() << " upswitches, " << ctl->probe_failures()
+              << " failed probes; final level " << ctl->level() << " ("
+              << ctl->level_spec().name << ")\n";
   }
+  std::cout << "Persona available in " << recovery_available << "/" << recovery_samples
+            << " samples after the cap was removed.\n";
+  return recovery_samples > 0 && recovery_available == recovery_samples;
+}
 
-  const auto* ctl = session.adapt_controller(0);
-  std::cout << "\nController: " << ctl->downswitches() << " downswitches, "
-            << ctl->upswitches() << " upswitches, " << ctl->probe_failures()
-            << " failed probes; final level " << ctl->level() << " ("
-            << ctl->level_spec().name << ")\n";
-  if (recovery_samples == 0 || recovery_available < recovery_samples) {
+}  // namespace
+
+int main() {
+  RunCall(/*adaptive=*/false);
+  std::cout << "\nThe persona survives caps above its ~0.7 Mbps semantic rate and drops\n"
+               "out below it — there is no lower-quality ladder to fall back to (§4.3).\n"
+               "Now the same call with the adaptive control loop riding the ladder.\n\n";
+
+  if (!RunCall(/*adaptive=*/true)) {
     std::cout << "FAIL: persona did not recover to 100% availability after the cap was\n"
-                 "removed (" << recovery_available << "/" << recovery_samples
-              << " post-recovery samples available)\n";
+                 "removed.\n";
     return 1;
   }
-  std::cout << "Recovered: persona available in " << recovery_available << "/"
-            << recovery_samples << " samples after the cap was removed.\n";
+  std::cout << "Recovered.\n";
   return 0;
 }

@@ -7,13 +7,10 @@
 // string; the handle self-registers so `vtp --knobs` can enumerate every
 // option the build understands.
 //
-// Precedence is unchanged byte-for-byte: handles resolve the environment at
-// *call time* with the same parsing rules as core/env.h (the benches mutate
-// VTP_OBS per run via setenv, so values must never be cached), and
-// ChoiceKnob::Is() keeps an allocation-free compare for per-call checks.
+// Handles resolve the environment at *call time* with the parsing rules of
+// core/env.h, so a test that setenv()s a knob sees the new value at once.
 //
-// Header-only (like env.h) so low-level libraries can consult knobs without
-// a link dependency on vtp_core.
+// Header-only, like env.h.
 #pragma once
 
 #include <cstdlib>
@@ -34,7 +31,7 @@ class Config {
  public:
   struct KnobInfo {
     const char* name;
-    const char* type;  ///< "flag", "bool", "int", "string", "choice"
+    const char* type;  ///< "flag", "bool", "int", "string"
     std::string def;   ///< default, as shown to the user
     const char* help;
     std::function<std::string()> current;  ///< env-resolved value, formatted
@@ -148,58 +145,6 @@ class StringKnob {
  private:
   const char* name_;
   const char* def_;
-};
-
-/// Enumerated knob (the medium backend). `Is()` keeps the EnvEquals
-/// contract — allocation-free, and an unset or unrecognised value matches
-/// only the declared default — so `EnvEquals(name, "socket")`-style call
-/// sites translate byte-for-byte.
-class ChoiceKnob {
- public:
-  ChoiceKnob(const char* name, const char* def, std::vector<const char*> choices,
-             const char* help)
-      : name_(name), def_(def), choices_(std::move(choices)) {
-    Config::Instance().Register(
-        {name, "choice", def, BuildHelp(help), [this] { return Get(); }});
-  }
-
-  /// True when the knob currently resolves to `value`.
-  bool Is(const char* value) const {
-    if (EnvEquals(name_, value)) return true;
-    // Unset, or set to something not in the choice list: the default rules.
-    const char* env = std::getenv(name_);
-    if (env != nullptr) {
-      for (const char* c : choices_) {
-        if (std::strcmp(env, c) == 0) return false;  // a valid, different choice
-      }
-    }
-    return std::strcmp(def_, value) == 0;
-  }
-
-  std::string Get() const {
-    for (const char* c : choices_) {
-      if (EnvEquals(name_, c)) return c;
-    }
-    return def_;
-  }
-  const char* name() const { return name_; }
-
- private:
-  const char* BuildHelp(const char* help) {
-    help_ = help;
-    help_ += " [";
-    for (std::size_t i = 0; i < choices_.size(); ++i) {
-      if (i != 0) help_ += "|";
-      help_ += choices_[i];
-    }
-    help_ += "]";
-    return help_.c_str();
-  }
-
-  const char* name_;
-  const char* def_;
-  std::vector<const char*> choices_;
-  std::string help_;  // owns the composed help text the registry points at
 };
 
 }  // namespace vtp::core

@@ -1,7 +1,6 @@
-// Small environment-variable parsing helpers shared by the bench harness
-// (VTP_FULL, VTP_BENCH_THREADS, VTP_BENCH_JSON, ...) and the simulator's
-// scheduler escape hatch. Header-only so low-level libraries can use them
-// without a link dependency on vtp_core.
+// Small environment-variable parsing helpers behind the bench-harness knobs
+// (VTP_FULL, VTP_BENCH_THREADS, VTP_BENCH_JSON, VTP_BENCH_REQUIRE_CLEAN).
+// Header-only, like core/config.h.
 #pragma once
 
 #include <cerrno>
@@ -39,18 +38,6 @@ inline bool EnvFlag(const char* name) {
 inline std::string EnvString(const char* name, const char* fallback) {
   const char* env = std::getenv(name);
   return env == nullptr ? fallback : env;
-}
-
-/// True when `name` is set to exactly `value`. Allocation-free, so per-call
-/// checks (ChoiceKnob::Is) can consult it without heap traffic.
-inline bool EnvEquals(const char* name, const char* value) {
-  const char* env = std::getenv(name);
-  if (env == nullptr) return false;
-  while (*env != '\0' && *env == *value) {
-    ++env;
-    ++value;
-  }
-  return *env == '\0' && *value == '\0';
 }
 
 }  // namespace vtp::core

@@ -197,7 +197,7 @@ class Simulator {
   const obs::MetricRegistry& metrics() const { return *metrics_; }
 
   /// Frame-lifecycle tracer (off until FrameTracer::Enable, typically armed
-  /// by the session from VTP_OBS).
+  /// by the session from SessionConfig::trace_frames).
   obs::FrameTracer& tracer() { return *tracer_; }
   const obs::FrameTracer& tracer() const { return *tracer_; }
 

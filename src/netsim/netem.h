@@ -82,10 +82,4 @@ class Netem {
   DirectedLink* link_;
 };
 
-/// Applies the VTP_FAULT_* knobs (core/knobs.h) to `netem`. Returns true if
-/// any fault was armed. Sessions/benches call this on the access uplink so
-/// adversarial scenarios can be driven from the environment without code
-/// changes; unset knobs arm nothing and draw no RNG.
-bool ApplyFaultKnobs(Netem& netem);
-
 }  // namespace vtp::net

@@ -17,7 +17,8 @@
 //
 // The tracer is owned by the Simulator next to the MetricRegistry and is off
 // by default: every stamp site checks `enabled()` first (one predictable
-// branch), so idle cost is negligible. Sessions enable it from VTP_OBS.
+// branch), so idle cost is negligible. Sessions enable it from
+// SessionConfig::trace_frames.
 #pragma once
 
 #include <cstddef>

@@ -45,7 +45,7 @@ inline constexpr std::uint8_t kMediaSemanticFec = 2;  ///< FEC-framed semantics
 /// (viewport-aware delivery culling, the §4.4 extension). Audio is always
 /// delivered. Never forwarded to other participants.
 inline constexpr std::uint8_t kMediaSubscription = 3;
-/// Per-subscriber adaptation control (VTP_ADAPT): body is
+/// Per-subscriber adaptation control (SessionConfig::adapt): body is
 /// [target_sender_id][rung] where rung 0 = full stream, nonzero = coarse
 /// alternate stream. Client -> SFU: "deliver me `target`'s semantics at
 /// this rung". SFU -> sender (on the sender's own connection): "at least
@@ -100,7 +100,7 @@ class SpatialPersonaSender {
   /// Starts ticking now and stops at `until`.
   void Start(net::SimTime until);
 
-  /// Arms the adaptive-delivery hooks (VTP_ADAPT sessions only): the rung
+  /// Arms the adaptive-delivery hooks (adaptive sessions only): the rung
   /// ladder ApplyLevel() indexes into, and the FEC group size used when a
   /// level enables FEC. Without this call the sender behaves exactly as
   /// seeded (no keyframe cadence, no freeze path, no simulcast).

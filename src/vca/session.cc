@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <stdexcept>
 
-#include "core/knobs.h"
 #include "obs/trace.h"
 #include "transport/classifier.h"
 
@@ -21,7 +20,7 @@ std::vector<DeviceType> Devices(const std::vector<Participant>& participants) {
   return devices;
 }
 
-// --- Adaptive-delivery ladders (VTP_ADAPT, DESIGN §9) -----------------------
+// --- Adaptive-delivery ladders (SessionConfig::adapt, DESIGN §9) -----------------------
 
 /// Approximate wire rate of a semantic rung: framed payload plus per-frame
 /// wrapper/QUIC overhead at `fps`, plus the always-on audio stream.
@@ -103,10 +102,6 @@ TelepresenceSession::TelepresenceSession(SessionConfig config)
   sim_ = std::make_unique<net::Simulator>(config_.seed);
   network_ = std::make_unique<net::Network>(sim_.get());
   network_->BuildBackbone();
-
-  // Resolve the adaptation knob once, at construction: a bench batching
-  // sessions under different env values gets a coherent per-session answer.
-  adapt_enabled_ = core::knobs::kAdapt.Get();
 
   for (std::size_t i = 0; i < config_.participants.size(); ++i) {
     hosts_.push_back(network_->AddHost(config_.participants[i].name,
@@ -210,10 +205,10 @@ void TelepresenceSession::SetupServers() {
 void TelepresenceSession::SetupSpatialPipelines() {
   const std::size_t n = config_.participants.size();
 
-  // Frame-lifecycle tracing (VTP_OBS=0 turns it off). Capacity covers every
-  // (sender, receiver) frame pair for the whole run plus 20% slack so the
-  // tracer never reallocates mid-session; overflow is counted, not grown.
-  if (core::knobs::kObs.Get()) {
+  // Frame-lifecycle tracing (SessionConfig::trace_frames). Capacity covers
+  // every (sender, receiver) frame pair for the whole run plus 20% slack so
+  // the tracer never reallocates mid-session; overflow is counted, not grown.
+  if (config_.trace_frames) {
     const double frames = net::ToSeconds(config_.duration) * config_.spatial_fps;
     const std::size_t pairs = n * (n - 1);
     sim_->tracer().Enable(
@@ -286,7 +281,7 @@ void TelepresenceSession::SetupSpatialPipelines() {
         sim_.get(), std::move(remote_rigs), config_.reconstruct_stride, config_.spatial_fps,
         codec_engine_.get());
     receiver->set_self_id(static_cast<std::uint8_t>(i));
-    if (adapt_enabled_) {
+    if (config_.adapt) {
       // Demux: SFU coarse-stream notifications route to the sender (created
       // below — looked up at dispatch time), media to the receiver.
       conn->set_on_datagram(
@@ -325,7 +320,7 @@ void TelepresenceSession::SetupSpatialPipelines() {
     for (auto& sender : audio_senders_) sender->Start(config_.duration);
   });
 
-  if (adapt_enabled_) SetupSpatialAdaptation();
+  if (config_.adapt) SetupSpatialAdaptation();
 }
 
 void TelepresenceSession::SetupSpatialAdaptation() {
@@ -449,7 +444,7 @@ void TelepresenceSession::Setup2dPipelines() {
     auto sender = std::make_unique<VideoPersonaSender>(network_.get(), hosts_[i], kMediaPort,
                                                        dst, dst_port, profile_, &model, ssrc,
                                                        config_.seed * 131 + i);
-    if (adapt_enabled_) {
+    if (config_.adapt) {
       // The RTCP RR loss report (1/s) doubles as the estimator feed; levels
       // map onto rate-control ceiling scales ("coarsen the video rate
       // model"), with the bottom level a slideshow stand-in for freeze.

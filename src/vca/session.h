@@ -85,6 +85,16 @@ struct SessionConfig {
   /// semantics are not delivered at all. Off = FaceTime's measured
   /// behaviour (cull at rendering only).
   bool delivery_culling = false;
+
+  /// Adaptive delivery control loop (transport/adapt.*, DESIGN §9). Off =
+  /// FaceTime's measured behaviour: no estimator, controller or timer is
+  /// built, so the session is event-for-event identical to one without
+  /// adaptation (the AdaptOff goldens in test_transport_ext pin this).
+  bool adapt = false;
+
+  /// Frame-lifecycle span tracing (obs::FrameTracer) for spatial sessions.
+  /// Registry metrics are always on; this arms only the span stamps.
+  bool trace_frames = true;
 };
 
 /// Per-participant results.
@@ -156,14 +166,14 @@ class TelepresenceSession {
   const SpatialPersonaSender* spatial_sender(std::size_t participant) const;
   const VideoPersonaReceiver* video_receiver(std::size_t participant) const;
 
-  /// Uplink adaptation controller for `participant` (VTP_ADAPT sessions;
-  /// nullptr when the knob is off). Spatial sessions drive the semantic
+  /// Uplink adaptation controller for `participant` (SessionConfig::adapt
+  /// sessions; nullptr when adaptation is off). Spatial sessions drive the semantic
   /// ladder; 2D sessions drive the video rate-scale ladder.
   const transport::AdaptController* adapt_controller(std::size_t participant) const {
     return participant < adapt_controllers_.size() ? adapt_controllers_[participant].get()
                                                    : nullptr;
   }
-  bool adapt_enabled() const { return adapt_enabled_; }
+  bool adapt_enabled() const { return config_.adapt; }
 
   /// How often each LOD class was selected across a participant's rendered
   /// frames (indexed by LodClass; valid after Run, spatial sessions only).
@@ -251,9 +261,7 @@ class TelepresenceSession {
   std::vector<std::uint8_t> sent_masks_;
   std::vector<std::vector<std::uint8_t>> remote_ids_;  ///< per participant
 
-  // Adaptive delivery (VTP_ADAPT; cached at construction so a batch of
-  // sessions under different env values stays coherent).
-  bool adapt_enabled_ = false;
+  // Adaptive delivery (SessionConfig::adapt).
   std::vector<std::unique_ptr<transport::PathEstimator>> path_estimators_;
   std::vector<std::unique_ptr<transport::AdaptController>> adapt_controllers_;
   /// Per-(subscriber, remote sender) coarse-stream request hysteresis.

@@ -110,11 +110,11 @@ class SfuServer {
   std::vector<transport::QuicConnection*> peer_conns_;
   std::map<transport::QuicConnection*, std::uint8_t> semantic_subscriptions_;
 
-  // Per-subscriber adaptation (VTP_ADAPT). Each client conn carries a
-  // bitmask of sender ids whose coarse alternate stream it wants instead of
-  // the primary; the per-sender aggregate drives a notification to the
-  // sender's own connection (learned from its locally originated media) so
-  // it starts/stops the simulcast stream.
+  // Per-subscriber adaptation (SessionConfig::adapt). Each client conn
+  // carries a bitmask of sender ids whose coarse alternate stream it wants
+  // instead of the primary; the per-sender aggregate drives a notification
+  // to the sender's own connection (learned from its locally originated
+  // media) so it starts/stops the simulcast stream.
   std::map<transport::QuicConnection*, std::uint8_t> coarse_masks_;
   std::array<std::uint8_t, 8> coarse_aggregate_{};
   std::array<transport::QuicConnection*, 8> sender_conns_{};

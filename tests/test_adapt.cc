@@ -3,13 +3,11 @@
 // freeze-frame fallback, and the SFU's per-subscriber coarse-stream routing.
 #include <gtest/gtest.h>
 
-#include <cstdlib>
 #include <string>
 #include <string_view>
 #include <utility>
 #include <vector>
 
-#include "core/knobs.h"
 #include "netsim/netem.h"
 #include "netsim/network.h"
 #include "obs/metrics.h"
@@ -342,42 +340,6 @@ TEST(FaultInjection, RateRampCapsProgressively) {
   EXPECT_GT(h.arrivals.back(), net::Seconds(3) + net::Millis(1800));
 }
 
-TEST(FaultInjection, FaultKnobsParseAndArm) {
-  setenv("VTP_FAULT_BURST", "0.05,0.1,1.0", 1);
-  setenv("VTP_FAULT_REORDER", "0.3,40", 1);
-  setenv("VTP_FAULT_DUP", "0.1", 1);
-  setenv("VTP_FAULT_FLAP", "2,0.5", 1);
-  setenv("VTP_FAULT_RAMP", "1,3,1000,250", 1);
-  UdpHarness h;
-  net::Netem netem = h.netem();
-  EXPECT_TRUE(net::ApplyFaultKnobs(netem));
-  unsetenv("VTP_FAULT_BURST");
-  unsetenv("VTP_FAULT_REORDER");
-  unsetenv("VTP_FAULT_DUP");
-  unsetenv("VTP_FAULT_FLAP");
-  unsetenv("VTP_FAULT_RAMP");
-
-  UdpHarness clean;
-  net::Netem clean_netem = clean.netem();
-  EXPECT_FALSE(net::ApplyFaultKnobs(clean_netem));
-}
-
-TEST(FaultInjection, MalformedKnobValuesArmNothing) {
-  setenv("VTP_FAULT_BURST", "banana", 1);
-  setenv("VTP_FAULT_REORDER", "0", 1);         // missing delay field
-  setenv("VTP_FAULT_DUP", "0.0", 1);           // probability 0: off
-  setenv("VTP_FAULT_FLAP", "5", 1);            // missing duration
-  setenv("VTP_FAULT_RAMP", "3,1,500,250", 1);  // end <= start
-  UdpHarness h;
-  net::Netem netem = h.netem();
-  EXPECT_FALSE(net::ApplyFaultKnobs(netem));
-  unsetenv("VTP_FAULT_BURST");
-  unsetenv("VTP_FAULT_REORDER");
-  unsetenv("VTP_FAULT_DUP");
-  unsetenv("VTP_FAULT_FLAP");
-  unsetenv("VTP_FAULT_RAMP");
-}
-
 // --- playout freeze-frame / stall bursts --------------------------------------------
 
 TEST(Playout, StallBurstsCountRunsNotFrames) {
@@ -449,8 +411,9 @@ TEST(Playout, FreezeOnStallRepresentsTheLastPlayedFrame) {
 
 // --- adaptive sessions (integration) ------------------------------------------------
 
-vca::SessionConfig TwoPartySpatial(net::SimTime duration) {
+vca::SessionConfig TwoPartySpatial(net::SimTime duration, bool adapt = true) {
   vca::SessionConfig config;
+  config.adapt = adapt;
   config.participants = {
       {.name = "U1", .metro = "SanFrancisco", .device = vca::DeviceType::kVisionPro},
       {.name = "U2", .metro = "NewYork", .device = vca::DeviceType::kVisionPro}};
@@ -459,13 +422,7 @@ vca::SessionConfig TwoPartySpatial(net::SimTime duration) {
   return config;
 }
 
-class AdaptOnSession : public ::testing::Test {
- protected:
-  void SetUp() override { setenv("VTP_ADAPT", "1", 1); }
-  void TearDown() override { unsetenv("VTP_ADAPT"); }
-};
-
-TEST_F(AdaptOnSession, UncappedSessionStaysAtFullQualityWithFec) {
+TEST(AdaptOnSession, UncappedSessionStaysAtFullQualityWithFec) {
   vca::TelepresenceSession session(TwoPartySpatial(net::Seconds(10)));
   session.Run();
   for (std::size_t i = 0; i < 2; ++i) {
@@ -482,7 +439,7 @@ TEST_F(AdaptOnSession, UncappedSessionStaysAtFullQualityWithFec) {
   EXPECT_GT(report.participants[1].persona_available_fraction, 0.97);
 }
 
-TEST_F(AdaptOnSession, CappedUplinkWalksDownTheLadderAndStaysAvailable) {
+TEST(AdaptOnSession, CappedUplinkWalksDownTheLadderAndStaysAvailable) {
   vca::TelepresenceSession session(TwoPartySpatial(net::Seconds(25)));
   net::Netem netem = session.UplinkNetem(0);
   netem.SetRateBps(400e3);  // below full quality, above the deepest rungs
@@ -503,7 +460,7 @@ TEST_F(AdaptOnSession, CappedUplinkWalksDownTheLadderAndStaysAvailable) {
   EXPECT_GT(remote.frames_decoded, 1000u);
 }
 
-TEST_F(AdaptOnSession, DownlinkLossTriggersPerSubscriberCoarseStream) {
+TEST(AdaptOnSession, DownlinkLossTriggersPerSubscriberCoarseStream) {
   vca::TelepresenceSession session(TwoPartySpatial(net::Seconds(16)));
   // Only U2's *downlink* is lossy: U1's uplink stays clean, so U1 keeps
   // full quality and simulcasts the coarse rung for U2 specifically.
@@ -521,7 +478,7 @@ TEST_F(AdaptOnSession, DownlinkLossTriggersPerSubscriberCoarseStream) {
   EXPECT_GT(remote.frames_decoded, 600u);
 }
 
-TEST_F(AdaptOnSession, BurstLossFaultRecoversWithinBoundedHoldDown) {
+TEST(AdaptOnSession, BurstLossFaultRecoversWithinBoundedHoldDown) {
   vca::TelepresenceSession session(TwoPartySpatial(net::Seconds(40)));
   net::Netem netem = session.UplinkNetem(0);
   // A brutal burst-loss episode (stationary ~80% loss) from t=8s to t=12s,
@@ -543,9 +500,8 @@ TEST_F(AdaptOnSession, BurstLossFaultRecoversWithinBoundedHoldDown) {
   EXPECT_GT(report.participants[1].persona_available_fraction, 0.6);
 }
 
-TEST(AdaptKnob, OffMeansNoControllersAndNoAdaptTraffic) {
-  unsetenv("VTP_ADAPT");
-  vca::TelepresenceSession session(TwoPartySpatial(net::Seconds(5)));
+TEST(AdaptConfig, OffMeansNoControllersAndNoAdaptTraffic) {
+  vca::TelepresenceSession session(TwoPartySpatial(net::Seconds(5), /*adapt=*/false));
   session.Run();
   EXPECT_FALSE(session.adapt_enabled());
   EXPECT_EQ(session.adapt_controller(0), nullptr);

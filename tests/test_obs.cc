@@ -172,7 +172,7 @@ TEST(FrameTracer, TwoPersonaSessionSpansAreComplete) {
   vca::TelepresenceSession session(TwoPersonaConfig());
   session.Run();
   const obs::FrameTracer& tracer = session.sim().tracer();
-  ASSERT_TRUE(tracer.enabled());  // VTP_OBS defaults on
+  ASSERT_TRUE(tracer.enabled());  // SessionConfig::trace_frames defaults on
   EXPECT_EQ(tracer.dropped_spans(), 0u);
   EXPECT_EQ(tracer.orphan_completions(), 0u);
   ASSERT_GT(tracer.spans().size(), 0u);
@@ -211,13 +211,13 @@ TEST(FrameTracer, TwoPersonaSessionSpansAreComplete) {
   EXPECT_GT(e2e->summary.p50, 0.0);
 }
 
-TEST(ObsKnob, DisablingVtpObsDisarmsTracerOnly) {
-  setenv("VTP_OBS", "0", 1);
-  vca::TelepresenceSession session(TwoPersonaConfig());
+TEST(ObsConfig, TraceFramesOffDisarmsTracerOnly) {
+  vca::SessionConfig config = TwoPersonaConfig();
+  config.trace_frames = false;
+  vca::TelepresenceSession session(std::move(config));
   session.Run();
-  unsetenv("VTP_OBS");
   EXPECT_FALSE(session.sim().tracer().enabled());
-  // Metrics are structural and stay on regardless of the knob.
+  // Metrics are structural and stay on regardless of tracing.
   const obs::Snapshot snap = obs::Snapshot::Capture(session.sim().metrics());
   EXPECT_FALSE(snap.traced);
   EXPECT_GT(snap.counter("sfu0.forwarded"), 0u);
@@ -251,53 +251,39 @@ TEST(Snapshot, DeterministicAcrossBenchThreadCounts) {
 
 TEST(Config, CatalogueListsEveryKnob) {
   core::Config& config = core::Config::Instance();
-  const char* const knobs[] = {"VTP_FULL", "VTP_BENCH_THREADS", "VTP_BENCH_JSON", "VTP_OBS",
-                               "VTP_ADAPT", "VTP_BENCH_REQUIRE_CLEAN",
-                               "VTP_MEDIUM", "VTP_LISTEN_ADDR", "VTP_CONNECT", "VTP_FAULT_BURST",
-                               "VTP_FAULT_REORDER", "VTP_FAULT_DUP", "VTP_FAULT_FLAP",
-                               "VTP_FAULT_RAMP"};
+  // Only the bench harness reads the environment; sessions and tools take
+  // their behaviour from SessionConfig and flags.
+  const char* const knobs[] = {"VTP_FULL", "VTP_BENCH_THREADS", "VTP_BENCH_JSON",
+                               "VTP_BENCH_REQUIRE_CLEAN"};
   for (const char* name : knobs) EXPECT_NE(config.Find(name), nullptr) << name;
   EXPECT_EQ(config.List().size(), std::size(knobs));
-  EXPECT_EQ(config.List().size(), 14u);
-  // The Medium backend defaults to the simulated internetwork.
-  const core::Config::KnobInfo* medium = config.Find("VTP_MEDIUM");
-  ASSERT_NE(medium, nullptr);
-  EXPECT_EQ(medium->def, "sim");
-  const core::Config::KnobInfo* obs = config.Find("VTP_OBS");
-  ASSERT_NE(obs, nullptr);
-  EXPECT_STREQ(obs->type, "bool");
-  EXPECT_EQ(obs->def, "1");
+  const core::Config::KnobInfo* clean = config.Find("VTP_BENCH_REQUIRE_CLEAN");
+  ASSERT_NE(clean, nullptr);
+  EXPECT_STREQ(clean->type, "bool");
+  EXPECT_EQ(clean->def, "0");
   // List() is sorted by name and includes current-value formatters.
   const std::vector<const core::Config::KnobInfo*> all = config.List();
-  ASSERT_GE(all.size(), 7u);
   for (std::size_t i = 1; i < all.size(); ++i) {
     EXPECT_LT(std::string(all[i - 1]->name), std::string(all[i]->name));
   }
 }
 
-TEST(Config, ChoiceKnobKeepsEnvEqualsPrecedence) {
-  unsetenv("VTP_MEDIUM");
-  EXPECT_TRUE(core::knobs::kMedium.Is("sim"));
-  EXPECT_FALSE(core::knobs::kMedium.Is("socket"));
-  setenv("VTP_MEDIUM", "socket", 1);
-  EXPECT_TRUE(core::knobs::kMedium.Is("socket"));
-  EXPECT_FALSE(core::knobs::kMedium.Is("sim"));
-  EXPECT_TRUE(core::Config::Instance().Find("VTP_MEDIUM")->overridden());
-  // An unrecognised value falls back to the default, same as core::EnvEquals.
-  setenv("VTP_MEDIUM", "carrier-pigeon", 1);
-  EXPECT_TRUE(core::knobs::kMedium.Is("sim"));
-  EXPECT_EQ(core::knobs::kMedium.Get(), "sim");
-  unsetenv("VTP_MEDIUM");
-}
-
 TEST(Config, BoolKnobParsesAndFallsBack) {
-  unsetenv("VTP_OBS");
-  EXPECT_TRUE(core::knobs::kObs.Get());
-  setenv("VTP_OBS", "off", 1);
-  EXPECT_FALSE(core::knobs::kObs.Get());
-  setenv("VTP_OBS", "gibberish", 1);
-  EXPECT_TRUE(core::knobs::kObs.Get());  // unparsable -> default
-  unsetenv("VTP_OBS");
+  const core::BoolKnob& knob = core::knobs::kBenchRequireClean;
+
+  unsetenv("VTP_BENCH_REQUIRE_CLEAN");
+  EXPECT_FALSE(knob.Get());
+  EXPECT_FALSE(core::Config::Instance().Find("VTP_BENCH_REQUIRE_CLEAN")->overridden());
+  setenv("VTP_BENCH_REQUIRE_CLEAN", "on", 1);
+  EXPECT_TRUE(knob.Get());
+  EXPECT_TRUE(core::Config::Instance().Find("VTP_BENCH_REQUIRE_CLEAN")->overridden());
+  setenv("VTP_BENCH_REQUIRE_CLEAN", "gibberish", 1);
+  EXPECT_FALSE(knob.Get());  // unparsable -> default
+  setenv("VTP_BENCH_REQUIRE_CLEAN", "true", 1);
+  EXPECT_TRUE(knob.Get());
+  setenv("VTP_BENCH_REQUIRE_CLEAN", "off", 1);
+  EXPECT_FALSE(knob.Get());
+  unsetenv("VTP_BENCH_REQUIRE_CLEAN");
 }
 
 // --- snapshot merge ----------------------------------------------------------

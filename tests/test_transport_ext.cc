@@ -3,7 +3,6 @@
 // allocation-free SFU forward path.
 #include <gtest/gtest.h>
 
-#include <cstdlib>
 #include <set>
 
 #include "alloc_counter.h"
@@ -752,13 +751,13 @@ TEST(Fec, SessionOverheadReconcilesWithObsCounters) {
   EXPECT_GT(rx_stats.frames_decoded, 0u);
 }
 
-// --- VTP_ADAPT=off seed identity ----------------------------------------------------
+// --- adapt=off seed identity --------------------------------------------------------
 //
 // The adaptive-delivery machinery (transport/adapt.*, sender rung plumbing,
 // SFU coarse routing, session control loop) must be bit-for-bit inert while
-// the default-off VTP_ADAPT knob stays off: the golden digests below were
-// recorded from the pre-adaptation seed tree (same scenario, same
-// toolchain) and every run with the knob unset or =0 must still match.
+// the default-off SessionConfig::adapt stays off: the golden digests below
+// were recorded from the pre-adaptation seed tree (same scenario, same
+// toolchain) and every default-config run must still match.
 // Regenerate by running this scenario at the seed commit if the *intended*
 // wire behaviour ever changes.
 
@@ -812,22 +811,13 @@ std::uint64_t SessionWireDigest(double loss, std::uint64_t* packets,
 
 TEST(AdaptOff, SessionsAreSeedIdentical) {
   for (const SeedGolden& golden : kSeedGoldens) {
-    for (const bool explicit_off : {false, true}) {
-      if (explicit_off) {
-        setenv("VTP_ADAPT", "0", 1);
-      } else {
-        unsetenv("VTP_ADAPT");
-      }
-      std::uint64_t packets = 0, fwd = 0, rev = 0;
-      const std::uint64_t digest = SessionWireDigest(golden.loss, &packets, &fwd, &rev);
-      EXPECT_EQ(digest, golden.wire_digest)
-          << "loss=" << golden.loss << " explicit_off=" << explicit_off;
-      EXPECT_EQ(packets, golden.wire_packets) << "loss=" << golden.loss;
-      EXPECT_EQ(fwd, golden.decoded_fwd) << "loss=" << golden.loss;
-      EXPECT_EQ(rev, golden.decoded_rev) << "loss=" << golden.loss;
-    }
+    std::uint64_t packets = 0, fwd = 0, rev = 0;
+    const std::uint64_t digest = SessionWireDigest(golden.loss, &packets, &fwd, &rev);
+    EXPECT_EQ(digest, golden.wire_digest) << "loss=" << golden.loss;
+    EXPECT_EQ(packets, golden.wire_packets) << "loss=" << golden.loss;
+    EXPECT_EQ(fwd, golden.decoded_fwd) << "loss=" << golden.loss;
+    EXPECT_EQ(rev, golden.decoded_rev) << "loss=" << golden.loss;
   }
-  unsetenv("VTP_ADAPT");
 }
 
 }  // namespace

@@ -2,7 +2,6 @@
 // telepresence sessions.
 #include <gtest/gtest.h>
 
-#include <cstdlib>
 
 #include "obs/snapshot.h"
 #include "semantic/generator.h"
@@ -296,9 +295,8 @@ TEST(SpatialSession, LossyCallMatchesDetachedDecoders) {
 }
 
 TEST(SpatialSession, DecoderResetKeepsTheSharedEngine) {
-  // VTP_ADAPT is read once, when the session is built.
-  setenv("VTP_ADAPT", "1", 1);
   SessionConfig config;
+  config.adapt = true;
   for (const char* metro : {"SanFrancisco", "NewYork", "Chicago"}) {
     config.participants.push_back(
         {.name = metro, .metro = metro, .device = DeviceType::kVisionPro});
@@ -306,7 +304,6 @@ TEST(SpatialSession, DecoderResetKeepsTheSharedEngine) {
   config.duration = net::Seconds(12);
   config.enable_reconstruction = false;
   TelepresenceSession session(std::move(config));
-  unsetenv("VTP_ADAPT");
   ASSERT_TRUE(session.adapt_enabled());
   // A lossy downlink moves user 1 onto the coarse streams and back, and
   // each switch resets the matching decoder.
@@ -332,8 +329,8 @@ TEST(SpatialSession, LostHandshakeReplyDoesNotStrandTheUplink) {
   // server must answer each one, or user 1 never sends a frame.
   for (double loss : {0.25, 0.5}) {
     for (std::uint64_t seed = 1; seed <= 8; ++seed) {
-      setenv("VTP_ADAPT", "1", 1);
       SessionConfig config;
+      config.adapt = true;
       for (const char* metro : {"SanFrancisco", "NewYork", "Chicago"}) {
         config.participants.push_back(
             {.name = metro, .metro = metro, .device = DeviceType::kVisionPro});
@@ -342,7 +339,6 @@ TEST(SpatialSession, LostHandshakeReplyDoesNotStrandTheUplink) {
       config.enable_reconstruction = false;
       config.seed = seed;
       TelepresenceSession session(std::move(config));
-      unsetenv("VTP_ADAPT");
       session.DownlinkNetem(1).SetLoss(loss);
       session.Run();
       EXPECT_GT(session.spatial_receiver(0)->remote(1).frames_decoded, 0u)

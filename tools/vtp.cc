@@ -5,12 +5,13 @@
 //
 //   vtp run    — run a telepresence session and report what the testbed
 //                would measure (table or --json), with optional tc-style
-//                impairments and a --dump-trace=FILE packet-trace export.
+//                impairments, the adaptive delivery loop (--adapt) and a
+//                --dump-trace=FILE packet-trace export.
 //   vtp serve  — host a real SFU process on UDP sockets (the socket Medium
 //                backend, DESIGN §14); clients dial in over the wire.
 //   vtp client — generate N personas of traffic against a vtp serve
-//                (VTP_MEDIUM=socket) or a self-contained in-process SFU
-//                (VTP_MEDIUM=sim, the default — deterministic smoke).
+//                (--medium=socket) or a self-contained in-process SFU
+//                (--medium=sim, the default — deterministic smoke).
 //   vtp rtt    — Table 1-style TCP-ping RTT matrix between arbitrary
 //                client metros and VCA server fleets.
 //   vtp probe  — the §4.3 display-latency probe at a given injected delay.
@@ -26,7 +27,7 @@
 //           --devices=vp,mac,ipad --cap-uplink-kbps=1200 --json
 //   vtp run --app=facetime --metros=SanFrancisco,NewYork --obs-dump=obs.json
 //   vtp serve --port=4433 --duration=10 --obs-dump=server_obs.json
-//   VTP_MEDIUM=socket vtp client --connect=127.0.0.1:4433 --personas=5
+//   vtp client --medium=socket --connect=127.0.0.1:4433 --personas=5
 //           --duration=5 --obs-dump=client_obs.json
 //   vtp rtt --clients=SanFrancisco,Dallas,NewYork --apps=facetime,zoom
 //   vtp probe --mode=remote --delay-ms=500
@@ -58,7 +59,7 @@ int Usage() {
 
 vtp run    --app=facetime|zoom|webex|teams --metros=A,B[,C...]
            [--devices=vp|mac|ipad|iphone per user] [--duration=SECONDS]
-           [--seed=N] [--strategy=nearest|geo] [--no-audio]
+           [--seed=N] [--strategy=nearest|geo] [--no-audio] [--adapt]
            [--cap-uplink-kbps=K] [--delay-ms=D] [--loss=P]   (applied to user 0)
            [--dump-trace=FILE] [--obs-dump=FILE] [--json]
 vtp serve  [--host=ADDR] [--port=P] [--duration=SECONDS (0 = until SIGINT)]
@@ -71,8 +72,8 @@ vtp rtt    --clients=MetroA,MetroB,... [--apps=facetime,zoom,webex,teams]
 vtp probe  [--mode=local|remote] [--delay-ms=D] [--json]
 vtp knobs  [--json]          (also: vtp --knobs)
 
-serve/client defaults come from the VTP_LISTEN_ADDR, VTP_CONNECT, and
-VTP_MEDIUM knobs (see vtp knobs).
+serve binds 127.0.0.1 by default; client defaults to --medium=sim and, with
+--medium=socket, dials 127.0.0.1:4433.
 )";
   return 2;
 }
@@ -162,6 +163,7 @@ int CmdRun(const core::Flags& flags) {
   config.duration = net::Seconds(flags.GetDouble("duration", 20));
   config.seed = static_cast<std::uint64_t>(flags.GetInt("seed", 1));
   config.enable_audio = !flags.GetBool("no-audio", false);
+  config.adapt = flags.GetBool("adapt", false);
   if (flags.Get("strategy", "nearest") == "geo") {
     config.strategy = vca::ServerStrategy::kGeoDistributed;
   }
@@ -269,7 +271,7 @@ std::pair<std::string, std::uint16_t> ParseHostPort(const std::string& s) {
 }
 
 int CmdServe(const core::Flags& flags) {
-  const std::string host = flags.Get("host", core::knobs::kListenAddr.Get());
+  const std::string host = flags.Get("host", "127.0.0.1");
   const auto port = static_cast<std::uint16_t>(flags.GetInt("port", 4433));
   const double duration_s = flags.GetDouble("duration", 0);
   const auto seed = static_cast<std::uint64_t>(flags.GetInt("seed", 1));
@@ -406,14 +408,14 @@ int CmdClient(const core::Flags& flags) {
   const auto seed = static_cast<std::uint64_t>(flags.GetInt("seed", 1));
   const auto port_base = static_cast<std::uint16_t>(flags.GetInt("port-base", 9000));
   const auto id_base = static_cast<std::uint8_t>(flags.GetInt("id-base", 0));
-  const std::string medium_kind = flags.Get("medium", core::knobs::kMedium.Get());
+  const std::string medium_kind = flags.Get("medium", "sim");
   const net::SimTime end = net::Seconds(duration_s);
 
   std::signal(SIGINT, OnSignal);
   std::signal(SIGTERM, OnSignal);
 
   if (medium_kind == "socket") {
-    const auto [host, port] = ParseHostPort(flags.Get("connect", core::knobs::kConnect.Get()));
+    const auto [host, port] = ParseHostPort(flags.Get("connect", "127.0.0.1:4433"));
     net::SocketMedium medium(seed, "0.0.0.0", net::Ipv4ToNode("127.0.0.1"));
     medium.sim().tracer().Enable(/*max_spans=*/8192);
     const transport::taps::Endpoint remote{net::Ipv4ToNode(host), port};
