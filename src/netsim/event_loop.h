@@ -3,8 +3,13 @@
 // epoll on Linux, poll(2) everywhere else — the surface is the small subset
 // both can serve: register a nonblocking fd with a read callback, wait with
 // a timeout, dispatch. The loop knows nothing about timers; SocketMedium
-// pairs it with a WallClockDriver so the poll timeout is exactly the next
-// timer-wheel deadline (sleep, don't spin — DESIGN §14).
+// pairs it with a WallClockDriver so the wait ends at the next timer-wheel
+// deadline (sleep, don't spin — DESIGN §14). How close to that deadline
+// depends on the backend: epoll_pwait2 (Linux 5.11+) sleeps to the
+// nanosecond, plus the kernel's timer slack (50 µs by default); plain
+// epoll_wait (older kernels) and poll(2) take milliseconds, so the timeout
+// is rounded up to the next whole millisecond and a wake may come up to
+// 1 ms after the deadline. No backend wakes before it.
 #pragma once
 
 #include <cstdint>
@@ -32,10 +37,11 @@ class EventLoop {
   /// Deregisters `fd` (does not close it).
   void Remove(int fd);
 
-  /// Waits up to `timeout_ms` (-1 = indefinitely, 0 = just poll) and
-  /// dispatches read handlers for every ready fd. Returns the number of fds
-  /// dispatched (0 on timeout).
-  int Wait(int timeout_ms);
+  /// Waits up to `timeout_ns` nanoseconds (negative = indefinitely, 0 = just
+  /// poll) and dispatches read handlers for every ready fd. Returns the
+  /// number of fds dispatched (0 on timeout). A backend with millisecond
+  /// resolution rounds the timeout up, never down.
+  int Wait(std::int64_t timeout_ns);
 
   std::size_t watched_fds() const { return handlers_.size(); }
 
@@ -43,6 +49,7 @@ class EventLoop {
   std::map<int, FdReadHandler> handlers_;
 #ifdef __linux__
   int epoll_fd_ = -1;
+  bool pwait2_ = true;  ///< cleared when the kernel lacks epoll_pwait2 (ENOSYS)
 #endif
 };
 

@@ -6,6 +6,7 @@
 #include <sys/socket.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <cerrno>
 #include <cstring>
 #include <span>
@@ -166,18 +167,19 @@ void SocketMedium::DrainSocket(std::uint16_t port, int fd) {
   }
 }
 
+std::int64_t PumpWaitNanos(std::optional<SimTime> deadline_delay, int max_wait_ms) {
+  const std::int64_t cap = max_wait_ms < 0 ? -1 : std::int64_t{max_wait_ms} * kMillisecond;
+  if (!deadline_delay) return cap;
+  return cap < 0 ? *deadline_delay : std::min(*deadline_delay, cap);
+}
+
 std::uint64_t SocketMedium::Pump(int max_wait_ms) {
   delivered_this_turn_ = 0;
   wall_.AdvanceToWallNow();
-
-  int timeout_ms = max_wait_ms;
-  if (std::optional<SimTime> delay = wall_.NextDeadlineDelay()) {
-    // Round up so we never wake before the deadline (never-early), and never
-    // pass 0 unless a timer is genuinely overdue (no busy-spin).
-    const auto delay_ms = static_cast<int>((*delay + 999'999) / 1'000'000);
-    if (timeout_ms < 0 || delay_ms < timeout_ms) timeout_ms = delay_ms;
-  }
-  loop_.Wait(timeout_ms);
+  // The delay is zero only when a timer is already overdue (no busy-spin);
+  // the wait never ends before the deadline, and if it did, the advance
+  // below would fire nothing early.
+  loop_.Wait(PumpWaitNanos(wall_.NextDeadlineDelay(), max_wait_ms));
 
   wall_.AdvanceToWallNow();
   return delivered_this_turn_;

@@ -17,6 +17,7 @@
 
 #include <cstdint>
 #include <map>
+#include <optional>
 #include <string>
 
 #include "core/clock.h"
@@ -32,6 +33,12 @@ NodeId Ipv4ToNode(const std::string& dotted);
 
 /// Formats a host-order IPv4 NodeId as "a.b.c.d".
 std::string NodeToIpv4(NodeId node);
+
+/// How long one Pump() may sleep, in ns: the next timer deadline's delay as
+/// is (`deadline_delay`; nullopt when the wheel is idle), capped at
+/// `max_wait_ms`. Negative means until a socket is readable, which is what
+/// an idle wheel with a negative `max_wait_ms` gets.
+std::int64_t PumpWaitNanos(std::optional<SimTime> deadline_delay, int max_wait_ms);
 
 class SocketMedium final : public Medium {
  public:
@@ -66,6 +73,10 @@ class SocketMedium final : public Medium {
 
   NodeId local_node() const { return local_node_; }
   const WallClockStats& wall_stats() const { return wall_.stats(); }
+  /// `wall - deadline` of every late advance, µs (kTimerLatenessMetric).
+  const obs::Histogram& timer_lateness_us() const { return wall_.lateness_us(); }
+  /// The wall reading the timer wheel tracks (SimTime units, ns).
+  SimTime WallNow() { return wall_.WallNow(); }
 
   std::uint64_t datagrams_sent() const { return sent_; }
   std::uint64_t datagrams_received() const { return received_; }

@@ -1,8 +1,30 @@
 #include "netsim/wall_clock.h"
 
 #include <cassert>
+#include <vector>
 
 namespace vtp::net {
+
+namespace {
+
+/// 1-2-5 steps from 1 µs to 1 s: ms-rounded wakes (several hundred µs late)
+/// and nanosecond wakes (tens of µs) land buckets apart.
+std::vector<double> LatenessBoundsUs() {
+  std::vector<double> bounds;
+  for (double decade = 1; decade <= 1e6; decade *= 10) {
+    for (double step : {1.0, 2.0, 5.0}) {
+      if (step * decade <= 1e6) bounds.push_back(step * decade);
+    }
+  }
+  return bounds;
+}
+
+}  // namespace
+
+WallClockDriver::WallClockDriver(Simulator* sim, core::ClockSource* clock)
+    : sim_(sim),
+      clock_(clock),
+      lateness_us_(sim->metrics().NewHistogram(kTimerLatenessMetric, LatenessBoundsUs())) {}
 
 std::uint64_t WallClockDriver::AdvanceToWallNow() {
   const SimTime wall = WallNow();
@@ -17,6 +39,7 @@ std::uint64_t WallClockDriver::AdvanceToWallNow() {
     ++stats_.late_ticks;
     const SimTime lateness = wall - *next;
     if (lateness > stats_.max_lateness) stats_.max_lateness = lateness;
+    lateness_us_->Observe(ToMicros(lateness));
   }
 
   const std::uint64_t before = sim_->events_executed();

@@ -9,11 +9,16 @@
 //     scheduled for t strictly greater than the current wall reading cannot
 //     fire. The driver additionally verifies this invariant on every advance
 //     (assert + a counter CI can gate on).
-//   * No busy-spin. NextDeadlineDelay() tells the poll loop exactly how long
-//     it may sleep; when the wheel is idle it returns nullopt (sleep until a
-//     packet arrives). Late ticks — deadlines that had already passed when
-//     the loop got around to advancing — are executed in one RunUntil batch
-//     and counted as coalesced rather than replayed tick-by-tick.
+//   * No busy-spin. NextDeadlineDelay() tells the poll loop how long it may
+//     sleep, to the nanosecond; when the wheel is idle it returns nullopt
+//     (sleep until a packet arrives). The wake itself is only as precise as
+//     the event loop's backend (EventLoop::Wait: nanoseconds plus timer
+//     slack with epoll_pwait2, whole milliseconds rounded up otherwise).
+//     Late ticks — deadlines that had already passed when the loop got
+//     around to advancing — are executed in one RunUntil batch and counted
+//     as coalesced rather than replayed tick-by-tick; how late each one was
+//     goes into the `netsim.timer_lateness_us` histogram of the Simulator's
+//     metric registry.
 #pragma once
 
 #include <cstdint>
@@ -22,8 +27,13 @@
 #include "core/clock.h"
 #include "netsim/event_queue.h"
 #include "netsim/time.h"
+#include "obs/metrics.h"
 
 namespace vtp::net {
+
+/// Registry name of the lateness histogram: `wall - deadline` in µs of
+/// every late advance's earliest overdue deadline.
+inline constexpr char kTimerLatenessMetric[] = "netsim.timer_lateness_us";
 
 /// Counters for the wall-clock invariants (exported into obs snapshots by
 /// the tools; asserted on by the drift tests).
@@ -40,7 +50,8 @@ struct WallClockStats {
 /// the Simulator itself.
 class WallClockDriver {
  public:
-  WallClockDriver(Simulator* sim, core::ClockSource* clock) : sim_(sim), clock_(clock) {}
+  /// Registers kTimerLatenessMetric in `sim`'s metric registry.
+  WallClockDriver(Simulator* sim, core::ClockSource* clock);
 
   /// Current wall reading in SimTime units (ns).
   SimTime WallNow() { return static_cast<SimTime>(clock_->NowNanos()); }
@@ -55,12 +66,14 @@ class WallClockDriver {
   std::optional<SimTime> NextDeadlineDelay();
 
   const WallClockStats& stats() const { return stats_; }
+  const obs::Histogram& lateness_us() const { return *lateness_us_; }
   Simulator& sim() { return *sim_; }
 
  private:
   Simulator* sim_;
   core::ClockSource* clock_;
   WallClockStats stats_;
+  obs::Histogram* lateness_us_;
 };
 
 }  // namespace vtp::net

@@ -6,18 +6,26 @@
 //     FrameTracers must show the spans;
 //   * wall-clock drift invariants: a Simulator driven through the
 //     WallClockDriver never fires a timer early, coalesces late ticks into
-//     one batched advance instead of replaying them, and reports idle (sleep
-//     indefinitely) rather than a zero timeout when the wheel is empty;
+//     one batched advance instead of replaying them, records how late each
+//     late advance was, and reports idle (sleep indefinitely) rather than a
+//     zero timeout when the wheel is empty;
+//   * the socket backend's wait: Pump() sleeps for the next deadline's delay
+//     unrounded, and sub-millisecond timers on real sockets never fire
+//     early;
 //   * façade semantics: property-set rejection, sim-backend construction
 //     equivalence against hand-rolled endpoints.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <chrono>
 #include <cstdint>
 #include <map>
 #include <memory>
+#include <optional>
 #include <vector>
 
 #include "core/clock.h"
+#include "netsim/event_loop.h"
 #include "netsim/network.h"
 #include "netsim/socket_medium.h"
 #include "netsim/wall_clock.h"
@@ -83,6 +91,37 @@ TEST(WallClock, CoalescesLateTicksInsteadOfReplaying) {
   EXPECT_EQ(fire_times[2], net::Millis(30));
 }
 
+TEST(WallClock, LatenessLandsInItsHistogramBucket) {
+  net::Simulator sim(1);
+  core::ManualClock clock;
+  net::WallClockDriver driver(&sim, &clock);
+  const obs::Histogram& lateness = driver.lateness_us();
+  const auto& registered = sim.metrics().histograms();
+  ASSERT_EQ(registered.count(net::kTimerLatenessMetric), 1u);
+  EXPECT_EQ(&registered.at(net::kTimerLatenessMetric), &lateness)
+      << "the histogram lives in the Simulator's registry";
+
+  // An on-time advance is not late and records nothing.
+  sim.At(net::Millis(5), [] {});
+  clock.Set(net::Millis(5));
+  driver.AdvanceToWallNow();
+  EXPECT_EQ(lateness.count(), 0u);
+
+  // The coalescing case above: the earliest of three overdue deadlines is
+  // 40 ms (40000 µs) late, one observation for the one late advance.
+  for (int ms : {10, 20, 30}) sim.At(net::Millis(ms), [] {});
+  clock.Set(net::Millis(50));
+  driver.AdvanceToWallNow();
+  ASSERT_EQ(lateness.count(), 1u);
+  EXPECT_DOUBLE_EQ(lateness.sum(), 40000.0);
+  const std::vector<double>& bounds = lateness.bounds();
+  const auto bucket = static_cast<std::size_t>(
+      std::find(bounds.begin(), bounds.end(), 50000.0) - bounds.begin());
+  ASSERT_LT(bucket, bounds.size()) << "no 50 ms bound";
+  EXPECT_EQ(bounds[bucket - 1], 20000.0);
+  EXPECT_EQ(lateness.buckets()[bucket], 1u) << "40 ms belongs in (20 ms, 50 ms]";
+}
+
 TEST(WallClock, IdleWheelMeansSleepNotSpin) {
   net::Simulator sim(1);
   core::ManualClock clock;
@@ -117,6 +156,75 @@ TEST(WallClock, NextEventTimePeeksWithoutExecuting) {
   sim.RunUntil(net::Millis(2));
   EXPECT_EQ(fired, 1);
   EXPECT_EQ(*sim.NextEventTime(), net::Millis(3));
+}
+
+// ---------------------------------------------------------------------------
+// The socket backend's wait.
+// ---------------------------------------------------------------------------
+
+TEST(PumpWait, SubMillisecondDelayPassesThroughUnrounded) {
+  EXPECT_EQ(net::PumpWaitNanos(net::Micros(300), /*max_wait_ms=*/50), net::Micros(300))
+      << "a 300 µs deadline must not become a 1 ms sleep";
+  EXPECT_EQ(net::PumpWaitNanos(net::Micros(300), /*max_wait_ms=*/-1), net::Micros(300));
+}
+
+TEST(PumpWait, OverdueDeadlineDoesNotSleep) {
+  EXPECT_EQ(net::PumpWaitNanos(net::SimTime{0}, /*max_wait_ms=*/50), 0);
+}
+
+TEST(PumpWait, MaxWaitCapsTheDelay) {
+  EXPECT_EQ(net::PumpWaitNanos(net::Millis(80), /*max_wait_ms=*/50), net::Millis(50));
+  EXPECT_EQ(net::PumpWaitNanos(net::Millis(80), /*max_wait_ms=*/0), 0);
+}
+
+TEST(PumpWait, IdleWheelWaitsMaxWait) {
+  EXPECT_EQ(net::PumpWaitNanos(std::nullopt, /*max_wait_ms=*/50), net::Millis(50));
+}
+
+TEST(PumpWait, IdleWheelWithoutCapWaitsIndefinitely) {
+  EXPECT_LT(net::PumpWaitNanos(std::nullopt, /*max_wait_ms=*/-1), 0);
+}
+
+TEST(EventLoop, WaitNeverReturnsBeforeItsTimeout) {
+  net::EventLoop loop;
+  for (const net::SimTime timeout : {net::Micros(50), net::Micros(300), net::Micros(1500)}) {
+    const auto start = std::chrono::steady_clock::now();
+    EXPECT_EQ(loop.Wait(timeout), 0);
+    const auto waited = std::chrono::duration_cast<std::chrono::nanoseconds>(
+                            std::chrono::steady_clock::now() - start)
+                            .count();
+    EXPECT_GE(waited, timeout) << "no fd is registered, so only the timeout ends the wait";
+  }
+}
+
+TEST(SocketLoopback, SubMillisecondTimersNeverFireEarly) {
+  net::SocketMedium medium(1, "127.0.0.1");
+  net::Simulator& sim = medium.sim();
+
+  // 50 deadlines 310 µs apart, so every wait Pump() takes is sub-ms. Each
+  // handler reads the wall the driver tracks; sim.now() is its deadline.
+  struct Firing {
+    net::SimTime deadline;
+    net::SimTime wall;
+  };
+  std::vector<Firing> firings;
+  const net::SimTime start = medium.WallNow();
+  for (int i = 1; i <= 50; ++i) {
+    sim.At(start + i * net::Micros(310), [&firings, &sim, &medium] {
+      firings.push_back({sim.now(), medium.WallNow()});
+    });
+  }
+
+  const net::SimTime give_up = start + net::Seconds(5);
+  while (firings.size() < 50 && medium.WallNow() < give_up) medium.Pump(/*max_wait_ms=*/10);
+
+  ASSERT_EQ(firings.size(), 50u);
+  for (std::size_t i = 0; i < firings.size(); ++i) {
+    EXPECT_EQ(firings[i].deadline, start + static_cast<net::SimTime>(i + 1) * net::Micros(310));
+    EXPECT_GE(firings[i].wall, firings[i].deadline) << "timer " << i << " fired early";
+  }
+  EXPECT_EQ(medium.wall_stats().early_fires, 0u);
+  EXPECT_EQ(medium.wall_stats().timers_fired, 50u);
 }
 
 // ---------------------------------------------------------------------------
@@ -266,12 +374,13 @@ TEST(Taps, SimBackendMatchesHandRolledEndpoint) {
 // Loopback QUIC-ping over real sockets (the CTaps quic_ping_test pattern).
 // ---------------------------------------------------------------------------
 
-/// Pumps both mediums until `done()` or the wall deadline. Alternating
-/// short pumps keeps the two single-threaded event loops live in one test
-/// process without threads.
+/// Pumps both mediums until `done()` or `deadline_ms` of wall time have
+/// passed. Alternating short pumps keeps the two single-threaded event loops
+/// live in one test process without threads.
 template <class Done>
 bool PumpBoth(net::SocketMedium& a, net::SocketMedium& b, Done done, int deadline_ms) {
-  for (int waited = 0; waited < deadline_ms; ++waited) {
+  const auto give_up = std::chrono::steady_clock::now() + std::chrono::milliseconds(deadline_ms);
+  while (std::chrono::steady_clock::now() < give_up) {
     a.Pump(/*max_wait_ms=*/1);
     b.Pump(/*max_wait_ms=*/1);
     if (done()) return true;

@@ -270,6 +270,31 @@ std::pair<std::string, std::uint16_t> ParseHostPort(const std::string& s) {
   return {s.substr(0, colon), static_cast<std::uint16_t>(std::stoi(s.substr(colon + 1)))};
 }
 
+/// The wall-clock driver's counters and timer lateness, as `vtp serve` and
+/// `vtp client --medium=socket` report them.
+void WriteWallClockJson(core::JsonWriter& w, const net::SocketMedium& medium) {
+  const net::WallClockStats& wall = medium.wall_stats();
+  w.Key("timers_fired");
+  w.Int(static_cast<std::int64_t>(wall.timers_fired));
+  w.Key("late_ticks");
+  w.Int(static_cast<std::int64_t>(wall.late_ticks));
+  w.Key("timer_lateness_p50_us");
+  w.Number(medium.timer_lateness_us().Quantile(0.50));
+  w.Key("timer_lateness_p99_us");
+  w.Number(medium.timer_lateness_us().Quantile(0.99));
+  w.Key("early_fires");
+  w.Int(static_cast<std::int64_t>(wall.early_fires));
+}
+
+void PrintWallClock(const net::SocketMedium& medium, std::ostream& out) {
+  const net::WallClockStats& wall = medium.wall_stats();
+  out << wall.timers_fired << " timers, " << wall.late_ticks << " late ticks ("
+      << wall.coalesced_ticks << " coalesced; lateness p50 "
+      << core::Fmt(medium.timer_lateness_us().Quantile(0.50), 0) << " us, p99 "
+      << core::Fmt(medium.timer_lateness_us().Quantile(0.99), 0) << " us), "
+      << wall.early_fires << " early fires\n";
+}
+
 int CmdServe(const core::Flags& flags) {
   const std::string host = flags.Get("host", "127.0.0.1");
   const auto port = static_cast<std::uint16_t>(flags.GetInt("port", 4433));
@@ -290,7 +315,6 @@ int CmdServe(const core::Flags& flags) {
   const net::SimTime end = duration_s > 0 ? net::Seconds(duration_s) : 0;
   while (!g_stop && (end == 0 || medium.sim().now() < end)) medium.Pump(/*max_wait_ms=*/100);
 
-  const net::WallClockStats& wall = medium.wall_stats();
   if (flags.GetBool("json", false)) {
     core::JsonWriter w;
     w.BeginObject();
@@ -300,25 +324,19 @@ int CmdServe(const core::Flags& flags) {
     w.Int(static_cast<std::int64_t>(medium.datagrams_received()));
     w.Key("datagrams_sent");
     w.Int(static_cast<std::int64_t>(medium.datagrams_sent()));
-    w.Key("timers_fired");
-    w.Int(static_cast<std::int64_t>(wall.timers_fired));
-    w.Key("late_ticks");
-    w.Int(static_cast<std::int64_t>(wall.late_ticks));
-    w.Key("early_fires");
-    w.Int(static_cast<std::int64_t>(wall.early_fires));
+    WriteWallClockJson(w, medium);
     w.EndObject();
     std::cout << w.str() << "\n";
   } else {
     std::cout << "vtp serve: relayed " << sfu.forwarded_count() << " datagrams ("
               << medium.datagrams_received() << " in / " << medium.datagrams_sent()
-              << " out), " << wall.timers_fired << " timers, " << wall.late_ticks
-              << " late ticks (" << wall.coalesced_ticks << " coalesced), "
-              << wall.early_fires << " early fires\n";
+              << " out), ";
+    PrintWallClock(medium, std::cout);
     PrintStageTable(obs::Snapshot::Capture(medium.sim().metrics(), &medium.sim().tracer()),
                     std::cout);
   }
   if (!DumpObsSnapshot(flags, "serve", medium.sim())) return 1;
-  return wall.early_fires == 0 ? 0 : 1;
+  return medium.wall_stats().early_fires == 0 ? 0 : 1;
 }
 
 /// One client persona: a TAPS connection to the SFU carrying a spatial
@@ -353,7 +371,7 @@ ClientPersona MakePersona(net::Medium& medium, transport::taps::Endpoint local,
 int FinishClient(const core::Flags& flags, net::Simulator& sim,
                  std::vector<ClientPersona>& personas, net::SimTime end,
                  const std::function<void(net::SimTime)>& run_until,
-                 const net::WallClockStats* wall) {
+                 const net::SocketMedium* socket) {
   sim.After(net::Millis(300), [&personas, end] {
     for (ClientPersona& p : personas) p.sender->Start(end);
   });
@@ -374,28 +392,17 @@ int FinishClient(const core::Flags& flags, net::Simulator& sim,
     w.Int(static_cast<std::int64_t>(sent));
     w.Key("frames_decoded");
     w.Int(static_cast<std::int64_t>(decoded));
-    if (wall != nullptr) {
-      w.Key("timers_fired");
-      w.Int(static_cast<std::int64_t>(wall->timers_fired));
-      w.Key("late_ticks");
-      w.Int(static_cast<std::int64_t>(wall->late_ticks));
-      w.Key("early_fires");
-      w.Int(static_cast<std::int64_t>(wall->early_fires));
-    }
+    if (socket != nullptr) WriteWallClockJson(w, *socket);
     w.EndObject();
     std::cout << w.str() << "\n";
   } else {
     std::cout << "vtp client: " << personas.size() << " personas, " << sent
               << " frames sent, " << decoded << " frames decoded end-to-end\n";
-    if (wall != nullptr) {
-      std::cout << wall->timers_fired << " timers, " << wall->late_ticks << " late ticks ("
-                << wall->coalesced_ticks << " coalesced), " << wall->early_fires
-                << " early fires\n";
-    }
+    if (socket != nullptr) PrintWallClock(*socket, std::cout);
     PrintStageTable(obs::Snapshot::Capture(sim.metrics(), &sim.tracer()), std::cout);
   }
   if (!DumpObsSnapshot(flags, "client", sim)) return 1;
-  if (wall != nullptr && wall->early_fires != 0) return 1;
+  if (socket != nullptr && socket->wall_stats().early_fires != 0) return 1;
   // The end-to-end delivery gate: persona frames must have round-tripped
   // through the SFU and decoded. (With one persona nothing fans back.)
   return personas.size() < 2 || decoded > 0 ? 0 : 1;
@@ -432,7 +439,7 @@ int CmdClient(const core::Flags& flags) {
         [&](net::SimTime until) {
           while (!g_stop && medium.sim().now() < until) medium.Pump(/*max_wait_ms=*/50);
         },
-        &medium.wall_stats());
+        &medium);
   }
 
   // sim medium: a self-contained star topology with an in-process SFU —
