@@ -26,6 +26,8 @@ constexpr std::uint8_t kFrameDatagram = 0x31;  // with length
 
 constexpr int kPacketLossThreshold = 3;
 constexpr net::SimTime kMaxAckDelay = net::Millis(25);
+// RFC 9002 §6.2.2: the RTT assumed before the first sample.
+constexpr net::SimTime kInitialRtt = net::Millis(333);
 constexpr int kAckElicitingThreshold = 2;  // RFC 9000 default: ack every 2nd
 
 // ACK frames report at most this many ranges (RFC 9000 §13.2.3 lets an
@@ -695,7 +697,10 @@ void QuicConnection::SendAckIfNeeded() {
 }
 
 net::SimTime QuicConnection::PtoInterval() const {
-  if (!srtt_) return net::Millis(100);
+  // Before the first RTT sample: smoothed RTT kInitialRtt, rttvar half of
+  // it, and no ack delay, which counts as 0 during the handshake (RFC 9002
+  // §6.2.1). That is a 999 ms PTO, above any terrestrial handshake RTT.
+  if (!srtt_) return kInitialRtt + 4 * (kInitialRtt / 2);
   return *srtt_ + std::max<net::SimTime>(4 * rttvar_, net::Millis(1)) + kMaxAckDelay;
 }
 
