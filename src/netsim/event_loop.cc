@@ -26,12 +26,7 @@ int CeilMillis(std::int64_t timeout_ns) {
   return static_cast<int>(std::min<std::int64_t>(ms, std::numeric_limits<int>::max()));
 }
 
-}  // namespace
-
 #ifdef __linux__
-
-namespace {
-
 /// epoll_pwait2: epoll_wait with a nanosecond timespec timeout. glibc wraps
 /// it from 2.35 on; without the wrapper this reports ENOSYS, as a kernel
 /// before 5.11 would, and the caller takes the millisecond path.
@@ -47,8 +42,11 @@ int EpollWaitNanos(int epoll_fd, epoll_event* events, int max_events, std::int64
   return -1;
 #endif
 }
+#endif
 
 }  // namespace
+
+#ifdef __linux__
 
 EventLoop::EventLoop() {
   epoll_fd_ = ::epoll_create1(EPOLL_CLOEXEC);

@@ -49,7 +49,7 @@ class EventLoop {
   std::map<int, FdReadHandler> handlers_;
 #ifdef __linux__
   int epoll_fd_ = -1;
-  bool pwait2_ = true;  ///< cleared when the kernel lacks epoll_pwait2 (ENOSYS)
+  bool pwait2_ = true;  ///< cleared once epoll_pwait2 is refused (ENOSYS/EPERM)
 #endif
 };
 
