@@ -72,7 +72,8 @@ int main() {
     semantic::KeypointTrackGenerator generator({}, 3);
     semantic::SemanticEncoder encoder;
     semantic::SemanticDecoder decoder;
-    semantic::PersonaReconstructor reconstructor(mesh::GeneratePersona(1));
+    const mesh::TriangleMesh persona = mesh::GeneratePersona(1);
+    semantic::PersonaReconstructor reconstructor(persona);
     std::size_t total = 0;
     const int frames = 90;
     for (int i = 0; i < frames; ++i) {
@@ -85,7 +86,7 @@ int main() {
     const double per_frame = static_cast<double>(total) / frames;
     std::cout << "semantic codec: 74 keypoints -> " << core::Fmt(per_frame, 0)
               << " B/frame, animating " << reconstructor.influenced_vertex_count()
-              << " of " << reconstructor.current().vertex_count() << " vertices locally\n\n";
+              << " of " << persona.vertex_count() << " vertices locally\n\n";
     table.AddRow({"semantic communication", "74 keypoints (mouth/eyes/hands)",
                   core::Fmt(per_frame, 0) + " B", "90 FPS",
                   core::Fmt(per_frame * 8 * 90 / 1e6, 2)});

@@ -14,11 +14,11 @@ std::uint64_t CellKey(std::uint32_t x, std::uint32_t y, std::uint32_t z) {
   return (static_cast<std::uint64_t>(x) << 42) | (static_cast<std::uint64_t>(y) << 21) | z;
 }
 
-/// The grid cell key of every vertex of `input` at `cells_per_axis`.
-void CellKeys(const TriangleMesh& input, std::size_t cells_per_axis,
+/// The grid cell key of every vertex of `input` at `cells_per_axis`, over
+/// `box`, the bounds of `input`.
+void CellKeys(const TriangleMesh& input, const Aabb& box, std::size_t cells_per_axis,
               std::vector<std::uint64_t>& keys) {
   cells_per_axis = std::clamp<std::size_t>(cells_per_axis, 1, kMaxGridCellsPerAxis);
-  const Aabb box = input.Bounds();
   const Vec3 size = box.Size();
   const float n = static_cast<float>(cells_per_axis);
   const auto axis = [n](float v, float lo, float extent) -> std::uint32_t {
@@ -45,11 +45,56 @@ std::size_t SurvivingTriangles(const TriangleMesh& input, const std::vector<std:
   return count;
 }
 
+/// The grid SimplifyToFraction builds, and the triangles it keeps.
+struct GridChoice {
+  std::size_t cells_per_axis;  ///< 0: the fraction keeps the input whole
+  std::size_t triangles;
+};
+
+/// Bisects the grid resolution for `fraction` of the input's triangles.
+GridChoice ChooseGrid(const TriangleMesh& input, double fraction) {
+  fraction = std::clamp(fraction, 1e-6, 1.0);
+  const auto target = static_cast<std::size_t>(
+      static_cast<double>(input.triangle_count()) * fraction);
+  if (fraction >= 0.999) return {0, input.triangle_count()};
+
+  // Triangle yield grows with grid resolution; bisect on cells_per_axis.
+  // A probe needs only the count SimplifyGrid would keep, so no probe
+  // builds a mesh.
+  const Aabb box = input.Bounds();
+  std::vector<std::uint64_t> keys;
+  const auto yield = [&](std::size_t cells) {
+    CellKeys(input, box, cells, keys);
+    return SurvivingTriangles(input, keys);
+  };
+  std::size_t lo = 2, hi = 4096;
+  std::size_t best = lo, best_count = yield(lo);
+  while (lo + 1 < hi) {
+    const std::size_t mid = (lo + hi) / 2;
+    const std::size_t count = yield(mid);
+    if (count < target) {
+      lo = mid;
+      best = mid;
+      best_count = count;
+    } else {
+      hi = mid;
+      // Keep the closer of the two bounds.
+      const auto err_hi = count - target;
+      const auto err_lo = target > best_count ? target - best_count : 0;
+      if (err_hi < err_lo) {
+        best = mid;
+        best_count = count;
+      }
+    }
+  }
+  return {best, best_count};
+}
+
 }  // namespace
 
 TriangleMesh SimplifyGrid(const TriangleMesh& input, std::size_t cells_per_axis) {
   std::vector<std::uint64_t> keys;
-  CellKeys(input, cells_per_axis, keys);
+  CellKeys(input, input.Bounds(), cells_per_axis, keys);
 
   // First pass: centroid per occupied cell, hashing each vertex once.
   struct Accum {
@@ -87,58 +132,12 @@ TriangleMesh SimplifyGrid(const TriangleMesh& input, std::size_t cells_per_axis)
 }
 
 TriangleMesh SimplifyToFraction(const TriangleMesh& input, double fraction) {
-  fraction = std::clamp(fraction, 1e-6, 1.0);
-  const auto target = static_cast<std::size_t>(
-      static_cast<double>(input.triangle_count()) * fraction);
-  if (fraction >= 0.999) return input;
-
-  // Triangle yield grows with grid resolution; bisect on cells_per_axis.
-  // A probe needs only the count SimplifyGrid would keep, so only the chosen
-  // grid is ever built.
-  std::vector<std::uint64_t> keys;
-  const auto yield = [&](std::size_t cells) {
-    CellKeys(input, cells, keys);
-    return SurvivingTriangles(input, keys);
-  };
-  std::size_t lo = 2, hi = 4096;
-  std::size_t best = lo, best_count = yield(lo);
-  while (lo + 1 < hi) {
-    const std::size_t mid = (lo + hi) / 2;
-    const std::size_t count = yield(mid);
-    if (count < target) {
-      lo = mid;
-      best = mid;
-      best_count = count;
-    } else {
-      hi = mid;
-      // Keep the closer of the two bounds.
-      const auto err_hi = count - target;
-      const auto err_lo = target > best_count ? target - best_count : 0;
-      if (err_hi < err_lo) {
-        best = mid;
-        best_count = count;
-      }
-    }
-  }
-  return SimplifyGrid(input, best);
+  const GridChoice choice = ChooseGrid(input, fraction);
+  return choice.cells_per_axis == 0 ? input : SimplifyGrid(input, choice.cells_per_axis);
 }
 
-TriangleMesh BoundingBoxProxy(const TriangleMesh& input) {
-  const Aabb box = input.Bounds();
-  TriangleMesh out;
-  const Vec3 mn = box.min, mx = box.max;
-  out.positions = {
-      {mn.x, mn.y, mn.z}, {mx.x, mn.y, mn.z}, {mx.x, mx.y, mn.z}, {mn.x, mx.y, mn.z},
-      {mn.x, mn.y, mx.z}, {mx.x, mn.y, mx.z}, {mx.x, mx.y, mx.z}, {mn.x, mx.y, mx.z}};
-  out.triangles = {
-      {0, 2, 1}, {0, 3, 2},  // -z
-      {4, 5, 6}, {4, 6, 7},  // +z
-      {0, 1, 5}, {0, 5, 4},  // -y
-      {3, 7, 6}, {3, 6, 2},  // +y
-      {0, 4, 7}, {0, 7, 3},  // -x
-      {1, 2, 6}, {1, 6, 5},  // +x
-  };
-  return out;
+std::size_t SimplifiedTriangleCount(const TriangleMesh& input, double fraction) {
+  return ChooseGrid(input, fraction).triangles;
 }
 
 }  // namespace vtp::mesh

@@ -2,9 +2,9 @@
 //
 // Vision Pro's visibility-aware optimizations swap spatial personas to
 // lower-triangle meshes (§4.4: 21,036 triangles in peripheral vision,
-// 45,036 beyond 3 m, 36 when out of the viewport). The render module builds
-// those LODs with this simplifier (uniform vertex clustering) plus the
-// 12-triangle-per-component bounding-box proxy.
+// 45,036 beyond 3 m, 36 when out of the viewport). The render module counts
+// the triangles of those LODs with this simplifier (uniform vertex
+// clustering).
 #pragma once
 
 #include <cstddef>
@@ -30,8 +30,8 @@ TriangleMesh SimplifyGrid(const TriangleMesh& input, std::size_t cells_per_axis)
 /// clustering can achieve). `fraction` in (0, 1].
 TriangleMesh SimplifyToFraction(const TriangleMesh& input, double fraction);
 
-/// The 12-triangle bounding-box proxy of a mesh (used when content is
-/// outside the viewport: a persona of 3 components becomes 36 triangles).
-TriangleMesh BoundingBoxProxy(const TriangleMesh& input);
+/// SimplifyToFraction(input, fraction).triangle_count(), without building
+/// the simplified mesh.
+std::size_t SimplifiedTriangleCount(const TriangleMesh& input, double fraction);
 
 }  // namespace vtp::mesh

@@ -1,5 +1,7 @@
 #include "render/lod.h"
 
+#include "mesh/simplify.h"
+
 namespace vtp::render {
 
 LodClass SelectLod(const Visibility& v, const LodPolicy& policy) {
@@ -16,32 +18,23 @@ LodClass SelectLod(const Visibility& v, const LodPolicy& policy) {
 
 namespace {
 
-/// The out-of-viewport proxy: one bounding box per persona component
-/// (head + two hands) = 3 x 12 = 36 triangles. We approximate component
-/// separation by splitting the persona at the hand offsets' x extent.
-mesh::TriangleMesh BuildProxy(const mesh::TriangleMesh& persona) {
-  // Partition vertices into head (|x| small) and hands (x strongly +/-).
-  mesh::TriangleMesh head, left, right;
+/// Triangles of the out-of-viewport proxy: one bounding box (12 triangles)
+/// per persona component, head + two hands = 3 x 12 = 36. We approximate
+/// component separation by splitting the persona at the hand offsets' x
+/// extent.
+std::size_t ProxyTriangleCount(const mesh::TriangleMesh& persona) {
+  constexpr std::size_t kBoxTriangles = 12;
+  bool head = false, left = false, right = false;
   for (const mesh::Vec3& p : persona.positions) {
     if (p.x < -0.15f) {
-      left.positions.push_back(p);
+      left = true;
     } else if (p.x > 0.15f) {
-      right.positions.push_back(p);
+      right = true;
     } else {
-      head.positions.push_back(p);
+      head = true;
     }
   }
-  mesh::TriangleMesh proxy;
-  for (const mesh::TriangleMesh* part : {&head, &left, &right}) {
-    if (part->positions.empty()) continue;
-    mesh::TriangleMesh box = mesh::BoundingBoxProxy(*part);
-    const auto base = static_cast<std::uint32_t>(proxy.positions.size());
-    proxy.positions.insert(proxy.positions.end(), box.positions.begin(), box.positions.end());
-    for (const auto& t : box.triangles) {
-      proxy.triangles.push_back({t[0] + base, t[1] + base, t[2] + base});
-    }
-  }
-  return proxy;
+  return kBoxTriangles * (std::size_t{head} + std::size_t{left} + std::size_t{right});
 }
 
 }  // namespace
@@ -49,23 +42,9 @@ mesh::TriangleMesh BuildProxy(const mesh::TriangleMesh& persona) {
 PersonaLodLadder::PersonaLodLadder(std::uint64_t seed, const LodPolicy& policy,
                                    std::size_t base_triangles)
     : full_(mesh::GeneratePersona(seed, base_triangles)),
-      distance_(mesh::SimplifyToFraction(full_, policy.distance_fraction)),
-      peripheral_(mesh::SimplifyToFraction(full_, policy.peripheral_fraction)),
-      proxy_(BuildProxy(full_)) {}
-
-std::size_t PersonaLodLadder::TriangleCount(LodClass lod) const {
-  return MeshFor(lod).triangle_count();
-}
-
-const mesh::TriangleMesh& PersonaLodLadder::MeshFor(LodClass lod) const {
-  switch (lod) {
-    case LodClass::kFull: return full_;
-    case LodClass::kDistance: return distance_;
-    case LodClass::kPeripheral: return peripheral_;
-    case LodClass::kProxy: return proxy_;
-    case LodClass::kCulledOccluded: return empty_;
-  }
-  return empty_;
-}
+      triangles_{full_.triangle_count(),
+                 mesh::SimplifiedTriangleCount(full_, policy.distance_fraction),
+                 mesh::SimplifiedTriangleCount(full_, policy.peripheral_fraction),
+                 ProxyTriangleCount(full_), 0} {}
 
 }  // namespace vtp::render

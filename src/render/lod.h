@@ -1,6 +1,6 @@
 // Level-of-detail ladder and the visibility-aware selection policy.
 //
-// Reproduces §4.4's observed behaviour on Vision Pro:
+// Reproduces §4.4's observed behaviour on Vision Pro, as triangle counts:
 //   * full persona mesh (78,030 triangles at the 1 m baseline);
 //   * a distance LOD (~58% of triangles, used beyond 3 m);
 //   * a peripheral LOD (~27%, used when the persona sits outside the
@@ -12,10 +12,10 @@
 //     paper's finding that FaceTime does not use it.
 #pragma once
 
+#include <array>
 #include <cstdint>
 
 #include "mesh/generator.h"
-#include "mesh/simplify.h"
 #include "render/visibility.h"
 
 namespace vtp::render {
@@ -39,28 +39,28 @@ struct LodPolicy {
 /// Selects the LOD class for one persona this frame.
 LodClass SelectLod(const Visibility& visibility, const LodPolicy& policy);
 
-/// The pre-built mesh ladder for a persona. Construction runs the real
-/// simplifier, so triangle counts are what clustering actually achieves for
-/// the requested fractions.
+/// A persona's enrollment mesh and the triangle count of each LOD class.
+/// Construction runs the real simplifier, so the counts are what clustering
+/// actually achieves for the requested fractions. Only the counts feed the
+/// cost model, so the simplified meshes and the proxy are never kept.
 class PersonaLodLadder {
  public:
-  /// Builds a ladder from scratch for persona `seed` (generates the base
-  /// mesh, two simplified levels per `policy`, and the 36-triangle proxy).
+  /// Builds a ladder from scratch for persona `seed`: generates the base
+  /// mesh and counts the triangles of its two simplified levels per
+  /// `policy` and of its 36-triangle proxy.
   PersonaLodLadder(std::uint64_t seed, const LodPolicy& policy,
                    std::size_t base_triangles = mesh::kPersonaTriangles);
 
   /// Triangles rendered when the persona is drawn at `lod`.
-  std::size_t TriangleCount(LodClass lod) const;
+  std::size_t TriangleCount(LodClass lod) const {
+    return triangles_[static_cast<std::size_t>(lod)];
+  }
 
-  const mesh::TriangleMesh& MeshFor(LodClass lod) const;
   const mesh::TriangleMesh& base() const { return full_; }
 
  private:
   mesh::TriangleMesh full_;
-  mesh::TriangleMesh distance_;
-  mesh::TriangleMesh peripheral_;
-  mesh::TriangleMesh proxy_;
-  mesh::TriangleMesh empty_;
+  std::array<std::size_t, 5> triangles_;  ///< indexed by LodClass
 };
 
 }  // namespace vtp::render

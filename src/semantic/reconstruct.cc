@@ -65,9 +65,14 @@ PersonaReconstructor::PersonaReconstructor(mesh::TriangleMesh base, Reconstructo
           std::make_shared<const mesh::TriangleMesh>(std::move(base)), config)) {}
 
 PersonaReconstructor::PersonaReconstructor(std::shared_ptr<const ReconstructorRig> rig)
-    : rig_(std::move(rig)), current_(rig_->base()) {}
+    : rig_(std::move(rig)) {
+  deformed_.reserve(rig_->influences_.size());
+  for (const ReconstructorRig::VertexInfluence& inf : rig_->influences_) {
+    deformed_.push_back(inf.base);
+  }
+}
 
-const mesh::TriangleMesh& PersonaReconstructor::Apply(std::span<const Vec3> points) {
+std::span<const Vec3> PersonaReconstructor::Apply(std::span<const Vec3> points) {
   if (points.size() != kSemanticPoints) {
     throw std::invalid_argument("reconstruction requires all 74 semantic points");
   }
@@ -78,15 +83,23 @@ const mesh::TriangleMesh& PersonaReconstructor::Apply(std::span<const Vec3> poin
     delta[k] = points[k] - rig.neutral_points_[k];
   }
   // Only influenced vertices move; everything else keeps the base pose.
-  for (const ReconstructorRig::VertexInfluence& inf : rig.influences_) {
+  for (std::size_t j = 0; j < rig.influences_.size(); ++j) {
+    const ReconstructorRig::VertexInfluence& inf = rig.influences_[j];
     Vec3 offset{};
     for (std::size_t i = 0; i < inf.weight.size(); ++i) {
       if (inf.weight[i] == 0) break;
       offset = offset + delta[inf.keypoint[i]] * inf.weight[i];
     }
-    current_.positions[inf.vertex] = inf.base + offset;
+    deformed_[j] = inf.base + offset;
   }
-  return current_;
+  return deformed_;
+}
+
+void PersonaReconstructor::PositionsInto(std::vector<Vec3>& out) const {
+  out = rig_->base().positions;
+  for (std::size_t j = 0; j < deformed_.size(); ++j) {
+    out[rig_->influences_[j].vertex] = deformed_[j];
+  }
 }
 
 }  // namespace vtp::semantic

@@ -7,6 +7,10 @@
 // follows a distance-weighted blend of keypoint displacements from the
 // neutral pose. If semantics stop arriving there is nothing to deform with
 // — the "poor connection" failure mode the paper triggers below 700 Kbps.
+//
+// The deformed positions are modelled device work: the session stamps a
+// frame's playout when its reconstruction ran, and the render cost comes
+// from render/cost_model.h, not from the positions.
 #pragma once
 
 #include <array>
@@ -33,7 +37,8 @@ struct ReconstructorConfig {
 /// keypoint layout and the per-vertex influence table precomputed against
 /// it. Building one walks every vertex against every keypoint, so a
 /// session builds one per persona and shares it among that persona's
-/// receivers; each receiver keeps only its own deformed mesh.
+/// receivers; each receiver keeps only its own deformed positions of the
+/// influenced vertices.
 class ReconstructorRig {
  public:
   /// `base` is the enrollment mesh in persona-local coordinates (as from
@@ -79,32 +84,37 @@ class LazyRig {
   std::shared_ptr<const ReconstructorRig> rig_;
 };
 
-/// Deforms a pre-captured base persona from incoming semantic frames.
+/// Deforms a pre-captured base persona from incoming semantic frames. It
+/// keeps only the deformed positions of the rig's influenced vertices; the
+/// topology and every static vertex stay in the rig's shared base mesh.
 class PersonaReconstructor {
  public:
   /// Builds a rig of its own for `base` (see ReconstructorRig).
   explicit PersonaReconstructor(mesh::TriangleMesh base, ReconstructorConfig config = {});
 
-  /// Deforms a copy of `rig`'s base mesh; the rig may be shared with other
+  /// Deforms `rig`'s base mesh; the rig may be shared with other
   /// reconstructors.
   explicit PersonaReconstructor(std::shared_ptr<const ReconstructorRig> rig);
 
   /// Applies one semantic frame (exactly kSemanticPoints points, in
-  /// ExtractSemanticSubset order). Returns the deformed mesh; the reference
-  /// stays valid until the next Apply call.
-  const mesh::TriangleMesh& Apply(std::span<const Vec3> points);
+  /// ExtractSemanticSubset order). Returns the deformed positions of the
+  /// influenced vertices, one per vertex in ascending vertex order; the
+  /// span stays valid until the next Apply call.
+  std::span<const Vec3> Apply(std::span<const Vec3> points);
 
-  /// The most recent reconstruction (base pose before any Apply).
-  const mesh::TriangleMesh& current() const { return current_; }
+  /// Writes the whole reconstructed mesh's vertex positions to `out`: the
+  /// base positions with the most recent deformation overlaid (the base
+  /// pose before any Apply).
+  void PositionsInto(std::vector<Vec3>& out) const;
 
   /// Number of vertices that move with the keypoints (animated region).
   std::size_t influenced_vertex_count() const { return rig_->influenced_vertex_count(); }
 
  private:
   std::shared_ptr<const ReconstructorRig> rig_;
-  // Starts as the base mesh; Apply rewrites only the influenced vertices,
-  // whose base positions live in the rig.
-  mesh::TriangleMesh current_;
+  // One position per rig influence, in the rig's influence order; starts
+  // at the base pose.
+  std::vector<Vec3> deformed_;
 };
 
 }  // namespace vtp::semantic

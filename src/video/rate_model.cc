@@ -98,15 +98,23 @@ int CalibratedRateModel::QpForTargetBps(double target_bps, double fps, int gop_l
 }
 
 const CalibratedRateModel& CalibratedRateModel::For(Resolution resolution) {
-  static std::map<std::pair<int, int>, std::unique_ptr<CalibratedRateModel>> cache;
-  static std::mutex cache_mutex;  // sessions on parallel threads share the cache
-  const auto key = std::make_pair(resolution.width, resolution.height);
-  const std::lock_guard lock(cache_mutex);
-  auto it = cache.find(key);
-  if (it == cache.end()) {
-    it = cache.emplace(key, std::make_unique<CalibratedRateModel>(resolution)).first;
+  struct Entry {
+    std::once_flag calibrated;
+    std::unique_ptr<CalibratedRateModel> model;
+  };
+  static std::map<std::pair<int, int>, Entry> cache;  // map nodes never move
+  static std::mutex cache_mutex;  // guards the map only, not a calibration
+  Entry* entry;
+  {
+    const std::lock_guard lock(cache_mutex);
+    entry = &cache[std::make_pair(resolution.width, resolution.height)];
   }
-  return *it->second;
+  // Sessions on parallel threads share the cache: each resolution
+  // calibrates once, and a thread waits only on the resolution it asks for.
+  std::call_once(entry->calibrated, [&] {
+    entry->model = std::make_unique<CalibratedRateModel>(resolution);
+  });
+  return *entry->model;
 }
 
 }  // namespace vtp::video

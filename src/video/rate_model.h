@@ -53,7 +53,8 @@ class CalibratedRateModel {
   /// Smallest calibrated-range QP whose mean bitrate is <= `target_bps`.
   int QpForTargetBps(double target_bps, double fps, int gop_length) const;
 
-  /// Process-wide cache: calibrate each resolution at most once.
+  /// Process-wide cache: calibrate each resolution at most once. Threads
+  /// asking for different resolutions calibrate concurrently.
   static const CalibratedRateModel& For(Resolution resolution);
 
   const std::vector<RateModelPoint>& points() const { return points_; }

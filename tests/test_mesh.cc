@@ -294,8 +294,8 @@ TEST_P(SimplifyFraction, LandsNearRequestedFraction) {
 // The paper's ratios: peripheral 21036/78030 = 0.27, distance 45036/78030 = 0.577.
 INSTANTIATE_TEST_SUITE_P(Fractions, SimplifyFraction, ::testing::Values(0.27, 0.577, 0.8, 0.1));
 
-// Pins the LOD meshes the ladder builds (the paper's 45,036 and 21,036
-// ratios) plus two further fractions, on two full-size personas. Recorded
+// Pins the LOD meshes at the ladder's fractions (the paper's 45,036 and
+// 21,036 ratios) plus two further fractions, on two full-size personas. Recorded
 // from the bisection that built a full grid mesh at every probe.
 TEST(Simplify, GoldenFractionDigest) {
   std::uint64_t h = kFnvBasis;
@@ -345,6 +345,20 @@ TEST(Simplify, FractionMatchesReferenceBisection) {
   }
 }
 
+// The ladder's counts: SimplifiedTriangleCount is the triangle count of the
+// mesh SimplifyToFraction builds, at the paper's two fractions, at the
+// whole mesh and at the coarsest clamp.
+TEST(Simplify, TriangleCountMatchesTheBuiltMesh) {
+  for (std::uint64_t seed = 1000; seed <= 1004; ++seed) {
+    const TriangleMesh persona = GeneratePersona(seed);
+    for (const double fraction : {45036.0 / 78030.0, 21036.0 / 78030.0, 1.0, 1e-6}) {
+      EXPECT_EQ(SimplifiedTriangleCount(persona, fraction),
+                SimplifyToFraction(persona, fraction).triangle_count())
+          << "persona " << seed << " at fraction " << fraction;
+    }
+  }
+}
+
 // At 2^22 cells per axis the vertex at z = 0.5 sits in z cell 2^21, one past
 // the 21-bit field, and an unclamped key would merge it with the vertex in
 // y cell 1. The grid is clamped to 2^21 cells, where the two stay apart and
@@ -359,16 +373,6 @@ TEST(Simplify, GridFinerThanTheKeyIsClamped) {
   EXPECT_TRUE(fine.IsValid());
   EXPECT_EQ(fine.vertex_count(), 3u);  // (0,0,0) and (0,2^-22,0) share a cell
   EXPECT_FLOAT_EQ(fine.positions[fine.triangles[0][2]].z, 0.5f);
-}
-
-TEST(Simplify, BoundingBoxProxyIsTwelveTriangles) {
-  const TriangleMesh mesh = GenerateHead(5000, 2);
-  const TriangleMesh proxy = BoundingBoxProxy(mesh);
-  EXPECT_EQ(proxy.triangle_count(), 12u);
-  EXPECT_EQ(proxy.vertex_count(), 8u);
-  EXPECT_TRUE(proxy.IsValid());
-  const Aabb a = mesh.Bounds(), b = proxy.Bounds();
-  EXPECT_FLOAT_EQ(a.Size().x, b.Size().x);
 }
 
 }  // namespace

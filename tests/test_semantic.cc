@@ -7,6 +7,8 @@
 #include <cstring>
 #include <limits>
 #include <memory>
+#include <span>
+#include <vector>
 
 #include "compress/bitstream.h"
 #include "mesh/generator.h"
@@ -221,6 +223,17 @@ TEST(Reconstructor, InfluencesCoverTheAnimatedRegions) {
   EXPECT_LT(recon.influenced_vertex_count(), persona.vertex_count());
 }
 
+// The whole reconstructed mesh's positions, as PositionsInto writes them.
+std::vector<Vec3> Positions(const PersonaReconstructor& recon) {
+  std::vector<Vec3> out;
+  recon.PositionsInto(out);
+  return out;
+}
+
+bool SamePositions(const std::vector<Vec3>& a, const std::vector<Vec3>& b) {
+  return a.size() == b.size() && std::memcmp(a.data(), b.data(), a.size() * sizeof(Vec3)) == 0;
+}
+
 TEST(Reconstructor, MouthKeypointsMoveMouthVerticesOnly) {
   const mesh::TriangleMesh persona = mesh::GeneratePersona(2, 20000);
   PersonaReconstructor recon(persona);
@@ -228,12 +241,14 @@ TEST(Reconstructor, MouthKeypointsMoveMouthVerticesOnly) {
   // Open the mouth: push all mouth keypoints down by 1 cm.
   auto points = ExtractSemanticSubset(NeutralLayout());
   for (std::size_t k = 0; k < kMouthPoints; ++k) points[k].y -= 0.01f;
-  const mesh::TriangleMesh& deformed = recon.Apply(points);
+  recon.Apply(points);
+  const std::vector<Vec3> deformed = Positions(recon);
+  ASSERT_EQ(deformed.size(), persona.vertex_count());
 
   double moved = 0, moved_far_from_face = 0;
   std::size_t count_moved = 0;
   for (std::size_t i = 0; i < persona.vertex_count(); ++i) {
-    const float d = (deformed.positions[i] - persona.positions[i]).Length();
+    const float d = (deformed[i] - persona.positions[i]).Length();
     if (d > 1e-5f) {
       ++count_moved;
       moved += d;
@@ -248,11 +263,57 @@ TEST(Reconstructor, MouthKeypointsMoveMouthVerticesOnly) {
 TEST(Reconstructor, NeutralInputIsIdentity) {
   const mesh::TriangleMesh persona = mesh::GeneratePersona(3, 10000);
   PersonaReconstructor recon(persona);
-  const auto neutral = ExtractSemanticSubset(NeutralLayout());
-  const mesh::TriangleMesh& out = recon.Apply(neutral);
+  recon.Apply(ExtractSemanticSubset(NeutralLayout()));
+  const std::vector<Vec3> out = Positions(recon);
+  ASSERT_EQ(out.size(), persona.vertex_count());
   for (std::size_t i = 0; i < persona.vertex_count(); ++i) {
-    EXPECT_NEAR((out.positions[i] - persona.positions[i]).Length(), 0.0f, 1e-6f);
+    EXPECT_NEAR((out[i] - persona.positions[i]).Length(), 0.0f, 1e-6f);
   }
+}
+
+// Apply returns one position per influenced vertex, and everything farther
+// than max_influence_m from every neutral keypoint keeps its base position
+// bit for bit.
+TEST(Reconstructor, ApplyMovesOnlyTheInfluencedVertices) {
+  const mesh::TriangleMesh persona = mesh::GeneratePersona(1000);
+  const ReconstructorConfig config;
+  PersonaReconstructor recon(persona, config);
+  EXPECT_TRUE(SamePositions(Positions(recon), persona.positions));  // base pose before any Apply
+
+  KeypointTrackGenerator track({}, 77);
+  for (int f = 0; f < 3; ++f) track.Next();
+  const std::span<const Vec3> moved = recon.Apply(ExtractSemanticSubset(track.Next()));
+  EXPECT_EQ(moved.size(), recon.influenced_vertex_count());
+
+  const std::vector<Vec3> neutral = ExtractSemanticSubset(NeutralLayout());
+  const float max_d2 = config.max_influence_m * config.max_influence_m;
+  const std::vector<Vec3> out = Positions(recon);
+  ASSERT_EQ(out.size(), persona.vertex_count());
+  std::size_t near = 0, changed = 0;
+  std::size_t next = 0;  // index into `moved`: influenced vertices ascend
+  for (std::size_t i = 0; i < persona.vertex_count(); ++i) {
+    const Vec3 v = persona.positions[i];
+    bool influenced = false;
+    for (const Vec3& k : neutral) influenced |= (v - k).Dot(v - k) <= max_d2;
+    if (influenced) {
+      ++near;
+      ASSERT_LT(next, moved.size());
+      EXPECT_EQ(std::memcmp(&out[i], &moved[next++], sizeof(Vec3)), 0) << i;
+    } else {
+      EXPECT_EQ(std::memcmp(&out[i], &v, sizeof(Vec3)), 0) << i;
+    }
+    changed += std::memcmp(&out[i], &v, sizeof(Vec3)) != 0 ? 1 : 0;
+  }
+  EXPECT_EQ(near, recon.influenced_vertex_count());
+  EXPECT_GT(changed, 0u);
+}
+
+std::uint64_t PositionsDigest(std::uint64_t h, const std::vector<Vec3>& positions) {
+  const auto* p = reinterpret_cast<const std::uint8_t*>(positions.data());
+  for (std::size_t i = 0; i < positions.size() * sizeof(Vec3); ++i) {
+    h = (h ^ p[i]) * 1099511628211ull;
+  }
+  return h;
 }
 
 // Pins 200 reconstructions of a full-size persona driven by a behavioural
@@ -261,21 +322,14 @@ TEST(Reconstructor, GoldenApplyDigest) {
   PersonaReconstructor recon(mesh::GeneratePersona(1000));
   KeypointTrackGenerator track({}, 77);
   std::uint64_t h = 1469598103934665603ull;
+  std::vector<Vec3> out;
   for (int f = 0; f < 200; ++f) {
-    const mesh::TriangleMesh& out = recon.Apply(ExtractSemanticSubset(track.Next()));
-    const auto* p = reinterpret_cast<const std::uint8_t*>(out.positions.data());
-    for (std::size_t i = 0; i < out.positions.size() * sizeof(Vec3); ++i) {
-      h = (h ^ p[i]) * 1099511628211ull;
-    }
+    recon.Apply(ExtractSemanticSubset(track.Next()));
+    recon.PositionsInto(out);
+    h = PositionsDigest(h, out);
   }
   EXPECT_EQ(recon.influenced_vertex_count(), 11536u);
   EXPECT_EQ(h, 9288102567650967682ull);
-}
-
-bool SamePositions(const mesh::TriangleMesh& a, const mesh::TriangleMesh& b) {
-  return a.positions.size() == b.positions.size() &&
-         std::memcmp(a.positions.data(), b.positions.data(),
-                     a.positions.size() * sizeof(Vec3)) == 0;
 }
 
 // GoldenApplyDigest's pins, through a rig that two reconstructors share.
@@ -286,21 +340,20 @@ TEST(Reconstructor, SharedRigHoldsTheGoldenDigestAndKeepsReceiversApart) {
       std::make_shared<const mesh::TriangleMesh>(mesh::GeneratePersona(1000)));
   PersonaReconstructor recon(rig);
   PersonaReconstructor other(rig);
-  EXPECT_TRUE(SamePositions(other.current(), rig->base()));
+  EXPECT_TRUE(SamePositions(Positions(other), rig->base().positions));
   KeypointTrackGenerator track({}, 77);
   KeypointTrackGenerator other_track({}, 78);
   std::uint64_t h = 1469598103934665603ull;
+  std::vector<Vec3> out;
   for (int f = 0; f < 200; ++f) {
-    const mesh::TriangleMesh& out = recon.Apply(ExtractSemanticSubset(track.Next()));
+    recon.Apply(ExtractSemanticSubset(track.Next()));
     other.Apply(ExtractSemanticSubset(other_track.Next()));
-    const auto* p = reinterpret_cast<const std::uint8_t*>(out.positions.data());
-    for (std::size_t i = 0; i < out.positions.size() * sizeof(Vec3); ++i) {
-      h = (h ^ p[i]) * 1099511628211ull;
-    }
+    recon.PositionsInto(out);
+    h = PositionsDigest(h, out);
   }
   EXPECT_EQ(recon.influenced_vertex_count(), 11536u);
   EXPECT_EQ(h, 9288102567650967682ull);
-  EXPECT_FALSE(SamePositions(other.current(), recon.current()));
+  EXPECT_FALSE(SamePositions(Positions(other), Positions(recon)));
 }
 
 TEST(Reconstructor, LazyRigBuildsOnceOnFirstUse) {
@@ -339,7 +392,11 @@ TEST(Reconstructor, InvalidConfigThrows) {
   EXPECT_THROW(PersonaReconstructor(persona, {.max_influence_m = -0.01f}),
                std::invalid_argument);
   // The limits themselves are accepted: a zero radius leaves nothing animated.
-  EXPECT_EQ(PersonaReconstructor(persona, {.max_influence_m = 0}).influenced_vertex_count(), 0u);
+  PersonaReconstructor still(persona, {.max_influence_m = 0});
+  EXPECT_EQ(still.influenced_vertex_count(), 0u);
+  KeypointTrackGenerator track({}, 5);
+  EXPECT_TRUE(still.Apply(ExtractSemanticSubset(track.Next())).empty());
+  EXPECT_TRUE(SamePositions(Positions(still), persona.positions));
 }
 
 TEST(Reconstructor, WrongPointCountThrows) {

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <array>
+#include <latch>
 #include <random>
 #include <thread>
 #include <vector>
@@ -384,6 +385,41 @@ TEST(RateModel, ConcurrentColdLookupsShareOneInstance) {
   for (auto& t : threads) t.join();
   for (const auto* model : seen) EXPECT_EQ(model, seen[0]);
   EXPECT_EQ(&CalibratedRateModel::For(kCold), seen[0]);
+}
+
+// Two resolutions, neither asked for by any other test, calibrate on four
+// threads at once. Each lands in one instance with the points a calibration
+// of its own gives.
+TEST(RateModel, TwoResolutionsCalibrateConcurrently) {
+  constexpr std::array<Resolution, 2> kCold{Resolution{48, 32}, Resolution{96, 64}};
+  constexpr int kThreads = 4;
+  std::array<const CalibratedRateModel*, kThreads> seen{};
+  std::latch start(kThreads);
+  std::vector<std::thread> threads;
+  for (int i = 0; i < kThreads; ++i) {
+    threads.emplace_back([&, i] {
+      start.arrive_and_wait();
+      seen[static_cast<std::size_t>(i)] = &CalibratedRateModel::For(kCold[i % 2]);
+    });
+  }
+  for (auto& t : threads) t.join();
+  EXPECT_NE(seen[0], seen[1]);
+  for (int i = 0; i < kThreads; ++i) {
+    const CalibratedRateModel& model = *seen[static_cast<std::size_t>(i)];
+    EXPECT_EQ(&model, seen[static_cast<std::size_t>(i % 2)]);
+    EXPECT_EQ(&model, &CalibratedRateModel::For(kCold[i % 2]));
+  }
+  for (std::size_t r = 0; r < kCold.size(); ++r) {
+    const CalibratedRateModel fresh(kCold[r]);
+    const auto& cached = seen[r]->points();
+    ASSERT_EQ(cached.size(), fresh.points().size());
+    for (std::size_t p = 0; p < cached.size(); ++p) {
+      EXPECT_EQ(cached[p].qp, fresh.points()[p].qp);
+      EXPECT_EQ(cached[p].mean_i_bytes, fresh.points()[p].mean_i_bytes);
+      EXPECT_EQ(cached[p].mean_p_bytes, fresh.points()[p].mean_p_bytes);
+      EXPECT_EQ(cached[p].stddev_p_bytes, fresh.points()[p].stddev_p_bytes);
+    }
+  }
 }
 
 TEST(RateModel, InvalidConfigThrows) {
