@@ -11,7 +11,6 @@
 // aggregates and prints exactly what the serial harness did.
 #pragma once
 
-#include <chrono>
 #include <functional>
 #include <iostream>
 #include <string>
@@ -63,18 +62,6 @@ auto ParallelRepeats(int n, Fn&& fn) -> std::vector<decltype(fn(0))> {
   pool.Wait();
   return results;
 }
-
-/// Wall-clock stopwatch for perf reporting.
-class WallTimer {
- public:
-  WallTimer() : start_(std::chrono::steady_clock::now()) {}
-  double seconds() const {
-    return std::chrono::duration<double>(std::chrono::steady_clock::now() - start_).count();
-  }
-
- private:
-  std::chrono::steady_clock::time_point start_;
-};
 
 /// Prints a section banner.
 inline void Banner(const std::string& title) {

@@ -2,10 +2,10 @@
 // (§4.2, Figure 6): five personas on a star topology, each sending 90 FPS
 // semantic-sized QUIC datagrams that one SFU relays to the other four.
 //
-// Shared by bench_transport (throughput with the tracer off vs armed) and
-// test_transport_ext (zero heap allocations per forward once warm). The star
-// (every host one 1 Gbps hop from the hub router) keeps generic netsim cost
-// minimal so the workload isolates the transport layer.
+// test_transport_ext runs it to hold zero heap allocations per forward once
+// warm, and to gate the armed frame tracer's cost against a disarmed run.
+// The star (every host one 1 Gbps hop from the hub router) keeps generic
+// netsim cost minimal so the workload isolates the transport layer.
 #pragma once
 
 #include <cstdint>
@@ -21,7 +21,7 @@
 #include "transport/taps.h"
 #include "vca/sfu.h"
 
-namespace vtp::bench {
+namespace vtp::transport {
 
 class SfuFanout {
  public:
@@ -46,11 +46,11 @@ class SfuFanout {
     sfu_ = std::make_unique<vca::SfuServer>(&net_, server, kSfuPort,
                                             vca::TransportKind::kQuicDatagram);
     for (int i = 0; i < kPersonas; ++i) {
-      connections_.push_back(transport::taps::Preconnection{}
+      connections_.push_back(taps::Preconnection{}
                                  .WithLocal({clients[i], static_cast<std::uint16_t>(9000 + i)})
                                  .WithRemote({server, kSfuPort})
                                  .Initiate(net_));
-      transport::QuicConnection* conn = connections_.back()->quic();
+      QuicConnection* conn = connections_.back()->quic();
       conn->set_on_datagram([this](std::span<const std::uint8_t> data) {
         for (const std::uint8_t b : data) payload_digest_ = (payload_digest_ ^ b) * kFnvPrime;
       });
@@ -71,11 +71,6 @@ class SfuFanout {
   std::uint64_t forwarded() const { return sfu_->forwarded_count(); }
   /// FNV-1a over every delivered datagram's bytes, in delivery order.
   std::uint64_t payload_digest() const { return payload_digest_; }
-  std::uint64_t prehandshake_drops() const {
-    std::uint64_t drops = 0;
-    for (const auto& c : connections_) drops += c->quic()->stats().datagrams_dropped_prehandshake;
-    return drops;
-  }
 
  private:
   static constexpr std::uint16_t kSfuPort = 7000;
@@ -87,7 +82,7 @@ class SfuFanout {
   /// sending it as a QUIC datagram tagged for SFU fan-out.
   struct Sender {
     net::Simulator* sim = nullptr;
-    transport::QuicConnection* conn = nullptr;
+    QuicConnection* conn = nullptr;
     std::vector<std::uint8_t> payload;
     std::uint64_t rng = 0;
     net::SimTime until = 0;
@@ -126,9 +121,9 @@ class SfuFanout {
   net::Simulator sim_;
   net::Network net_;
   std::unique_ptr<vca::SfuServer> sfu_;
-  std::vector<std::unique_ptr<transport::taps::Connection>> connections_;
+  std::vector<std::unique_ptr<taps::Connection>> connections_;
   Sender senders_[kPersonas];
   std::uint64_t payload_digest_ = 1469598103934665603ull;
 };
 
-}  // namespace vtp::bench
+}  // namespace vtp::transport

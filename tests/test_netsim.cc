@@ -1,4 +1,5 @@
-// Tests for the discrete-event network simulator.
+// Tests for the network simulator: RNG, geography, links, netem, capture and
+// UDP delivery. The scheduler's own tests are in test_simcore.cc.
 #include <gtest/gtest.h>
 
 #include <cstring>
@@ -16,64 +17,6 @@
 
 namespace vtp::net {
 namespace {
-
-// --- event queue -------------------------------------------------------------
-
-TEST(Simulator, RunsEventsInTimeOrder) {
-  Simulator sim;
-  std::vector<int> order;
-  sim.At(Millis(30), [&] { order.push_back(3); });
-  sim.At(Millis(10), [&] { order.push_back(1); });
-  sim.At(Millis(20), [&] { order.push_back(2); });
-  sim.Run();
-  EXPECT_EQ(order, (std::vector<int>{1, 2, 3}));
-  EXPECT_EQ(sim.now(), Millis(30));
-}
-
-TEST(Simulator, SameTimestampIsFifo) {
-  Simulator sim;
-  std::vector<int> order;
-  for (int i = 0; i < 10; ++i) {
-    sim.At(Millis(5), [&order, i] { order.push_back(i); });
-  }
-  sim.Run();
-  for (int i = 0; i < 10; ++i) EXPECT_EQ(order[static_cast<std::size_t>(i)], i);
-}
-
-TEST(Simulator, EventsCanScheduleMoreEvents) {
-  Simulator sim;
-  int count = 0;
-  std::function<void()> chain = [&] {
-    if (++count < 5) sim.After(Millis(1), chain);
-  };
-  sim.After(Millis(1), chain);
-  sim.Run();
-  EXPECT_EQ(count, 5);
-  EXPECT_EQ(sim.now(), Millis(5));
-}
-
-TEST(Simulator, RunUntilAdvancesClockAndStops) {
-  Simulator sim;
-  int ran = 0;
-  sim.At(Millis(10), [&] { ++ran; });
-  sim.At(Millis(100), [&] { ++ran; });
-  sim.RunUntil(Millis(50));
-  EXPECT_EQ(ran, 1);
-  EXPECT_EQ(sim.now(), Millis(50));
-  sim.RunUntil(Millis(200));
-  EXPECT_EQ(ran, 2);
-}
-
-TEST(Simulator, PastEventsClampToNow) {
-  Simulator sim;
-  sim.At(Millis(10), [] {});
-  sim.Run();
-  bool ran = false;
-  sim.At(Millis(1), [&] { ran = true; });  // in the "past"
-  sim.Run();
-  EXPECT_TRUE(ran);
-  EXPECT_EQ(sim.now(), Millis(10));
-}
 
 TEST(Rng, SeedDeterminism) {
   Rng a(123), b(123), c(124);

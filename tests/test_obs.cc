@@ -11,6 +11,7 @@
 
 #include "core/config.h"
 #include "core/knobs.h"
+#include "core/stats.h"
 #include "core/thread_pool.h"
 #include "netsim/event_queue.h"
 #include "obs/metrics.h"
@@ -209,6 +210,21 @@ TEST(FrameTracer, TwoPersonaSessionSpansAreComplete) {
   ASSERT_NE(e2e, nullptr);
   EXPECT_EQ(e2e->summary.n, tracer.spans().size());
   EXPECT_GT(e2e->summary.p50, 0.0);
+
+  // Every frame a receiver decoded closed one span or was counted as dropped.
+  const std::uint64_t frames_decoded = session.spatial_receiver(0)->total_frames_decoded() +
+                                       session.spatial_receiver(1)->total_frames_decoded();
+  EXPECT_EQ(snap.spans + snap.dropped_spans, frames_decoded);
+  // Each stage row is the plain core::Summarize of the tracer's raw series.
+  for (const obs::FrameTracer::StageSeries& series : tracer.Breakdown()) {
+    const core::Summary expected = core::Summarize(series.ms);
+    const obs::Snapshot::StageRow* row = snap.stage(series.label);
+    ASSERT_NE(row, nullptr) << series.label;
+    EXPECT_EQ(row->summary.n, expected.n) << series.label;
+    EXPECT_EQ(row->summary.mean, expected.mean) << series.label;
+    EXPECT_EQ(row->summary.p50, expected.p50) << series.label;
+    EXPECT_EQ(row->summary.p95, expected.p95) << series.label;
+  }
 }
 
 TEST(ObsConfig, TraceFramesOffDisarmsTracerOnly) {
@@ -221,6 +237,14 @@ TEST(ObsConfig, TraceFramesOffDisarmsTracerOnly) {
   const obs::Snapshot snap = obs::Snapshot::Capture(session.sim().metrics());
   EXPECT_FALSE(snap.traced);
   EXPECT_GT(snap.counter("sfu0.forwarded"), 0u);
+
+  // Arming the tracer changes nothing but the tracer: the same session armed
+  // runs the same events and leaves byte-identical metrics.
+  vca::TelepresenceSession armed(TwoPersonaConfig());
+  armed.Run();
+  ASSERT_TRUE(armed.sim().tracer().enabled());
+  EXPECT_EQ(armed.sim().events_executed(), session.sim().events_executed());
+  EXPECT_EQ(obs::Snapshot::Capture(armed.sim().metrics()).ToJson(), snap.ToJson());
 }
 
 // --- snapshot determinism ----------------------------------------------------

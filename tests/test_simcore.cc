@@ -40,6 +40,12 @@ TEST(TimerWheel, SameInstantIsFifo) {
   sim.At(net::Micros(100), [&order] { order.push_back(3); });
   sim.Run();
   EXPECT_EQ(order, (std::vector<int>{0, 1, 2, 3}));
+
+  // Ten at one later instant keep their insertion order too.
+  order.clear();
+  for (int i = 0; i < 10; ++i) sim.At(net::Millis(5), [&order, i] { order.push_back(i); });
+  sim.Run();
+  EXPECT_EQ(order, (std::vector<int>{0, 1, 2, 3, 4, 5, 6, 7, 8, 9}));
 }
 
 TEST(TimerWheel, SameTickDifferentTimesStayOrdered) {
@@ -68,6 +74,17 @@ TEST(TimerWheel, EventsCanScheduleMoreEvents) {
   EXPECT_EQ(fired[1], net::Millis(1));
   EXPECT_EQ(fired[2], net::Millis(3));
   EXPECT_EQ(sim.events_executed(), 3u);
+
+  // A std::function that reschedules itself by copy until it has run five
+  // times.
+  int count = 0;
+  std::function<void()> chain = [&] {
+    if (++count < 5) sim.After(net::Millis(1), chain);
+  };
+  sim.After(net::Millis(1), chain);
+  sim.Run();
+  EXPECT_EQ(count, 5);
+  EXPECT_EQ(sim.now(), net::Millis(8));
 }
 
 TEST(TimerWheel, RunUntilAdvancesClockAndStops) {
@@ -92,6 +109,13 @@ TEST(TimerWheel, PastEventsClampToNow) {
   });
   sim.Run();
   EXPECT_EQ(ran_at, net::Millis(5));
+
+  // Scheduled into the past after Run() returned: runs at the current time.
+  ran_at = -1;
+  sim.At(net::Millis(1), [&] { ran_at = sim.now(); });
+  sim.Run();
+  EXPECT_EQ(ran_at, net::Millis(5));
+  EXPECT_EQ(sim.now(), net::Millis(5));
 }
 
 TEST(TimerWheel, StopMidRunAndResume) {
@@ -133,6 +157,50 @@ TEST(TimerWheel, OversizedCapturesFallBackToHeap) {
   sim.Run();
   EXPECT_EQ(out, 1);
   EXPECT_EQ(sim.scheduler_stats().callback_heap_allocs, 1u);
+}
+
+/// A self-rescheduling timer. The padding brings the capture to the size of
+/// a typical delivery event (a Packet plus a pointer), which is what decides
+/// whether the scheduler allocates per event.
+struct ChurnChain {
+  Simulator* sim;
+  net::SimTime horizon;
+  std::uint64_t salt;
+  std::uint64_t payload[2];
+
+  void operator()() {
+    salt = salt * 6364136223846793005ULL + 1442695040888963407ULL;
+    payload[0] ^= salt;
+    if (sim->now() >= horizon) return;
+    if (salt % 512 == 0) {
+      // An occasional long timer, like a stats or teardown timer: it lands
+      // in an outer wheel level.
+      sim->After(net::Seconds(2), [] {});
+    }
+    sim->After(1 + static_cast<net::SimTime>(salt % net::Micros(150)), *this);
+  }
+};
+
+TEST(TimerWheel, SteadyChurnAllocatesNothingPerEvent) {
+  // 64 chains for 4 s of simulated time, about 3.4M events. Captures of
+  // ~40 B stay inline, and once the long timers begin to expire (2 s in)
+  // the event pool has all the slabs it will ever need.
+  static_assert(sizeof(ChurnChain) <= net::detail::InlineCallback::kInlineBytes);
+  Simulator sim(42);
+  const net::SimTime horizon = net::Seconds(4);
+  for (int i = 0; i < 64; ++i) {
+    sim.After(1 + net::Micros(i),
+              ChurnChain{&sim, horizon, 0x9E3779B97F4A7C15ULL * static_cast<std::uint64_t>(i + 1), {}});
+  }
+  sim.RunUntil(net::Seconds(3));
+  const std::uint64_t warm_events = sim.events_executed();
+  const std::uint64_t warm_slabs = sim.scheduler_stats().pool_slabs;
+  sim.Run();
+  EXPECT_GT(sim.events_executed(), warm_events);
+  EXPECT_EQ(sim.scheduler_stats().callback_heap_allocs, 0u);
+  EXPECT_GT(warm_slabs, 0u);
+  EXPECT_EQ(sim.scheduler_stats().pool_slabs, warm_slabs)
+      << "over " << sim.events_executed() - warm_events << " events after warm-up";
 }
 
 // --- differential: wheel vs a sorted-vector reference ---------------------

@@ -323,8 +323,9 @@ TEST(Taps, MessageStreamRoundTrip) {
 }
 
 // The façade must produce the identical wire behaviour to the hand-rolled
-// endpoint construction it replaced (the sim-digest acceptance criterion,
-// checked end-to-end by bench_transport's differential section).
+// endpoint construction it replaced (the sim-digest acceptance criterion;
+// end to end, the pinned wire digests of DifferentialLoss.* in
+// test_transport_ext.cc hold the sim backend's bytes).
 TEST(Taps, SimBackendMatchesHandRolledEndpoint) {
   std::uint64_t facade_packets = 0, manual_packets = 0;
   {

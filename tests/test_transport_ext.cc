@@ -1,15 +1,20 @@
 // Tests for the transport extensions: FEC, the playout buffer, QUIC
-// connection close, ACK-range edge cases, the QUIC wire goldens, and the
-// allocation-free SFU forward path.
+// connection close, ACK-range edge cases, the QUIC wire goldens, the
+// allocation-free SFU forward path, and the armed frame tracer's cost on it.
 #include <gtest/gtest.h>
 
+#include <time.h>
+
+#include <iostream>
 #include <set>
 
 #include "alloc_counter.h"
-#include "bench/sfu_fanout.h"
+#include "core/stats.h"
+#include "core/table.h"
 #include "netsim/capture.h"
 #include "netsim/netem.h"
 #include "netsim/network.h"
+#include "sfu_fanout.h"
 #include "transport/fec.h"
 #include "transport/playout.h"
 #include "transport/quic.h"
@@ -681,7 +686,7 @@ TEST(SfuFanout, SteadyStateForwardingDoesNotAllocate) {
   // Five personas fanning 90 FPS datagrams through one SFU, tracer off. Once
   // a second of traffic has warmed the packet pools, send rings and ACK
   // state, relaying each datagram to four receivers must not touch the heap.
-  bench::SfuFanout fanout(net::Seconds(3), /*obs_trace=*/false);
+  SfuFanout fanout(net::Seconds(3), /*obs_trace=*/false);
   fanout.RunUntil(net::Seconds(1));
   const std::uint64_t warm_forwarded = fanout.forwarded();
   const std::uint64_t before = g_allocs.load();
@@ -689,6 +694,86 @@ TEST(SfuFanout, SteadyStateForwardingDoesNotAllocate) {
   const std::uint64_t allocs = g_allocs.load() - before;
   EXPECT_GT(fanout.forwarded(), warm_forwarded);
   EXPECT_EQ(allocs, 0u) << "over " << fanout.forwarded() - warm_forwarded << " forwards";
+}
+
+// --- the armed frame tracer's cost on the SFU forward path ---------------------
+
+#if defined(__has_feature)
+#if __has_feature(address_sanitizer) || __has_feature(thread_sanitizer)
+#define VTP_TEST_SANITIZED 1
+#endif
+#endif
+#if defined(__SANITIZE_ADDRESS__) || defined(__SANITIZE_THREAD__)
+#define VTP_TEST_SANITIZED 1
+#endif
+
+/// Why this build's timings say nothing about the code, or nullptr.
+const char* UntimedBuild() {
+#if !defined(NDEBUG)
+  return "assertions are on (NDEBUG unset)";
+#elif defined(VTP_TEST_SANITIZED)
+  return "built with ASan or TSan";
+#else
+  return nullptr;
+#endif
+}
+
+double ThreadCpuSeconds() {
+  timespec ts{};
+  clock_gettime(CLOCK_THREAD_CPUTIME_ID, &ts);
+  return static_cast<double>(ts.tv_sec) + static_cast<double>(ts.tv_nsec) * 1e-9;
+}
+
+struct FanoutRun {
+  double cpu_s = 0;
+  std::uint64_t forwarded = 0;
+  std::uint64_t payload_digest = 0;
+};
+
+FanoutRun RunFanout(bool obs_trace) {
+  const double start = ThreadCpuSeconds();
+  SfuFanout fanout(net::Seconds(3), obs_trace);
+  fanout.RunUntil(net::Seconds(3));
+  return {ThreadCpuSeconds() - start, fanout.forwarded(), fanout.payload_digest()};
+}
+
+TEST(ObsOverhead, ArmedTracerForwardsIdenticallyWithinBudget) {
+  // The tracer's budget (DESIGN §8): interleaved off/on pairs of the fan-out
+  // session, alternating which side runs first, each timed in this thread's
+  // CPU time so other load on the host is not counted. Arming the tracer
+  // must not change what is forwarded. The median effect fails the gate only
+  // when it exceeds both 5% and the off runs' own interquartile spread.
+  constexpr int kPairs = 21;
+  // One untimed run per side: the first of each kind pays for cold pools,
+  // span buffers and page faults.
+  RunFanout(/*obs_trace=*/false);
+  RunFanout(/*obs_trace=*/true);
+  std::vector<double> off_cpu_s, effect;
+  for (int pair = 0; pair < kPairs; ++pair) {
+    FanoutRun off, on;
+    if (pair % 2 == 0) {
+      off = RunFanout(/*obs_trace=*/false);
+      on = RunFanout(/*obs_trace=*/true);
+    } else {
+      on = RunFanout(/*obs_trace=*/true);
+      off = RunFanout(/*obs_trace=*/false);
+    }
+    ASSERT_GT(off.forwarded, 0u);
+    ASSERT_EQ(on.forwarded, off.forwarded) << "pair " << pair;
+    ASSERT_EQ(on.payload_digest, off.payload_digest) << "pair " << pair;
+    off_cpu_s.push_back(off.cpu_s);
+    effect.push_back(on.cpu_s / off.cpu_s - 1.0);
+  }
+  const core::Summary off = core::Summarize(off_cpu_s);
+  const double spread = (off.p75 - off.p25) / off.p50;
+  const double median_effect = core::Summarize(effect).p50;
+  std::cout << "armed tracer: median effect " << core::Fmt(100 * median_effect) << "% over "
+            << kPairs << " pairs; off-run spread (IQR / median) " << core::Fmt(100 * spread)
+            << "% of " << core::Fmt(1e3 * off.p50) << " ms thread CPU\n";
+  if (const char* reason = UntimedBuild()) GTEST_SKIP() << "timing verdict skipped: " << reason;
+  EXPECT_FALSE(median_effect > 0.05 && median_effect > spread)
+      << "the armed tracer costs " << core::Fmt(100 * median_effect)
+      << "%, above 5% and above the " << core::Fmt(100 * spread) << "% spread of the off runs";
 }
 
 // --- FEC differential & reconciliation ----------------------------------------------
