@@ -17,7 +17,6 @@ void EventPool::Grow(SchedulerStats* stats) {
     free_ = &slab[i];
   }
   ++stats->pool_slabs;
-  stats->pool_capacity += kSlabEvents;
 }
 
 }  // namespace detail

@@ -33,14 +33,11 @@ class FrameTracer;
 
 namespace vtp::net {
 
-/// Counters the scheduler keeps so benches can report allocations/event.
+/// Counters the scheduler keeps so tests can hold its allocation behaviour.
 struct SchedulerStats {
-  std::uint64_t events_scheduled = 0;
   std::uint64_t callback_heap_allocs = 0;  ///< captures that outgrew the inline buffer
   std::uint64_t pool_slabs = 0;            ///< slab allocations made by the event pool
-  std::uint64_t pool_capacity = 0;         ///< events the pool can hold without growing
   std::uint64_t overflow_inserts = 0;      ///< events scheduled past the wheel horizon
-  std::uint64_t max_pending = 0;           ///< high-water mark of queued events
 };
 
 namespace detail {
@@ -152,9 +149,7 @@ class Simulator {
   template <class F>
   void At(SimTime t, F&& fn) {
     if (t < now_) t = now_;  // "in the past" means "immediately"
-    ++stats_.events_scheduled;
     ++pending_;
-    if (pending_ > stats_.max_pending) stats_.max_pending = pending_;
     detail::SimEvent* e = pool_.Acquire(&stats_);
     e->time = t;
     e->seq = next_seq_++;

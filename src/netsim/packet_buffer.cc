@@ -22,7 +22,6 @@ PacketPool::~PacketPool() {
 
 PacketPool::Block* PacketPool::Acquire(std::size_t size) {
   ++stats_.allocations;
-  ++stats_.outstanding;
   for (std::size_t c = 0; c < kNumClasses; ++c) {
     if (size > kClassSizes[c]) continue;
     if (free_lists_[c] != nullptr) {
@@ -39,7 +38,6 @@ PacketPool::Block* PacketPool::Acquire(std::size_t size) {
     b->size = static_cast<std::uint32_t>(size);
     b->capacity = kClassSizes[c];
     b->size_class = static_cast<std::uint32_t>(c);
-    ++stats_.fresh_blocks;
     return b;
   }
   // Oversized: a one-off allocation freed on release.
@@ -48,12 +46,10 @@ PacketPool::Block* PacketPool::Acquire(std::size_t size) {
   b->size = static_cast<std::uint32_t>(size);
   b->capacity = static_cast<std::uint32_t>(size);
   b->size_class = kUnpooled;
-  ++stats_.fresh_blocks;
   return b;
 }
 
 void PacketPool::Release(Block* block) {
-  --stats_.outstanding;
   const std::uint32_t c = block->size_class;
   if (c == kUnpooled || free_counts_[c] >= kMaxFreePerClass) {
     ::operator delete(block);

@@ -22,12 +22,10 @@
 
 namespace vtp::net {
 
-/// Counters for allocation-behaviour tracking (reported by bench_simcore).
+/// Counters for allocation-behaviour tracking (read by the pool's tests).
 struct PacketPoolStats {
-  std::uint64_t allocations = 0;   ///< buffers handed out
-  std::uint64_t pool_hits = 0;     ///< ... of which were recycled blocks
-  std::uint64_t fresh_blocks = 0;  ///< ... of which hit the system allocator
-  std::uint64_t outstanding = 0;   ///< live buffers right now
+  std::uint64_t allocations = 0;  ///< buffers handed out
+  std::uint64_t pool_hits = 0;    ///< ... of which were recycled blocks
 };
 
 class PacketBuffer;
@@ -39,7 +37,7 @@ class PacketPool {
   static PacketPool& ThreadLocal();
 
   const PacketPoolStats& stats() const { return stats_; }
-  void ResetStats() { stats_ = PacketPoolStats{.outstanding = stats_.outstanding}; }
+  void ResetStats() { stats_ = PacketPoolStats{}; }
 
   PacketPool(const PacketPool&) = delete;
   PacketPool& operator=(const PacketPool&) = delete;
