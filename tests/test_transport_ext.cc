@@ -465,17 +465,17 @@ TEST_F(AckHarness, PreHandshakeQueueCapDropsOldest) {
   EXPECT_EQ(first_bytes.back(), static_cast<std::uint8_t>(199));
 }
 
-// --- mixed-traffic session goldens --------------------------------------------------
+// --- datagram session goldens ------------------------------------------------------
 //
-// One deterministic session mixing streams, datagrams and loss; every wire
-// and application-edge observable is pinned. The values were first recorded
-// while the legacy std::vector/std::map transport still ran beside the
-// pooled path and both produced them byte for byte, and re-recorded when the
-// PTO before the first RTT sample became RFC 9002's 999 ms. The old 100 ms
-// one fired a spurious server probe on this 77 ms path (its handshake reply
-// is ACKed after RTT + ack delay); with loss, a lost handshake packet now
-// waits a full PTO, so at 15% loss only the 64 newest pre-handshake
-// datagrams go out.
+// One deterministic datagram session under loss (a pre-handshake datagram,
+// then 120 growing ones); every wire and application-edge observable is
+// pinned. The values were recorded with the reliable-stream stack still in
+// the transport, so they prove the datagram path did not move when it went.
+// Before that, the session also carried two reliable streams; its values
+// were first recorded while the legacy std::vector/std::map transport still
+// ran beside the pooled path and re-recorded when the PTO before the first
+// RTT sample became RFC 9002's 999 ms. At 15% loss a lost handshake packet
+// waits a full PTO, so only the 64 newest pre-handshake datagrams go out.
 
 std::uint64_t Fnv1a(std::uint64_t h, std::span<const std::uint8_t> data) {
   for (const std::uint8_t b : data) {
@@ -485,16 +485,14 @@ std::uint64_t Fnv1a(std::uint64_t h, std::span<const std::uint8_t> data) {
 }
 
 struct DifferentialResult {
-  std::uint64_t stream_digest = 1469598103934665603ull;
   std::uint64_t datagram_digest = 1469598103934665603ull;
   std::uint64_t wire_digest = 1469598103934665603ull;
   std::uint64_t wire_packets = 0;
-  std::uint64_t stream_bytes = 0;
   std::uint64_t datagrams = 0;
   QuicStats client_stats;
 };
 
-/// One mixed-traffic session (streams + datagrams + loss).
+/// One datagram session under `loss` on the client's access link.
 DifferentialResult RunDifferentialSession(double loss) {
   net::Simulator sim(1);
   net::Network net(&sim);
@@ -511,15 +509,6 @@ DifferentialResult RunDifferentialSession(double loss) {
   DifferentialResult r;
   QuicEndpoint client(&net, a, 9200), server(&net, b, 4433);
   server.set_on_accept([&](QuicConnection* conn) {
-    conn->set_on_stream_data(
-        [&](std::uint64_t id, std::span<const std::uint8_t> d, bool fin) {
-          r.stream_digest = Fnv1a(r.stream_digest, d);
-          r.stream_bytes += d.size();
-          if (fin) {
-            const std::uint8_t marker[1] = {static_cast<std::uint8_t>(id)};
-            r.stream_digest = Fnv1a(r.stream_digest, marker);
-          }
-        });
     conn->set_on_datagram([&](std::span<const std::uint8_t> d) {
       r.datagram_digest = Fnv1a(r.datagram_digest, d);
       ++r.datagrams;
@@ -527,16 +516,6 @@ DifferentialResult RunDifferentialSession(double loss) {
   });
   QuicConnection* conn = client.Connect(b, 4433);
   conn->SendDatagram(std::vector<std::uint8_t>(80, 1));  // queued pre-handshake
-
-  std::vector<std::uint8_t> payload(40000);
-  for (std::size_t i = 0; i < payload.size(); ++i) {
-    payload[i] = static_cast<std::uint8_t>(i * 31 + 7);
-  }
-  conn->SendStreamData(4, payload, /*fin=*/false);
-  sim.At(net::Millis(500), [conn, &payload] {
-    conn->SendStreamData(4, payload, /*fin=*/true);
-    conn->SendStreamData(8, std::vector<std::uint8_t>(5000, 0xEE), /*fin=*/true);
-  });
   for (int i = 0; i < 120; ++i) {
     sim.At(net::Millis(200 + i * 7), [conn, i] {
       conn->SendDatagram(std::vector<std::uint8_t>(
@@ -564,7 +543,6 @@ struct DifferentialGolden {
   double loss;
   std::uint64_t wire_packets;
   std::uint64_t wire_digest;
-  std::uint64_t stream_digest;
   std::uint64_t datagram_digest;
   std::uint64_t datagrams;
   std::uint64_t packets_sent;
@@ -579,7 +557,7 @@ void PrintTo(const DifferentialGolden& g, std::ostream* os) { *os << "loss " << 
 
 class DifferentialLoss : public ::testing::TestWithParam<DifferentialGolden> {};
 
-TEST_P(DifferentialLoss, MixedTrafficSessionPinned) {
+TEST_P(DifferentialLoss, DatagramSessionPinned) {
   const DifferentialGolden& g = GetParam();
   const DifferentialResult r = RunDifferentialSession(g.loss);
 
@@ -587,7 +565,6 @@ TEST_P(DifferentialLoss, MixedTrafficSessionPinned) {
   EXPECT_EQ(r.wire_packets, g.wire_packets);
   EXPECT_EQ(r.wire_digest, g.wire_digest);
   // ...identical application-edge delivery...
-  EXPECT_EQ(r.stream_digest, g.stream_digest);
   EXPECT_EQ(r.datagrams, g.datagrams);
   EXPECT_EQ(r.datagram_digest, g.datagram_digest);
   // ...and identical transport accounting.
@@ -598,22 +575,18 @@ TEST_P(DifferentialLoss, MixedTrafficSessionPinned) {
   EXPECT_EQ(r.client_stats.datagrams_sent, g.datagrams_sent);
   EXPECT_DOUBLE_EQ(r.client_stats.smoothed_rtt_ms, g.smoothed_rtt_ms);
   // Sanity: the scenario exercised real traffic.
-  EXPECT_EQ(r.stream_bytes, 85000u);
   EXPECT_GT(r.datagrams, 0u);
 }
 
 INSTANTIATE_TEST_SUITE_P(
     LossGrid, DifferentialLoss,
     ::testing::Values(
-        DifferentialGolden{0.0, 302, 167418632942470293ull, 13772861694762608535ull,
-                           13988156583958052683ull, 121, 200, 102, 0, 132491, 121,
-                           71.250608999999997},
-        DifferentialGolden{0.05, 303, 2551068024296644524ull, 13772861694762608535ull,
-                           8622155555385588809ull, 114, 208, 107, 12, 138314, 121,
-                           76.252330999999998},
-        DifferentialGolden{0.15, 259, 8720293899461311510ull, 13772861694762608535ull,
-                           18042709151992616699ull, 49, 201, 92, 34, 125844, 64,
-                           79.435122000000007}));
+        DifferentialGolden{0.0, 188, 3409308868254419123ull, 13988156583958052683ull, 121, 123,
+                           65, 0, 46070, 121, 72.591699000000006},
+        DifferentialGolden{0.05, 182, 13130575333707878028ull, 7193087466685468629ull, 117, 123,
+                           63, 4, 46070, 121, 72.608802999999995},
+        DifferentialGolden{0.15, 78, 11356275501079539696ull, 18042709151992616699ull, 49, 68,
+                           27, 17, 29254, 64, 80.949247999999997}));
 
 // --- oversized DATAGRAM frames -----------------------------------------------------
 //
