@@ -264,13 +264,14 @@ struct SimWorld {
 
 TEST(Taps, SimBackendConnectionEstablishesAndCarriesData) {
   SimWorld w;
-  auto listener = transport::taps::Preconnection{}.WithLocal({w.b, 4433}).Listen(w.network);
-
+  transport::QuicEndpoint server(&w.network, w.b, 4433);
   std::vector<std::uint8_t> server_got;
-  listener->set_on_accept([&server_got](transport::taps::Connection& conn) {
-    conn.set_on_received([&server_got, &conn](std::span<const std::uint8_t> data) {
+  std::size_t accepted = 0;
+  server.set_on_accept([&server_got, &accepted](transport::QuicConnection* conn) {
+    ++accepted;
+    conn->set_on_datagram([&server_got, conn](std::span<const std::uint8_t> data) {
       server_got.assign(data.begin(), data.end());
-      conn.Send(data);  // echo
+      conn->SendDatagram(data);  // echo
     });
   });
 
@@ -292,7 +293,7 @@ TEST(Taps, SimBackendConnectionEstablishesAndCarriesData) {
   EXPECT_TRUE(conn->ready());
   EXPECT_EQ(server_got, ping);
   EXPECT_EQ(client_got, ping);
-  EXPECT_EQ(listener->accepted_count(), 1u);
+  EXPECT_EQ(accepted, 1u);
 }
 
 TEST(Taps, MessageStreamRoundTrip) {
@@ -382,12 +383,10 @@ TEST(SocketLoopback, QuicPingRoundTrip) {
   net::SocketMedium server_medium(1, "127.0.0.1");
   net::SocketMedium client_medium(2, "127.0.0.1");
 
-  auto listener = transport::taps::Preconnection{}
-                      .WithLocal({server_medium.local_node(), kPingServerPort})
-                      .Listen(server_medium);
-  listener->set_on_accept([](transport::taps::Connection& conn) {
-    conn.set_on_received(
-        [&conn](std::span<const std::uint8_t> data) { conn.Send(data); });  // echo
+  transport::QuicEndpoint server(&server_medium, server_medium.local_node(), kPingServerPort);
+  server.set_on_accept([](transport::QuicConnection* conn) {
+    conn->set_on_datagram(
+        [conn](std::span<const std::uint8_t> data) { conn->SendDatagram(data); });  // echo
   });
 
   auto conn = transport::taps::Preconnection{}
