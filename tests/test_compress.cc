@@ -8,6 +8,7 @@
 #include "compress/entropy.h"
 #include "compress/lz77.h"
 #include "compress/lzr.h"
+#include "compress/lzr_stream.h"
 #include "compress/range_coder.h"
 #include "compress/varint.h"
 #include "mesh/generator.h"
@@ -187,20 +188,38 @@ TEST(RangeCoder, TooShortStreamThrows) {
 }
 
 // --- LZ77 --------------------------------------------------------------------
+//
+// The greedy parser runs inside LzrEncoder; its token tallies (io_stats) show
+// what it matched, and LzrDecompressInto proves the tokens reconstruct.
+
+std::vector<std::uint8_t> Compress(std::span<const std::uint8_t> data) {
+  LzrEncoder encoder;
+  std::vector<std::uint8_t> out;
+  encoder.CompressInto(data, out);
+  return out;
+}
+
+std::vector<std::uint8_t> Decompress(std::span<const std::uint8_t> stream) {
+  std::vector<std::uint8_t> out;
+  LzrDecompressInto(stream, out);
+  return out;
+}
 
 TEST(Lz77, ReconstructsTokenizedData) {
   std::string text;
   for (int i = 0; i < 100; ++i) text += "the quick brown fox jumps over the lazy dog. ";
   const std::vector<std::uint8_t> data(text.begin(), text.end());
-  const auto tokens = LzTokenize(data);
-  EXPECT_LT(tokens.size(), data.size() / 4);  // repetitive text matches well
-  EXPECT_EQ(LzReconstruct(tokens), data);
+  LzrEncoder encoder;
+  std::vector<std::uint8_t> stream;
+  encoder.CompressInto(data, stream);
+  const LzrEncoder::IoStats& io = encoder.io_stats();
+  EXPECT_LT(io.literals + io.matches, data.size() / 4);  // repetitive text matches well
+  EXPECT_EQ(Decompress(stream), data);
 }
 
 TEST(Lz77, OverlappingMatchHandledLikeRle) {
   const std::vector<std::uint8_t> data(500, 0x55);
-  const auto tokens = LzTokenize(data);
-  EXPECT_EQ(LzReconstruct(tokens), data);
+  EXPECT_EQ(Decompress(Compress(data)), data);
 }
 
 TEST(Lz77, ShortRepetitiveInputRoundTrips) {
@@ -210,8 +229,7 @@ TEST(Lz77, ShortRepetitiveInputRoundTrips) {
   for (std::size_t n = 1; n <= 32; ++n) {
     std::vector<std::uint8_t> data;
     for (std::size_t i = 0; i < n; ++i) data.push_back(static_cast<std::uint8_t>("ab"[i % 2]));
-    const auto tokens = LzTokenize(data);
-    EXPECT_EQ(LzReconstruct(tokens), data) << "n=" << n;
+    EXPECT_EQ(Decompress(Compress(data)), data) << "n=" << n;
   }
 }
 
@@ -223,27 +241,23 @@ TEST(Lz77, InteriorOfMatchIsReferenceable) {
   text += "abcdefgh";
   text += "cdefcdef";
   const std::vector<std::uint8_t> data(text.begin(), text.end());
-  const auto tokens = LzTokenize(data);
-  EXPECT_EQ(LzReconstruct(tokens), data);
-  std::size_t matches = 0;
-  for (const LzToken& t : tokens) matches += t.is_match ? 1 : 0;
-  EXPECT_GE(matches, 2u);  // the repeat AND the interior reference
+  LzrEncoder encoder;
+  std::vector<std::uint8_t> stream;
+  encoder.CompressInto(data, stream);
+  EXPECT_EQ(Decompress(stream), data);
+  EXPECT_GE(encoder.io_stats().matches, 2u);  // the repeat AND the interior reference
 }
 
 TEST(Lz77, InputsBelowMinMatchStayLiteral) {
   for (std::size_t n = 0; n < LzParams::kMinMatch; ++n) {
     const std::vector<std::uint8_t> data(n, 0x41);
-    const auto tokens = LzTokenize(data);
-    EXPECT_EQ(tokens.size(), n);
-    for (const LzToken& t : tokens) EXPECT_FALSE(t.is_match);
-    EXPECT_EQ(LzReconstruct(tokens), data);
+    LzrEncoder encoder;
+    std::vector<std::uint8_t> stream;
+    encoder.CompressInto(data, stream);
+    EXPECT_EQ(encoder.io_stats().literals, n);
+    EXPECT_EQ(encoder.io_stats().matches, 0u);
+    EXPECT_EQ(Decompress(stream), data);
   }
-}
-
-TEST(Lz77, BadDistanceThrows) {
-  std::vector<LzToken> tokens;
-  tokens.push_back({.is_match = true, .literal = 0, .length = 3, .distance = 7});
-  EXPECT_THROW(LzReconstruct(tokens), CorruptStream);
 }
 
 // --- lzr ----------------------------------------------------------------------
@@ -305,45 +319,42 @@ TEST_P(LzrRoundTrip, RoundTripsDataKind) {
     }
     default: break;
   }
-  const auto compressed = LzrCompress(data);
-  EXPECT_EQ(LzrCompressedSize(data), compressed.size());
-  EXPECT_EQ(LzrDecompress(compressed), data);
+  EXPECT_EQ(Decompress(Compress(data)), data);
 }
 
 INSTANTIATE_TEST_SUITE_P(DataKinds, LzrRoundTrip, ::testing::Range(0, 8));
 
 TEST(Lzr, CompressesRepetitiveData) {
   const std::vector<std::uint8_t> data(100000, 7);
-  EXPECT_LT(LzrCompressedSize(data), 1000u);
+  EXPECT_LT(Compress(data).size(), 1000u);
 }
 
 TEST(Lzr, RandomDataExpandsOnlySlightly) {
   std::mt19937_64 rng(5);
   std::vector<std::uint8_t> data;
   for (int i = 0; i < 50000; ++i) data.push_back(static_cast<std::uint8_t>(rng()));
-  const auto compressed = LzrCompress(data);
-  EXPECT_LT(compressed.size(), data.size() * 106 / 100 + 16);
+  EXPECT_LT(Compress(data).size(), data.size() * 106 / 100 + 16);
 }
 
 TEST(Lzr, BadMagicThrows) {
   const std::vector<std::uint8_t> junk = {'X', 'X', 'X', 'X', 0, 0};
-  EXPECT_THROW(LzrDecompress(junk), CorruptStream);
+  EXPECT_THROW(Decompress(junk), CorruptStream);
 }
 
 TEST(Lzr, LanesMagicThrows) {
   // Only LZR1 is a valid magic; '2' was the retired multi-lane container.
-  auto stream = LzrCompress(std::vector<std::uint8_t>(512, 7));
+  auto stream = Compress(std::vector<std::uint8_t>(512, 7));
   ASSERT_EQ(stream[3], '1');
   stream[3] = '2';
-  EXPECT_THROW(LzrDecompress(stream), CorruptStream);
+  EXPECT_THROW(Decompress(stream), CorruptStream);
 }
 
 TEST(Lzr, TruncatedBodyThrows) {
   std::vector<std::uint8_t> data(5000);
   for (std::size_t i = 0; i < data.size(); ++i) data[i] = static_cast<std::uint8_t>(i * 31);
-  auto compressed = LzrCompress(data);
+  auto compressed = Compress(data);
   compressed.resize(compressed.size() / 2);
-  EXPECT_ANY_THROW(LzrDecompress(compressed));
+  EXPECT_ANY_THROW(Decompress(compressed));
 }
 
 // --- crc32 --------------------------------------------------------------------

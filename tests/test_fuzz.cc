@@ -11,6 +11,7 @@
 
 #include "audio/codec.h"
 #include "compress/lzr.h"
+#include "compress/lzr_stream.h"
 #include "compress/varint.h"
 #include "mesh/codec.h"
 #include "mesh/generator.h"
@@ -19,6 +20,7 @@
 #include "transport/fec.h"
 #include "transport/quic.h"
 #include "transport/rtp.h"
+#include "transport/tcp_ping.h"
 #include "video/codec.h"
 
 namespace vtp {
@@ -53,12 +55,21 @@ void ExpectNoCrash(Fn&& fn) {
 
 constexpr int kRounds = 300;
 
+/// One compressed LZR1 stream, as product code produces it.
+std::vector<std::uint8_t> LzrStream(std::span<const std::uint8_t> data) {
+  compress::LzrEncoder encoder;
+  std::vector<std::uint8_t> stream;
+  encoder.CompressInto(data, stream);
+  return stream;
+}
+
 TEST(Fuzz, LzrDecompressNeverCrashes) {
   std::mt19937_64 rng(1);
+  std::vector<std::uint8_t> out;
   for (int i = 0; i < kRounds; ++i) {
-    ExpectNoCrash([&] { compress::LzrDecompress(RandomBytes(rng, 512)); });
+    ExpectNoCrash([&] { compress::LzrDecompressInto(RandomBytes(rng, 512), out); });
     ExpectNoCrash([&] {
-      compress::LzrDecompress(RandomWithPrefix(rng, 512, {'L', 'Z', 'R', '1'}));
+      compress::LzrDecompressInto(RandomWithPrefix(rng, 512, {'L', 'Z', 'R', '1'}), out);
     });
   }
 }
@@ -76,7 +87,7 @@ TEST(Fuzz, LzrTruncatedValidStreamNeverCrashes) {
   for (std::size_t i = 64; i < data.size(); i += 1 + rng() % 7) {
     data[i] = static_cast<std::uint8_t>(rng());
   }
-  const auto stream = compress::LzrCompress(data);
+  const auto stream = LzrStream(data);
   std::vector<std::uint8_t> out;
   for (std::size_t len = 0; len < stream.size(); ++len) {
     auto cut = stream;
@@ -98,7 +109,8 @@ TEST(Fuzz, LzrImplausibleSizeHeaderThrows) {
     std::vector<std::uint8_t> evil = {'L', 'Z', 'R', '1'};
     compress::PutUleb128(evil, claimed);
     evil.insert(evil.end(), 16, 0x5A);  // plausible-looking coded tail
-    EXPECT_THROW(compress::LzrDecompress(evil), compress::CorruptStream);
+    std::vector<std::uint8_t> out;
+    EXPECT_THROW(compress::LzrDecompressInto(evil, out), compress::CorruptStream);
   }
 }
 
@@ -111,7 +123,7 @@ TEST(Fuzz, LzrBitFlippedStreamNeverCrashes) {
   for (int i = 0; i < 4096; ++i) {
     data.push_back(static_cast<std::uint8_t>(i % 17 == 0 ? rng() : 0x42));
   }
-  const auto stream = compress::LzrCompress(data);
+  const auto stream = LzrStream(data);
   // A flip in the size header may claim a larger-but-plausible output; the
   // decoder's own bound is the hard ceiling on what it will materialize.
   const std::uint64_t plausible_limit = static_cast<std::uint64_t>(stream.size()) * 16384 + 4096;
@@ -185,6 +197,17 @@ TEST(Fuzz, RtpParseNeverCrashes) {
     const auto data = RandomBytes(rng, 64);
     ExpectNoCrash([&] { transport::RtpHeader::Parse(data); });
     ExpectNoCrash([&] { transport::RtcpReceiverReport::Parse(data); });
+    ExpectNoCrash([&] { transport::RtcpSenderReport::Parse(data); });
+    transport::TcpProbe probe;
+    ExpectNoCrash([&] { transport::TcpProbe::Parse(data, &probe); });
+    // Valid-looking headers reach past each parser's type check; the SFU
+    // runs the SR parser on every datagram of the RTP path.
+    const auto sr = RandomWithPrefix(rng, 64, {0x80, 200});
+    const auto rr = RandomWithPrefix(rng, 64, {0x81, 201});
+    const auto syn = RandomWithPrefix(rng, 64, {'T', 'C', 'P', 'P'});
+    ExpectNoCrash([&] { transport::RtcpSenderReport::Parse(sr); });
+    ExpectNoCrash([&] { transport::RtcpReceiverReport::Parse(rr); });
+    ExpectNoCrash([&] { transport::TcpProbe::Parse(syn, &probe); });
   }
 }
 
