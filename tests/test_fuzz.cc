@@ -348,7 +348,6 @@ TEST(Fuzz, EstablishedQuicConnectionSurvivesForgedFrames) {
   transport::QuicEndpoint server(&network, victim, 4433);
   server.set_on_accept([](transport::QuicConnection* conn) {
     conn->set_on_datagram([](std::span<const std::uint8_t>) {});
-    conn->set_on_stream_data([](std::uint64_t, std::span<const std::uint8_t>, bool) {});
   });
   transport::QuicConnection* conn = client.Connect(victim, 4433);
   sim.RunUntil(net::Millis(300));
@@ -377,7 +376,8 @@ TEST(Fuzz, EstablishedQuicConnectionSurvivesForgedFrames) {
     network.SendUdp(attacker, 2000, client_host, 9300, forge({0x02}));
     network.SendUdp(attacker, 2001, client_host, 9300,
                     forge({0x02, 0xFF}));  // truncated 8-byte varint
-    // Garbage stream / datagram / close frames.
+    // Garbage stream (an unknown frame type: the rest of the packet is
+    // dropped) and datagram frames.
     network.SendUdp(attacker, 2002, client_host, 9300, forge({0x0E}));
     network.SendUdp(attacker, 2003, client_host, 9300, forge({0x0F, 0x04}));
     network.SendUdp(attacker, 2004, client_host, 9300, forge({0x31, 0xBF}));

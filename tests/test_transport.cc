@@ -292,11 +292,9 @@ TEST_F(TwoHosts, QuicStatsMatchMetricRegistry) {
   // agree field for field.
   QuicEndpoint client(&net_, a_, 9000), server(&net_, b_, 4433);
   server.set_on_accept([](QuicConnection* conn) {
-    conn->set_on_stream_data([](std::uint64_t, std::span<const std::uint8_t>, bool) {});
     conn->set_on_datagram([](std::span<const std::uint8_t>) {});
   });
   QuicConnection* conn = client.Connect(b_, 4433);
-  conn->SendStreamData(4, std::vector<std::uint8_t>(20000, 0xAB), /*fin=*/true);
   for (int i = 0; i < 50; ++i) conn->SendDatagram(std::vector<std::uint8_t>(400, 2));
   sim_.RunUntil(net::Seconds(5));
   ASSERT_TRUE(conn->established());
@@ -309,7 +307,6 @@ TEST_F(TwoHosts, QuicStatsMatchMetricRegistry) {
   EXPECT_EQ(snap.counter(scope + ".packets_received"), stats.packets_received);
   EXPECT_EQ(snap.counter(scope + ".packets_declared_lost"), stats.packets_declared_lost);
   EXPECT_EQ(snap.counter(scope + ".bytes_sent"), stats.bytes_sent);
-  EXPECT_EQ(snap.counter(scope + ".stream_bytes_delivered"), stats.stream_bytes_delivered);
   EXPECT_EQ(snap.counter(scope + ".datagrams_sent"), stats.datagrams_sent);
   EXPECT_EQ(snap.counter(scope + ".datagrams_received"), stats.datagrams_received);
   EXPECT_EQ(snap.counter(scope + ".datagrams_dropped_prehandshake"),
