@@ -5,22 +5,7 @@
 
 namespace vtp::transport::taps {
 
-void MessageStream::Send(std::span<const std::uint8_t> data, bool fin) {
-  conn_->SendStreamData(id_, data, fin);
-}
-
-MessageStream& Connection::OpenStream() {
-  streams_.push_back(
-      std::unique_ptr<MessageStream>(new MessageStream(conn_, next_stream_id_)));
-  next_stream_id_ += 4;  // client-initiated bidirectional stream ids
-  return *streams_.back();
-}
-
 void Connection::set_on_received(ReceivedHandler h) { conn_->set_on_datagram(std::move(h)); }
-
-void Connection::set_on_stream_received(StreamReceivedHandler h) {
-  conn_->set_on_stream_data(std::move(h));
-}
 
 void Connection::set_on_ready(ReadyHandler h) {
   if (conn_->established()) {
@@ -30,47 +15,13 @@ void Connection::set_on_ready(ReadyHandler h) {
   conn_->set_on_established(std::move(h));
 }
 
-void Connection::set_on_closed(ClosedHandler h) { conn_->set_on_close(std::move(h)); }
-
-Listener::Listener(std::unique_ptr<QuicEndpoint> endpoint, Endpoint local)
-    : endpoint_(std::move(endpoint)), local_(local) {
-  endpoint_->set_on_accept([this](QuicConnection* qc) {
-    accepted_.push_back(std::unique_ptr<Connection>(
-        new Connection(nullptr, qc, local_, Endpoint{qc->peer_node(), 0})));
-    if (on_accept_) on_accept_(*accepted_.back());
-  });
-}
-
-void Preconnection::CheckProperties() const {
-  // QUIC-lite is the one dialable stack; it provides reliable multiplexed
-  // streams AND boundary-preserving datagrams, so the only unsatisfiable
-  // sets are the ones that prohibit what it inherently offers.
-  if (props_.reliability == Preference::kProhibit &&
-      props_.multistreaming == Preference::kRequire) {
-    throw std::invalid_argument("taps: no protocol offers multistreaming without reliability");
-  }
-  if (props_.preserve_message_boundaries == Preference::kProhibit) {
-    throw std::invalid_argument(
-        "taps: QUIC-lite always preserves message boundaries (datagrams); "
-        "no dialable bare-bytestream protocol is available");
-  }
-}
-
 std::unique_ptr<Connection> Preconnection::Initiate(net::Medium& medium) {
-  CheckProperties();
   if (!has_remote_) throw std::invalid_argument("taps: Initiate requires WithRemote");
   // Exactly the construction sequence hand-rolled callers used, so CIDs and
   // wire traffic — hence sim-backend digests — are unchanged.
   auto endpoint = std::make_unique<QuicEndpoint>(&medium, local_.node, local_.port);
   QuicConnection* qc = endpoint->Connect(remote_.node, remote_.port);
-  return std::unique_ptr<Connection>(
-      new Connection(std::move(endpoint), qc, local_, remote_));
-}
-
-std::unique_ptr<Listener> Preconnection::Listen(net::Medium& medium) {
-  CheckProperties();
-  auto endpoint = std::make_unique<QuicEndpoint>(&medium, local_.node, local_.port);
-  return std::unique_ptr<Listener>(new Listener(std::move(endpoint), local_));
+  return std::unique_ptr<Connection>(new Connection(std::move(endpoint), qc));
 }
 
 }  // namespace vtp::transport::taps

@@ -1,21 +1,18 @@
 // TAPS-style session establishment (RFC 9622 shape, CTaps idiom): a
-// Preconnection gathers endpoints + transport properties, then Initiate()
-// or Listen() resolves them to a concrete protocol stack over whichever
-// Medium backend the caller passes — the simulated internetwork or real UDP
-// sockets — without the caller ever constructing transport endpoints by
-// hand (DESIGN §14).
+// Preconnection gathers the local and remote endpoints, then Initiate()
+// resolves them to a QUIC-lite connection over whichever Medium backend the
+// caller passes — the simulated internetwork or real UDP sockets — without
+// the caller constructing transport endpoints by hand (DESIGN §14).
 //
 //   taps::Preconnection pre;
 //   pre.WithLocal({client_node, 9000})
 //      .WithRemote({server_node, 4433});
 //   auto conn = pre.Initiate(medium);          // dials QUIC-lite
 //   conn->Send(frame);                          // DATAGRAM message
-//   auto& stream = conn->OpenStream();          // reliable MessageStream
 //
-// Protocol selection follows the property-driven TAPS model: QUIC-lite is
-// the only stack with a dialing API (RTP senders are one-way, constructed
-// against a known receiver), so it serves every property set it can satisfy
-// and Initiate() rejects sets that prohibit what QUIC provides. The façade
+// QUIC-lite is the only stack with a dialing API (RTP senders are one-way,
+// constructed against a known receiver), and persona traffic rides its
+// datagrams (paper §4.1). The server side is a bare QuicEndpoint. The façade
 // produces the exact endpoint-construction sequence the callers it replaced
 // used, so sim-backend wire digests are unchanged.
 #pragma once
@@ -24,7 +21,6 @@
 #include <functional>
 #include <memory>
 #include <span>
-#include <vector>
 
 #include "netsim/medium.h"
 #include "transport/quic.h"
@@ -38,53 +34,12 @@ struct Endpoint {
   std::uint16_t port = 0;
 };
 
-/// TAPS selection preference (RFC 9622 §6.2 reduced to the three states the
-/// stack distinguishes).
-enum class Preference {
-  kNoPreference,
-  kRequire,
-  kProhibit,
-};
-
-/// Properties the application states about the transport it wants. The
-/// defaults select QUIC-lite, the stack's native media transport (paper
-/// §4.1: persona traffic rides QUIC datagrams).
-struct TransportProperties {
-  Preference reliability = Preference::kNoPreference;           ///< reliable streams
-  Preference preserve_message_boundaries = Preference::kNoPreference;  ///< datagrams
-  Preference multistreaming = Preference::kNoPreference;        ///< >1 stream per conn
-};
-
-class Connection;
-
-/// A reliable, ordered byte stream multiplexed on a Connection (a QUIC
-/// stream). Obtained from Connection::OpenStream; received data arrives via
-/// Connection::set_on_stream_received.
-class MessageStream {
- public:
-  std::uint64_t id() const { return id_; }
-
-  /// Queues bytes on the stream; `fin` closes it after this message.
-  void Send(std::span<const std::uint8_t> data, bool fin = false);
-
- private:
-  friend class Connection;
-  MessageStream(QuicConnection* conn, std::uint64_t id) : conn_(conn), id_(id) {}
-
-  QuicConnection* conn_;
-  std::uint64_t id_;
-};
-
-/// An established (or establishing) transport connection. Initiated
-/// Connections own their protocol endpoint; accepted ones share the
-/// Listener's and stay valid until the Listener is destroyed.
+/// An established (or establishing) transport connection. Owns its protocol
+/// endpoint.
 class Connection {
  public:
   using ReceivedHandler = std::function<void(std::span<const std::uint8_t> data)>;
-  using StreamReceivedHandler =
-      std::function<void(std::uint64_t stream_id, std::span<const std::uint8_t> data, bool fin)>;
   using ReadyHandler = std::function<void()>;
-  using ClosedHandler = std::function<void(std::uint64_t error_code)>;
 
   Connection(const Connection&) = delete;
   Connection& operator=(const Connection&) = delete;
@@ -93,25 +48,13 @@ class Connection {
   /// unreliable, unfragmented, not congestion-gated — the persona path).
   void Send(std::span<const std::uint8_t> data) { conn_->SendDatagram(data); }
 
-  /// Opens a new reliable stream. The reference stays valid for the
-  /// Connection's lifetime.
-  MessageStream& OpenStream();
-
-  /// Handler for incoming message-boundary (datagram) data.
+  /// Handler for incoming messages (datagrams).
   void set_on_received(ReceivedHandler h);
-  /// Handler for incoming stream data (any stream the peer opens or echoes).
-  void set_on_stream_received(StreamReceivedHandler h);
   /// Invoked once the connection is ready to carry data; fires immediately
   /// if it already is.
   void set_on_ready(ReadyHandler h);
-  void set_on_closed(ClosedHandler h);
 
-  void Close(std::uint64_t error_code = 0) { conn_->Close(error_code); }
   bool ready() const { return conn_->established(); }
-  bool closed() const { return conn_->closed(); }
-
-  Endpoint local() const { return local_; }
-  Endpoint remote() const { return remote_; }
 
   /// The underlying QUIC connection — the escape hatch for code that feeds
   /// the connection into protocol-aware machinery (persona pipelines, the
@@ -120,51 +63,16 @@ class Connection {
 
  private:
   friend class Preconnection;
-  friend class Listener;
-  Connection(std::unique_ptr<QuicEndpoint> owned, QuicConnection* conn, Endpoint local,
-             Endpoint remote)
-      : owned_endpoint_(std::move(owned)), conn_(conn), local_(local), remote_(remote) {}
-
-  std::unique_ptr<QuicEndpoint> owned_endpoint_;  // null for accepted connections
-  QuicConnection* conn_;
-  Endpoint local_;
-  Endpoint remote_;
-  std::vector<std::unique_ptr<MessageStream>> streams_;
-  std::uint64_t next_stream_id_ = 0;  // client-initiated bidi ids: 0, 4, 8, ...
-};
-
-/// A passive endpoint producing Connections as peers dial in. Owns both the
-/// protocol endpoint and every accepted Connection.
-class Listener {
- public:
-  using AcceptHandler = std::function<void(Connection&)>;
-
-  Listener(const Listener&) = delete;
-  Listener& operator=(const Listener&) = delete;
-
-  /// Invoked for each inbound connection once it can carry data.
-  void set_on_accept(AcceptHandler h) { on_accept_ = std::move(h); }
-
-  Endpoint local() const { return local_; }
-  std::size_t accepted_count() const { return accepted_.size(); }
-
-  /// The protocol endpoint, for machinery that attaches server-side state
-  /// (e.g. an SFU) to the listening socket.
-  QuicEndpoint& endpoint() { return *endpoint_; }
-
- private:
-  friend class Preconnection;
-  Listener(std::unique_ptr<QuicEndpoint> endpoint, Endpoint local);
+  Connection(std::unique_ptr<QuicEndpoint> endpoint, QuicConnection* conn)
+      : endpoint_(std::move(endpoint)), conn_(conn) {}
 
   std::unique_ptr<QuicEndpoint> endpoint_;
-  Endpoint local_;
-  AcceptHandler on_accept_;
-  std::vector<std::unique_ptr<Connection>> accepted_;
+  QuicConnection* conn_;
 };
 
-/// The pre-establishment bundle: endpoints + properties, resolved by
-/// Initiate/Listen (CTaps pattern). Reusable: one Preconnection can
-/// Initiate several Connections (bench fan-outs vary only the local port).
+/// The pre-establishment bundle: endpoints, resolved by Initiate (CTaps
+/// pattern). Reusable: one Preconnection can Initiate several Connections
+/// (bench fan-outs vary only the local port).
 class Preconnection {
  public:
   Preconnection& WithLocal(Endpoint local) {
@@ -176,29 +84,14 @@ class Preconnection {
     has_remote_ = true;
     return *this;
   }
-  Preconnection& WithProperties(TransportProperties props) {
-    props_ = props;
-    return *this;
-  }
-
-  const Endpoint& local() const { return local_; }
-  const Endpoint& remote() const { return remote_; }
-  const TransportProperties& properties() const { return props_; }
 
   /// Actively establishes a Connection to the remote endpoint over `medium`.
-  /// Throws std::invalid_argument if no protocol satisfies the properties or
-  /// the remote endpoint is unset.
+  /// Throws std::invalid_argument if the remote endpoint is unset.
   std::unique_ptr<Connection> Initiate(net::Medium& medium);
 
-  /// Passively listens on the local endpoint. Same property rules.
-  std::unique_ptr<Listener> Listen(net::Medium& medium);
-
  private:
-  void CheckProperties() const;
-
   Endpoint local_;
   Endpoint remote_;
-  TransportProperties props_;
   bool has_remote_ = false;
 };
 

@@ -12,8 +12,8 @@
 //   * the socket backend's wait: Pump() sleeps for the next deadline's delay
 //     unrounded, and sub-millisecond timers on real sockets never fire
 //     early;
-//   * façade semantics: property-set rejection, sim-backend construction
-//     equivalence against hand-rolled endpoints.
+//   * façade semantics: a remote endpoint is required, and the sim-backend
+//     construction matches hand-rolled endpoints.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -221,29 +221,6 @@ TEST(Taps, InitiateRequiresRemote) {
   EXPECT_THROW(pre.Initiate(network), std::invalid_argument);
 }
 
-TEST(Taps, RejectsUnsatisfiableProperties) {
-  net::Simulator sim(1);
-  net::Network network(&sim);
-  using transport::taps::Preference;
-
-  transport::taps::TransportProperties no_boundaries;
-  no_boundaries.preserve_message_boundaries = Preference::kProhibit;
-  EXPECT_THROW(transport::taps::Preconnection{}
-                   .WithRemote({1, 4433})
-                   .WithProperties(no_boundaries)
-                   .Initiate(network),
-               std::invalid_argument);
-
-  transport::taps::TransportProperties unreliable_streams;
-  unreliable_streams.reliability = Preference::kProhibit;
-  unreliable_streams.multistreaming = Preference::kRequire;
-  EXPECT_THROW(transport::taps::Preconnection{}
-                   .WithRemote({1, 4433})
-                   .WithProperties(unreliable_streams)
-                   .Initiate(network),
-               std::invalid_argument);
-}
-
 /// Star topology helper for sim-backend façade tests.
 struct SimWorld {
   net::Simulator sim{1};
@@ -294,33 +271,6 @@ TEST(Taps, SimBackendConnectionEstablishesAndCarriesData) {
   EXPECT_EQ(server_got, ping);
   EXPECT_EQ(client_got, ping);
   EXPECT_EQ(accepted, 1u);
-}
-
-TEST(Taps, MessageStreamRoundTrip) {
-  SimWorld w;
-  auto listener = transport::taps::Preconnection{}.WithLocal({w.b, 4433}).Listen(w.network);
-  std::vector<std::uint8_t> server_stream;
-  bool server_fin = false;
-  listener->set_on_accept([&](transport::taps::Connection& conn) {
-    conn.set_on_stream_received(
-        [&](std::uint64_t stream_id, std::span<const std::uint8_t> data, bool fin) {
-          EXPECT_EQ(stream_id, 0u);
-          server_stream.insert(server_stream.end(), data.begin(), data.end());
-          server_fin |= fin;
-        });
-  });
-
-  auto conn = transport::taps::Preconnection{}
-                  .WithLocal({w.a, 9000})
-                  .WithRemote({w.b, 4433})
-                  .Initiate(w.network);
-  transport::taps::MessageStream& stream = conn->OpenStream();
-  const std::vector<std::uint8_t> hello = {'h', 'e', 'l', 'l', 'o'};
-  stream.Send(hello, /*fin=*/true);
-
-  w.sim.RunUntil(net::Seconds(1));
-  EXPECT_EQ(server_stream, hello);
-  EXPECT_TRUE(server_fin);
 }
 
 // The façade must produce the identical wire behaviour to the hand-rolled
