@@ -18,8 +18,6 @@ constexpr std::uint8_t kLongTypeHandshake = 2;
 constexpr std::uint8_t kFramePadding = 0x00;
 constexpr std::uint8_t kFramePing = 0x01;
 constexpr std::uint8_t kFrameAck = 0x02;
-constexpr std::uint8_t kFrameStreamBase = 0x0E;  // OFF|LEN set
-constexpr std::uint8_t kFrameStreamFin = 0x0F;
 constexpr std::uint8_t kFrameConnectionClose = 0x1C;
 constexpr std::uint8_t kFrameHandshakeDone = 0x1E;
 constexpr std::uint8_t kFrameDatagram = 0x31;  // with length
@@ -39,12 +37,6 @@ constexpr std::size_t kMaxAckRanges = 32;
 constexpr std::size_t kMaxTrackedRecvRanges = 256;
 
 constexpr std::size_t kInitialRingSize = 64;  // sent-packet ring; power of two
-
-// Hard cap on how far ahead of the delivery frontier a stream segment may
-// land in the contiguous reassembly window. Honest senders stay within the
-// congestion window (far below this); a forged frame with a huge offset must
-// not translate into a huge allocation.
-constexpr std::uint64_t kMaxReassemblyWindow = 1ull << 24;  // 16 MiB
 
 // The varint emitter is templated over the sink: the public PutQuicVarint
 // appends to a std::vector, packets serialize straight into their
@@ -90,29 +82,6 @@ std::uint64_t GetU64(std::span<const std::uint8_t> d, std::size_t* pos) {
   return v;
 }
 
-/// Merges the absolute byte range [first, last] into an ascending list of
-/// disjoint ranges (stream reassembly bookkeeping; unlike packet numbers,
-/// retransmitted stream bytes can overlap existing ranges arbitrarily).
-void MergeByteRange(std::vector<std::pair<std::uint64_t, std::uint64_t>>& ranges,
-                    std::uint64_t first, std::uint64_t last) {
-  auto it = std::lower_bound(
-      ranges.begin(), ranges.end(), first,
-      [](const std::pair<std::uint64_t, std::uint64_t>& r, std::uint64_t v) {
-        return r.second + 1 < v;
-      });
-  if (it == ranges.end() || last + 1 < it->first) {
-    ranges.insert(it, {first, last});
-    return;
-  }
-  it->first = std::min(it->first, first);
-  it->second = std::max(it->second, last);
-  auto next = std::next(it);
-  while (next != ranges.end() && next->first <= it->second + 1) {
-    it->second = std::max(it->second, next->second);
-    next = ranges.erase(next);
-  }
-}
-
 }  // namespace
 
 void PutQuicVarint(std::vector<std::uint8_t>& out, std::uint64_t value) {
@@ -154,13 +123,10 @@ QuicConnection::QuicConnection(QuicEndpoint* endpoint, std::uint64_t local_cid,
   obs_.packets_received = reg.NewCounter(scope_ + ".packets_received");
   obs_.packets_declared_lost = reg.NewCounter(scope_ + ".packets_declared_lost");
   obs_.bytes_sent = reg.NewCounter(scope_ + ".bytes_sent");
-  obs_.stream_bytes_delivered = reg.NewCounter(scope_ + ".stream_bytes_delivered");
   obs_.datagrams_sent = reg.NewCounter(scope_ + ".datagrams_sent");
   obs_.datagrams_received = reg.NewCounter(scope_ + ".datagrams_received");
   obs_.datagrams_dropped_prehandshake = reg.NewCounter(scope_ + ".datagrams_dropped_prehandshake");
   obs_.smoothed_rtt_ms = reg.NewGauge(scope_ + ".smoothed_rtt_ms");
-  obs_.reassembly_ranges_peak = reg.NewGauge(scope_ + ".reassembly_ranges_peak");
-  obs_.reassembly_window_peak = reg.NewGauge(scope_ + ".reassembly_window_peak");
 }
 
 QuicStats QuicConnection::stats() const {
@@ -169,7 +135,6 @@ QuicStats QuicConnection::stats() const {
   s.packets_received = obs_.packets_received->value();
   s.packets_declared_lost = obs_.packets_declared_lost->value();
   s.bytes_sent = obs_.bytes_sent->value();
-  s.stream_bytes_delivered = obs_.stream_bytes_delivered->value();
   s.datagrams_sent = obs_.datagrams_sent->value();
   s.datagrams_received = obs_.datagrams_received->value();
   s.datagrams_dropped_prehandshake = obs_.datagrams_dropped_prehandshake->value();
@@ -180,33 +145,11 @@ QuicStats QuicConnection::stats() const {
 void QuicConnection::StartHandshake() {
   QuicPacketWriter w = BeginPacket(/*long_header=*/true, kLongTypeInitial);
   w.push_back(kFramePing);
-  FinishPacket(std::move(w), /*ack_eliciting=*/true, nullptr, /*pad_initial=*/true);
+  FinishPacket(std::move(w), /*ack_eliciting=*/true, /*pad_initial=*/true);
 }
 
 std::size_t QuicConnection::CongestionBudget() const {
   return cwnd_ > bytes_in_flight_ ? cwnd_ - bytes_in_flight_ : 0;
-}
-
-void QuicConnection::SendStreamData(std::uint64_t stream_id,
-                                    std::span<const std::uint8_t> data, bool fin) {
-  if (closed_) return;
-  std::uint64_t& offset = stream_offsets_[stream_id];
-  // Chunk so each piece fits a packet even after headers.
-  constexpr std::size_t kChunk = kMaxPacketSize - 64;
-  std::size_t pos = 0;
-  do {
-    const std::size_t n = std::min(kChunk, data.size() - pos);
-    SentStreamChunk chunk;
-    chunk.stream_id = stream_id;
-    chunk.offset = offset;
-    chunk.data.assign(data.begin() + static_cast<std::ptrdiff_t>(pos),
-                      data.begin() + static_cast<std::ptrdiff_t>(pos + n));
-    chunk.fin = fin && (pos + n == data.size());
-    offset += n;
-    pos += n;
-    stream_queue_.push_back(std::move(chunk));
-  } while (pos < data.size());
-  MaybeSendPending();
 }
 
 void QuicConnection::Close(std::uint64_t error_code) {
@@ -216,7 +159,7 @@ void QuicConnection::Close(std::uint64_t error_code) {
   PutVarintTo(w, error_code);
   PutVarintTo(w, 0);  // offending frame type (none)
   PutVarintTo(w, 0);  // reason phrase length
-  FinishPacket(std::move(w), /*ack_eliciting=*/false, nullptr);
+  FinishPacket(std::move(w), /*ack_eliciting=*/false);
   closed_ = true;
 }
 
@@ -243,7 +186,7 @@ void QuicConnection::SendDatagram(std::span<const std::uint8_t> data) {
   w.push_back(kFrameDatagram);
   PutVarintTo(w, data.size());
   w.append(data.data(), data.size());
-  FinishPacket(std::move(w), /*ack_eliciting=*/true, nullptr);
+  FinishPacket(std::move(w), /*ack_eliciting=*/true);
 }
 
 void QuicConnection::MaybeSendPending() {
@@ -252,37 +195,6 @@ void QuicConnection::MaybeSendPending() {
     auto d = std::move(datagram_queue_.front());
     datagram_queue_.pop_front();
     SendDatagram(d);
-  }
-  while (!stream_queue_.empty()) {
-    // Respect the congestion window for reliable data.
-    std::size_t budget = CongestionBudget();
-    if (budget < stream_queue_.front().data.size() + 64) break;
-
-    QuicPacketWriter w = BeginPacket(/*long_header=*/false, 0);
-    const std::size_t header = w.size();
-    chunk_scratch_.clear();
-    while (!stream_queue_.empty() && w.size() - header < kMaxPacketSize - 96) {
-      // A rejected chunk is pushed back in front of its own moved-from husk
-      // (same stream, offset and FIN, no bytes), which later goes out as an
-      // empty STREAM frame. The wire goldens pin this quirk.
-      SentStreamChunk c = std::move(stream_queue_.front());
-      const std::size_t cost = c.data.size() + 16;
-      if (w.size() != header &&
-          (w.size() - header + cost > kMaxPacketSize - 64 || cost > budget)) {
-        stream_queue_.push_front(std::move(c));
-        break;
-      }
-      stream_queue_.pop_front();
-      budget = budget > cost ? budget - cost : 0;
-      w.push_back(c.fin ? kFrameStreamFin : kFrameStreamBase);
-      PutVarintTo(w, c.stream_id);
-      PutVarintTo(w, c.offset);
-      PutVarintTo(w, c.data.size());
-      w.append(c.data.data(), c.data.size());
-      chunk_scratch_.push_back(std::move(c));
-    }
-    if (w.size() == header) break;
-    FinishPacket(std::move(w), /*ack_eliciting=*/true, &chunk_scratch_);
   }
 }
 
@@ -304,8 +216,7 @@ QuicPacketWriter QuicConnection::BeginPacket(bool long_header, std::uint8_t long
   return w;
 }
 
-void QuicConnection::FinishPacket(QuicPacketWriter&& w, bool ack_eliciting,
-                                  std::vector<SentStreamChunk>* chunks, bool pad_initial) {
+void QuicConnection::FinishPacket(QuicPacketWriter&& w, bool ack_eliciting, bool pad_initial) {
   if (pad_initial) w.pad_to(kMaxPacketSize);  // RFC 9000 §14.1, one memset
   const std::uint64_t pn = next_pn_++;
   SentPacketInfo& info = SentSlot(pn);
@@ -314,8 +225,6 @@ void QuicConnection::FinishPacket(QuicPacketWriter&& w, bool ack_eliciting,
   info.ack_eliciting = ack_eliciting;
   info.acked = false;
   info.lost = false;
-  info.chunks.clear();  // keeps capacity: slot reuse stays allocation-free
-  if (chunks != nullptr) std::swap(info.chunks, *chunks);
   if (ack_eliciting) bytes_in_flight_ += info.bytes;
 
   obs_.packets_sent->Inc();
@@ -387,7 +296,7 @@ void QuicConnection::OnDatagramReceived(std::span<const std::uint8_t> payload) {
       QuicPacketWriter w = BeginPacket(/*long_header=*/true, kLongTypeHandshake);
       AppendAckFrameTo(w);
       w.push_back(kFrameHandshakeDone);
-      FinishPacket(std::move(w), /*ack_eliciting=*/true, nullptr);
+      FinishPacket(std::move(w), /*ack_eliciting=*/true);
       established_ = true;
     }
     if (!was_established && established_ && on_established_) on_established_();
@@ -447,18 +356,6 @@ void QuicConnection::ProcessFrames(std::span<const std::uint8_t> payload) {
         mark_ack_eliciting();
         if (is_client_) established_ = true;
         break;
-      case kFrameStreamBase:
-      case kFrameStreamFin: {
-        mark_ack_eliciting();
-        const std::uint64_t stream_id = GetQuicVarint(payload, &pos);
-        const std::uint64_t offset = GetQuicVarint(payload, &pos);
-        const std::uint64_t length = GetQuicVarint(payload, &pos);
-        if (pos + length > payload.size()) throw compress::CorruptStream("quic: stream overrun");
-        OnStreamSegment(stream_id, offset, payload.subspan(pos, length),
-                        type == kFrameStreamFin);
-        pos += length;
-        break;
-      }
       case kFrameDatagram: {
         mark_ack_eliciting();
         const std::uint64_t length = GetQuicVarint(payload, &pos);
@@ -469,52 +366,10 @@ void QuicConnection::ProcessFrames(std::span<const std::uint8_t> payload) {
         break;
       }
       default:
-        // Unknown frame: cannot skip safely, drop the rest of the packet.
+        // Unknown frame (STREAM included): cannot skip safely, drop the
+        // rest of the packet.
         return;
     }
-  }
-}
-
-// Stream reassembly: bytes land in a contiguous window anchored at the
-// delivery frontier, with merged range bookkeeping. Consecutive segments
-// arriving out of order are handed to the application as one merged run.
-void QuicConnection::OnStreamSegment(std::uint64_t stream_id, std::uint64_t offset,
-                                     std::span<const std::uint8_t> data, bool fin) {
-  RecvAssembly& rs = recv_assembly_[stream_id];
-  if (fin) rs.fin_offset = offset + data.size();
-  const std::uint64_t end = offset + data.size();
-  if (end > rs.delivered && !data.empty()) {
-    std::uint64_t begin = offset;
-    if (begin < rs.delivered) {  // clip the already-delivered prefix
-      data = data.subspan(static_cast<std::size_t>(rs.delivered - begin));
-      begin = rs.delivered;
-    }
-    if (end - rs.delivered > kMaxReassemblyWindow) {
-      throw compress::CorruptStream("quic: stream segment beyond reassembly window");
-    }
-    const std::size_t rel = static_cast<std::size_t>(begin - rs.delivered);
-    if (rs.window.size() < rel + data.size()) rs.window.resize(rel + data.size());
-    std::memcpy(rs.window.data() + rel, data.data(), data.size());
-    MergeByteRange(rs.ranges, begin, end - 1);
-    obs_.reassembly_ranges_peak->Max(static_cast<double>(rs.ranges.size()));
-    obs_.reassembly_window_peak->Max(static_cast<double>(rs.window.size()));
-  }
-  // Deliver the contiguous prefix. Ranges are merged, so this runs at most
-  // once per arriving segment.
-  while (!rs.ranges.empty() && rs.ranges.front().first == rs.delivered) {
-    const std::uint64_t run = rs.ranges.front().second - rs.delivered + 1;
-    const std::size_t n = static_cast<std::size_t>(run);
-    rs.delivered += run;
-    rs.ranges.erase(rs.ranges.begin());
-    obs_.stream_bytes_delivered->Inc(run);
-    const bool done = rs.fin_offset && rs.delivered >= *rs.fin_offset;
-    if (on_stream_data_) on_stream_data_(stream_id, std::span(rs.window.data(), n), done);
-    rs.window.erase(rs.window.begin(), rs.window.begin() + static_cast<std::ptrdiff_t>(n));
-  }
-  // An empty FIN segment at the delivery frontier signals end-of-stream with
-  // an empty payload.
-  if (data.empty() && fin && offset == rs.delivered && rs.fin_offset == rs.delivered) {
-    if (on_stream_data_) on_stream_data_(stream_id, {}, true);
   }
 }
 
@@ -588,7 +443,6 @@ void QuicConnection::AckInfo(SentPacketInfo& info) {
       cwnd_ += kMaxPacketSize * info.bytes / cwnd_;
     }
   }
-  info.chunks.clear();
 }
 
 void QuicConnection::DetectLosses() {
@@ -607,9 +461,6 @@ void QuicConnection::DetectLosses() {
     info.lost = true;
     obs_.packets_declared_lost->Inc();
     bytes_in_flight_ = bytes_in_flight_ >= info.bytes ? bytes_in_flight_ - info.bytes : 0;
-    // Retransmit reliable payloads; datagrams stay lost by design.
-    for (SentStreamChunk& c : info.chunks) stream_queue_.push_front(std::move(c));
-    info.chunks.clear();
     if (pn >= recovery_start_pn_) congestion_event = true;
     return false;
   };
@@ -629,7 +480,6 @@ void QuicConnection::RetireSettled(std::uint64_t limit) {
   while (ring_base_ < limit) {
     SentPacketInfo& s = sent_ring_[ring_base_ & (sent_ring_.size() - 1)];
     if (!(s.acked || s.lost)) break;
-    s.chunks.clear();
     ++ring_base_;
   }
 }
@@ -693,7 +543,7 @@ void QuicConnection::SendAckIfNeeded() {
   if (recv_ranges_.empty()) return;
   QuicPacketWriter w = BeginPacket(/*long_header=*/false, 0);
   AppendAckFrameTo(w);
-  FinishPacket(std::move(w), /*ack_eliciting=*/false, nullptr);
+  FinishPacket(std::move(w), /*ack_eliciting=*/false);
 }
 
 net::SimTime QuicConnection::PtoInterval() const {
@@ -719,9 +569,6 @@ void QuicConnection::OnPto() {
   const auto resend = [&](SentPacketInfo& info) {
     if (info.acked || info.lost || !info.ack_eliciting) return;
     outstanding = true;
-    // Requeue reliable payloads for retransmission.
-    for (SentStreamChunk& c : info.chunks) stream_queue_.push_front(std::move(c));
-    info.chunks.clear();
     info.lost = true;
     obs_.packets_declared_lost->Inc();
     bytes_in_flight_ = bytes_in_flight_ >= info.bytes ? bytes_in_flight_ - info.bytes : 0;
@@ -737,15 +584,11 @@ void QuicConnection::OnPto() {
     StartHandshake();
     return;
   }
-  if (!outstanding && stream_queue_.empty()) return;
+  if (!outstanding) return;
   ++pto_backoff_;
-  if (!stream_queue_.empty()) {
-    MaybeSendPending();
-  } else {
-    QuicPacketWriter w = BeginPacket(/*long_header=*/false, 0);
-    w.push_back(kFramePing);
-    FinishPacket(std::move(w), /*ack_eliciting=*/true, nullptr);
-  }
+  QuicPacketWriter w = BeginPacket(/*long_header=*/false, 0);
+  w.push_back(kFramePing);
+  FinishPacket(std::move(w), /*ack_eliciting=*/true);
 }
 
 void QuicConnection::UpdateRtt(net::SimTime sample) {

@@ -7,21 +7,24 @@
 //     with version + CIDs, short headers with the fixed bit — so the
 //     capture classifier recognises QUIC by its first byte, like Wireshark;
 //   * a 1-RTT connection handshake;
-//   * reliable STREAM frames with ACK ranges, RTT estimation, packet-number
-//     based loss detection, PTO retransmission, and NewReno-style
-//     congestion control;
-//   * unreliable DATAGRAM frames (RFC 9221) used for per-frame persona
-//     semantics — deliberately *not* rate-adaptive, mirroring the paper's
-//     finding that semantic delivery does not adapt (§4.3).
+//   * ACK frames with ranges, RTT estimation, packet-number based loss
+//     detection and PTO probes;
+//   * unreliable DATAGRAM frames (RFC 9221) carrying persona media and
+//     control — deliberately *not* congestion-controlled or rate-adaptive,
+//     mirroring the paper's finding that semantic delivery does not adapt
+//     (§4.3).
+//
+// There are no STREAM frames: FaceTime's persona traffic is datagrams, and
+// a STREAM frame takes the unknown-frame path (the rest of its packet is
+// dropped).
 //
 // There is no TLS: payloads are opaque to the network anyway (the paper
 // could not decrypt them either, §5) and the simulator never inspects them.
 //
 // The hot path (DESIGN.md §7) serializes packets straight into pooled
-// PacketBuffer blocks, tracks sent packets in a ring indexed by packet
-// number, and reassembles streams into a contiguous window — zero heap
-// allocations per packet in steady state. The wire bytes are pinned by the
-// session goldens in test_transport_ext.cc.
+// PacketBuffer blocks and tracks sent packets in a ring indexed by packet
+// number — zero heap allocations per packet in steady state. The wire bytes
+// are pinned by the session goldens in test_transport_ext.cc.
 #pragma once
 
 #include <cassert>
@@ -53,7 +56,6 @@ struct QuicStats {
   std::uint64_t packets_received = 0;
   std::uint64_t packets_declared_lost = 0;
   std::uint64_t bytes_sent = 0;
-  std::uint64_t stream_bytes_delivered = 0;
   std::uint64_t datagrams_sent = 0;
   std::uint64_t datagrams_received = 0;
   std::uint64_t datagrams_dropped_prehandshake = 0;  ///< queue-cap drops
@@ -111,17 +113,12 @@ class QuicEndpoint;
 /// One QUIC connection (client or server side).
 class QuicConnection {
  public:
-  using StreamDataHandler =
-      std::function<void(std::uint64_t stream_id, std::span<const std::uint8_t> data, bool fin)>;
   using DatagramHandler = std::function<void(std::span<const std::uint8_t> data)>;
   using EstablishedHandler = std::function<void()>;
   using CloseHandler = std::function<void(std::uint64_t error_code)>;
 
-  /// Queues reliable, ordered data on `stream_id`.
-  void SendStreamData(std::uint64_t stream_id, std::span<const std::uint8_t> data, bool fin = false);
-
   /// Sends an unreliable DATAGRAM frame (dropped, never retransmitted, and
-  /// not blocked by the congestion window — see header comment).
+  /// not congestion-controlled — see header comment).
   void SendDatagram(std::span<const std::uint8_t> data);
 
   /// Sends CONNECTION_CLOSE and stops all further transmission. Incoming
@@ -131,7 +128,6 @@ class QuicConnection {
   /// True once Close() was called or the peer's CONNECTION_CLOSE arrived.
   bool closed() const { return closed_; }
 
-  void set_on_stream_data(StreamDataHandler h) { on_stream_data_ = std::move(h); }
   void set_on_datagram(DatagramHandler h) { on_datagram_ = std::move(h); }
   void set_on_established(EstablishedHandler h) { on_established_ = std::move(h); }
   void set_on_close(CloseHandler h) { on_close_ = std::move(h); }
@@ -155,27 +151,12 @@ class QuicConnection {
  private:
   friend class QuicEndpoint;
 
-  struct SentStreamChunk {
-    std::uint64_t stream_id;
-    std::uint64_t offset;
-    std::vector<std::uint8_t> data;
-    bool fin;
-  };
   struct SentPacketInfo {
     net::SimTime sent_time = 0;
     std::uint32_t bytes = 0;
     bool ack_eliciting = false;
     bool acked = false;
     bool lost = false;
-    std::vector<SentStreamChunk> chunks;  // for retransmission
-  };
-  /// Stream reassembly: one contiguous window anchored at `delivered` plus a
-  /// merged list of received absolute byte ranges.
-  struct RecvAssembly {
-    std::vector<std::uint8_t> window;  // bytes at [delivered, delivered + window.size())
-    std::vector<std::pair<std::uint64_t, std::uint64_t>> ranges;  // merged [first,last], ascending
-    std::uint64_t delivered = 0;
-    std::optional<std::uint64_t> fin_offset;
   };
 
   QuicConnection(QuicEndpoint* endpoint, std::uint64_t local_cid, std::uint64_t remote_cid,
@@ -193,12 +174,9 @@ class QuicConnection {
   void MaybeSendPending();
   QuicPacketWriter BeginPacket(bool long_header, std::uint8_t long_type,
                                std::size_t capacity = kMaxPacketSize);
-  void FinishPacket(QuicPacketWriter&& w, bool ack_eliciting,
-                    std::vector<SentStreamChunk>* chunks, bool pad_initial = false);
+  void FinishPacket(QuicPacketWriter&& w, bool ack_eliciting, bool pad_initial = false);
   SentPacketInfo* FindSent(std::uint64_t pn);
   SentPacketInfo& SentSlot(std::uint64_t pn);
-  void OnStreamSegment(std::uint64_t stream_id, std::uint64_t offset,
-                       std::span<const std::uint8_t> data, bool fin);
   void SendAckIfNeeded();
   void ArmPto();
   void OnPto();
@@ -224,7 +202,6 @@ class QuicConnection {
   // when an unsettled window outgrows it.
   std::vector<SentPacketInfo> sent_ring_;
   std::uint64_t ring_base_ = 0;
-  std::vector<SentStreamChunk> chunk_scratch_;  // reused per stream packet
   std::uint64_t largest_acked_ = 0;
   bool any_acked_ = false;
 
@@ -235,9 +212,6 @@ class QuicConnection {
   int pending_ack_eliciting_ = 0;
   net::SimTime first_pending_ack_time_ = 0;
 
-  // Send queues.
-  std::deque<SentStreamChunk> stream_queue_;
-  std::map<std::uint64_t, std::uint64_t> stream_offsets_;
   std::size_t bytes_in_flight_ = 0;
 
   // Congestion control (NewReno on bytes).
@@ -253,10 +227,8 @@ class QuicConnection {
   std::uint64_t pto_epoch_ = 0;  // invalidates stale PTO timers
   int pto_backoff_ = 0;
 
-  std::map<std::uint64_t, RecvAssembly> recv_assembly_;
   std::deque<std::vector<std::uint8_t>> datagram_queue_;  // pre-handshake sends
 
-  StreamDataHandler on_stream_data_;
   DatagramHandler on_datagram_;
   EstablishedHandler on_established_;
   CloseHandler on_close_;
@@ -269,13 +241,10 @@ class QuicConnection {
     obs::Counter* packets_received = nullptr;
     obs::Counter* packets_declared_lost = nullptr;
     obs::Counter* bytes_sent = nullptr;
-    obs::Counter* stream_bytes_delivered = nullptr;
     obs::Counter* datagrams_sent = nullptr;
     obs::Counter* datagrams_received = nullptr;
     obs::Counter* datagrams_dropped_prehandshake = nullptr;
     obs::Gauge* smoothed_rtt_ms = nullptr;
-    obs::Gauge* reassembly_ranges_peak = nullptr;  ///< merged-range high-water
-    obs::Gauge* reassembly_window_peak = nullptr;  ///< window bytes high-water
   };
   std::string scope_;
   StatsHandles obs_;

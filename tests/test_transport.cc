@@ -222,47 +222,6 @@ TEST_F(TwoHosts, QuicHandshakeEstablishesInOneRtt) {
   EXPECT_LT(conn->stats().smoothed_rtt_ms, 100.0);
 }
 
-TEST_F(TwoHosts, QuicStreamDeliversInOrderAndComplete) {
-  QuicEndpoint client(&net_, a_, 9000), server(&net_, b_, 4433);
-  std::vector<std::uint8_t> received;
-  bool got_fin = false;
-  server.set_on_accept([&](QuicConnection* conn) {
-    conn->set_on_stream_data(
-        [&](std::uint64_t stream_id, std::span<const std::uint8_t> data, bool fin) {
-          EXPECT_EQ(stream_id, 4u);
-          received.insert(received.end(), data.begin(), data.end());
-          got_fin |= fin;
-        });
-  });
-  QuicConnection* conn = client.Connect(b_, 4433);
-  std::vector<std::uint8_t> payload(50000);
-  for (std::size_t i = 0; i < payload.size(); ++i) payload[i] = static_cast<std::uint8_t>(i * 7);
-  conn->SendStreamData(4, payload, /*fin=*/true);
-  sim_.RunUntil(net::Seconds(5));
-  EXPECT_EQ(received, payload);
-  EXPECT_TRUE(got_fin);
-}
-
-TEST_F(TwoHosts, QuicStreamSurvivesHeavyLoss) {
-  net::Netem netem(&net_, a_, net_.AccessRouter(a_));
-  netem.SetLoss(0.15);
-  QuicEndpoint client(&net_, a_, 9000), server(&net_, b_, 4433);
-  std::vector<std::uint8_t> received;
-  server.set_on_accept([&](QuicConnection* conn) {
-    conn->set_on_stream_data(
-        [&](std::uint64_t, std::span<const std::uint8_t> data, bool) {
-          received.insert(received.end(), data.begin(), data.end());
-        });
-  });
-  QuicConnection* conn = client.Connect(b_, 4433);
-  std::vector<std::uint8_t> payload(30000);
-  for (std::size_t i = 0; i < payload.size(); ++i) payload[i] = static_cast<std::uint8_t>(i);
-  conn->SendStreamData(0, payload, true);
-  sim_.RunUntil(net::Seconds(30));
-  EXPECT_EQ(received, payload);  // reliability despite 15% loss
-  EXPECT_GT(conn->stats().packets_declared_lost, 0u);
-}
-
 TEST_F(TwoHosts, QuicDatagramsAreUnreliableUnderLoss) {
   QuicEndpoint client(&net_, a_, 9000), server(&net_, b_, 4433);
   int got = 0;
