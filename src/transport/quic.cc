@@ -148,10 +148,6 @@ void QuicConnection::StartHandshake() {
   FinishPacket(std::move(w), /*ack_eliciting=*/true, /*pad_initial=*/true);
 }
 
-std::size_t QuicConnection::CongestionBudget() const {
-  return cwnd_ > bytes_in_flight_ ? cwnd_ - bytes_in_flight_ : 0;
-}
-
 void QuicConnection::Close(std::uint64_t error_code) {
   if (closed_) return;
   QuicPacketWriter w = BeginPacket(/*long_header=*/false, 0);
@@ -221,14 +217,12 @@ void QuicConnection::FinishPacket(QuicPacketWriter&& w, bool ack_eliciting, bool
   const std::uint64_t pn = next_pn_++;
   SentPacketInfo& info = SentSlot(pn);
   info.sent_time = endpoint_->medium().sim().now();
-  info.bytes = static_cast<std::uint32_t>(w.size());
   info.ack_eliciting = ack_eliciting;
   info.acked = false;
   info.lost = false;
-  if (ack_eliciting) bytes_in_flight_ += info.bytes;
 
   obs_.packets_sent->Inc();
-  obs_.bytes_sent->Inc(info.bytes);
+  obs_.bytes_sent->Inc(w.size());
   endpoint_->SendRaw(peer_node_, peer_port_, w.Take());
   if (ack_eliciting) ArmPto();
 }
@@ -427,50 +421,21 @@ void QuicConnection::AckRange(std::uint64_t lo, std::uint64_t hi) {
 
 void QuicConnection::OnPacketAcked(std::uint64_t pn) {
   SentPacketInfo* info = FindSent(pn);
-  if (info != nullptr) AckInfo(*info);
-}
-
-void QuicConnection::AckInfo(SentPacketInfo& info) {
-  if (info.acked) return;
-  info.acked = true;
+  if (info == nullptr || info->acked) return;
+  info->acked = true;
   pto_backoff_ = 0;
-  if (info.ack_eliciting && !info.lost) {
-    bytes_in_flight_ = bytes_in_flight_ >= info.bytes ? bytes_in_flight_ - info.bytes : 0;
-    // NewReno growth: slow start doubles, congestion avoidance is linear.
-    if (cwnd_ < ssthresh_) {
-      cwnd_ += info.bytes;
-    } else {
-      cwnd_ += kMaxPacketSize * info.bytes / cwnd_;
-    }
-  }
 }
 
 void QuicConnection::DetectLosses() {
   if (!any_acked_) return;
-  bool congestion_event = false;
-  // Returns true when iteration can stop (pn too recent to judge).
-  const auto check = [&](std::uint64_t pn, SentPacketInfo& info) {
-    if (pn + kPacketLossThreshold > largest_acked_) return true;
-    if (info.acked || info.lost) return false;
-    if (!info.ack_eliciting) {
-      // ACK-only packets are never acknowledged; retire them silently so
-      // they neither count as losses nor trigger congestion response.
-      info.lost = true;
-      return false;
-    }
-    info.lost = true;
-    obs_.packets_declared_lost->Inc();
-    bytes_in_flight_ = bytes_in_flight_ >= info.bytes ? bytes_in_flight_ - info.bytes : 0;
-    if (pn >= recovery_start_pn_) congestion_event = true;
-    return false;
-  };
   for (std::uint64_t pn = ring_base_; pn < next_pn_; ++pn) {
-    if (check(pn, sent_ring_[pn & (sent_ring_.size() - 1)])) break;
-  }
-  if (congestion_event) {
-    ssthresh_ = std::max(cwnd_ / 2, 2 * kMaxPacketSize);
-    cwnd_ = ssthresh_;
-    recovery_start_pn_ = next_pn_;
+    if (pn + kPacketLossThreshold > largest_acked_) break;  // too recent to judge
+    SentPacketInfo& info = sent_ring_[pn & (sent_ring_.size() - 1)];
+    if (info.acked || info.lost) continue;
+    // ACK-only packets are never acknowledged; they retire silently rather
+    // than count as losses.
+    info.lost = true;
+    if (info.ack_eliciting) obs_.packets_declared_lost->Inc();
   }
   RetireSettled(next_pn_);
 }
@@ -564,17 +529,14 @@ void QuicConnection::ArmPto() {
 
 void QuicConnection::OnPto() {
   if (closed_) return;
-  // Anything ack-eliciting still outstanding?
+  // Everything ack-eliciting still outstanding is declared lost.
   bool outstanding = false;
-  const auto resend = [&](SentPacketInfo& info) {
-    if (info.acked || info.lost || !info.ack_eliciting) return;
+  for (std::uint64_t pn = ring_base_; pn < next_pn_; ++pn) {
+    SentPacketInfo& info = sent_ring_[pn & (sent_ring_.size() - 1)];
+    if (info.acked || info.lost || !info.ack_eliciting) continue;
     outstanding = true;
     info.lost = true;
     obs_.packets_declared_lost->Inc();
-    bytes_in_flight_ = bytes_in_flight_ >= info.bytes ? bytes_in_flight_ - info.bytes : 0;
-  };
-  for (std::uint64_t pn = ring_base_; pn < next_pn_; ++pn) {
-    resend(sent_ring_[pn & (sent_ring_.size() - 1)]);
   }
   // An unestablished client retransmits its Initial even when nothing is
   // outstanding: the server's later packets may have ACKed the Initial
@@ -595,9 +557,7 @@ void QuicConnection::UpdateRtt(net::SimTime sample) {
   if (!srtt_) {
     srtt_ = sample;
     rttvar_ = sample / 2;
-    min_rtt_ = sample;
   } else {
-    min_rtt_ = std::min(min_rtt_, sample);
     const net::SimTime err = *srtt_ > sample ? *srtt_ - sample : sample - *srtt_;
     rttvar_ = (3 * rttvar_ + err) / 4;
     srtt_ = (7 * *srtt_ + sample) / 8;

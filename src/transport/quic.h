@@ -153,7 +153,6 @@ class QuicConnection {
 
   struct SentPacketInfo {
     net::SimTime sent_time = 0;
-    std::uint32_t bytes = 0;
     bool ack_eliciting = false;
     bool acked = false;
     bool lost = false;
@@ -167,7 +166,6 @@ class QuicConnection {
   void ProcessFrames(std::span<const std::uint8_t> payload);
   void HandleAckFrame(std::span<const std::uint8_t> payload, std::size_t* pos);
   void OnPacketAcked(std::uint64_t pn);
-  void AckInfo(SentPacketInfo& info);
   void AckRange(std::uint64_t lo, std::uint64_t hi);
   void DetectLosses();
   void RetireSettled(std::uint64_t limit);
@@ -184,7 +182,6 @@ class QuicConnection {
   void UpdateRtt(net::SimTime rtt_sample);
   void AppendAckFrameTo(QuicPacketWriter& out);
   void RecordReceivedPn(std::uint64_t pn);
-  std::size_t CongestionBudget() const;
 
   QuicEndpoint* endpoint_;
   std::uint64_t local_cid_;
@@ -212,17 +209,9 @@ class QuicConnection {
   int pending_ack_eliciting_ = 0;
   net::SimTime first_pending_ack_time_ = 0;
 
-  std::size_t bytes_in_flight_ = 0;
-
-  // Congestion control (NewReno on bytes).
-  std::size_t cwnd_ = 16 * kMaxPacketSize;
-  std::size_t ssthresh_ = SIZE_MAX;
-  std::uint64_t recovery_start_pn_ = 0;
-
   // RTT estimation (RFC 9002).
   std::optional<net::SimTime> srtt_;
   net::SimTime rttvar_ = 0;
-  net::SimTime min_rtt_ = 0;
 
   std::uint64_t pto_epoch_ = 0;  // invalidates stale PTO timers
   int pto_backoff_ = 0;
