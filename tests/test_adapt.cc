@@ -1,6 +1,6 @@
 // Tests for the adaptive-delivery control loop (transport/adapt.*), the
-// netsim fault-injection layer it is exercised against, the playout
-// freeze-frame fallback, and the SFU's per-subscriber coarse-stream routing.
+// netsim fault-injection layer it is exercised against, and the SFU's
+// per-subscriber coarse-stream routing.
 #include <gtest/gtest.h>
 
 #include <string>
@@ -12,7 +12,6 @@
 #include "netsim/network.h"
 #include "obs/metrics.h"
 #include "transport/adapt.h"
-#include "transport/playout.h"
 #include "vca/session.h"
 
 namespace vtp {
@@ -338,75 +337,6 @@ TEST(FaultInjection, RateRampCapsProgressively) {
   EXPECT_EQ(h.delivered, 25u);
   ASSERT_FALSE(h.arrivals.empty());
   EXPECT_GT(h.arrivals.back(), net::Seconds(3) + net::Millis(1800));
-}
-
-// --- playout freeze-frame / stall bursts --------------------------------------------
-
-TEST(Playout, StallBurstsCountRunsNotFrames) {
-  net::Simulator sim(1);
-  transport::PlayoutConfig config;
-  config.initial_delay = net::Millis(20);
-  std::vector<std::uint32_t> played;
-  transport::PlayoutBuffer buf(&sim, config,
-                               [&](std::uint32_t ts, std::vector<std::uint8_t>) {
-                                 played.push_back(ts);
-                               });
-  // 2 fps cadence (45000 media units at 90 kHz) — wider than the 400 ms
-  // lateness, so push order stays sequential. Frames 3..5 arrive far too
-  // late (one burst); frame 8 is a second, isolated stall.
-  for (int i = 0; i < 10; ++i) {
-    const net::SimTime on_time = net::kSecond + i * net::Millis(500);
-    net::SimTime at = on_time;
-    if ((i >= 3 && i <= 5) || i == 8) at = on_time + net::Millis(400);
-    sim.At(at, [&buf, i] {
-      buf.Push(static_cast<std::uint32_t>(i * 45000), std::vector<std::uint8_t>{1});
-    });
-  }
-  sim.RunUntil(net::Seconds(8));
-  const transport::PlayoutStats stats = buf.stats();
-  EXPECT_EQ(stats.frames_played, 6u);
-  EXPECT_EQ(stats.frames_late_dropped, 4u);
-  EXPECT_EQ(stats.stall_bursts, 2u);
-  EXPECT_EQ(stats.longest_stall_burst, 3u);
-  EXPECT_EQ(stats.frames_frozen, 0u);  // fallback off by default
-}
-
-TEST(Playout, FreezeOnStallRepresentsTheLastPlayedFrame) {
-  net::Simulator sim(1);
-  transport::PlayoutConfig config;
-  config.initial_delay = net::Millis(20);
-  config.freeze_on_stall = true;
-  std::vector<std::pair<std::uint32_t, std::uint8_t>> played;
-  transport::PlayoutBuffer buf(&sim, config,
-                               [&](std::uint32_t ts, std::vector<std::uint8_t> frame) {
-                                 played.emplace_back(ts, frame.empty() ? 0 : frame[0]);
-                               });
-  // Frames 0..5 at 30 fps; frame 3 arrives 400 ms late. Payload byte = 10+i.
-  for (int i = 0; i < 6; ++i) {
-    const net::SimTime on_time = net::kSecond + i * net::Millis(33);
-    const net::SimTime at = i == 3 ? on_time + net::Millis(400) : on_time;
-    sim.At(at, [&buf, i] {
-      buf.Push(static_cast<std::uint32_t>(i * 3000),
-               std::vector<std::uint8_t>{static_cast<std::uint8_t>(10 + i)});
-    });
-  }
-  sim.RunUntil(net::Seconds(4));
-  const transport::PlayoutStats stats = buf.stats();
-  EXPECT_EQ(stats.frames_frozen, 1u);
-  EXPECT_EQ(stats.stall_bursts, 1u);
-  // Every slot produced output: 5 real frames plus the frozen re-present.
-  ASSERT_EQ(played.size(), 6u);
-  // The frozen slot carries the stalled frame's timestamp but re-presents
-  // the most recently *played* payload (frames 4 and 5 play before the late
-  // frame 3 even arrives, so the freeze shows frame 5's content).
-  bool found_frozen = false;
-  for (const auto& [ts, payload] : played) {
-    if (ts == 3u * 3000u) {
-      found_frozen = true;
-      EXPECT_EQ(payload, 15u);
-    }
-  }
-  EXPECT_TRUE(found_frozen);
 }
 
 // --- adaptive sessions (integration) ------------------------------------------------

@@ -1,5 +1,4 @@
-// Tests for the transport extensions: FEC, the playout buffer, QUIC
-// connection close, ACK-range edge cases, the QUIC wire goldens, the
+// Tests for the transport extensions: FEC, QUIC connection close, ACK-range edge cases, the QUIC wire goldens, the
 // allocation-free SFU forward path, and the armed frame tracer's cost on it.
 #include <gtest/gtest.h>
 
@@ -16,7 +15,6 @@
 #include "netsim/network.h"
 #include "sfu_fanout.h"
 #include "transport/fec.h"
-#include "transport/playout.h"
 #include "transport/quic.h"
 #include "vca/session.h"
 
@@ -131,62 +129,6 @@ TEST(Fec, GarbageInputCountedNotCrashing) {
 TEST(Fec, InvalidKThrows) {
   EXPECT_THROW(FecEncoder(0), std::invalid_argument);
   EXPECT_THROW(FecEncoder(300), std::invalid_argument);
-}
-
-// --- playout buffer ---------------------------------------------------------------
-
-TEST(Playout, PlaysFramesOnTheMediaClock) {
-  net::Simulator sim(1);
-  std::vector<net::SimTime> play_times;
-  PlayoutConfig config;
-  config.initial_delay = net::Millis(50);
-  PlayoutBuffer buffer(&sim, config,
-                       [&](std::uint32_t, std::vector<std::uint8_t>) {
-                         play_times.push_back(sim.now());
-                       });
-  // 10 frames at 90 fps (1000 ticks of 90 kHz), arriving with jitter.
-  for (int i = 0; i < 10; ++i) {
-    const net::SimTime arrival = net::Millis(11.1 * i + (i % 3) * 2.0);
-    sim.At(arrival, [&buffer, i] {
-      buffer.Push(static_cast<std::uint32_t>(i * 1000), std::vector<std::uint8_t>(10));
-    });
-  }
-  sim.Run();
-  ASSERT_EQ(play_times.size(), 10u);
-  EXPECT_EQ(buffer.stats().frames_played, 10u);
-  // Presentation is strictly periodic despite arrival jitter.
-  for (std::size_t i = 1; i < play_times.size(); ++i) {
-    EXPECT_NEAR(net::ToMillis(play_times[i] - play_times[i - 1]), 1000.0 / 90.0, 0.01);
-  }
-}
-
-TEST(Playout, LateFramesDroppedAndDelayGrows) {
-  net::Simulator sim(2);
-  PlayoutConfig config;
-  config.initial_delay = net::Millis(10);
-  PlayoutBuffer buffer(&sim, config, nullptr);
-  // Frame 0 anchors; frame 1 arrives 200 ms late relative to its slot.
-  sim.At(net::Millis(0), [&] { buffer.Push(0, {}); });
-  sim.At(net::Millis(230), [&] { buffer.Push(1000, {}); });  // slot was ~21 ms
-  sim.Run();
-  EXPECT_EQ(buffer.stats().frames_late_dropped, 1u);
-  EXPECT_GT(buffer.stats().current_delay, net::Millis(10));
-}
-
-TEST(Playout, DelayShrinksWhenHeadroomIsConsistentlyLarge) {
-  net::Simulator sim(3);
-  PlayoutConfig config;
-  config.initial_delay = net::Millis(200);
-  config.review_window_frames = 50;
-  PlayoutBuffer buffer(&sim, config, nullptr);
-  for (int i = 0; i < 200; ++i) {
-    sim.At(net::Millis(11.1 * i), [&buffer, i] {
-      buffer.Push(static_cast<std::uint32_t>(i * 1000), {});
-    });
-  }
-  sim.Run();
-  EXPECT_LT(buffer.stats().current_delay, net::Millis(200));
-  EXPECT_EQ(buffer.stats().frames_late_dropped, 0u);
 }
 
 // --- QUIC close --------------------------------------------------------------------
