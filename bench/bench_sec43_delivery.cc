@@ -40,7 +40,7 @@ void RunMeshStreaming() {
     const auto m = static_cast<std::size_t>(i);
     const mesh::TriangleMesh head = mesh::GenerateHead(budgets[m], 100 + m);
     return MeshRun{static_cast<double>(head.triangle_count()),
-                   static_cast<double>(mesh::EncodedMeshSize(head))};
+                   static_cast<double>(mesh::EncodeMesh(head).size())};
   });
   std::vector<double> mbps_all;
   for (std::size_t m = 0; m < 5; ++m) {

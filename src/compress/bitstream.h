@@ -1,14 +1,13 @@
-// Bit-level I/O primitives shared by the codecs in this repository.
-//
-// BitWriter packs bits MSB-first into a growable byte buffer; BitReader
-// consumes the same layout. Both are deliberately simple value types: the
-// writer owns its buffer, the reader is a non-owning view over caller bytes.
+// Byte-level I/O shared by the codecs and wire formats in this repository:
+// the CorruptStream error every decoder throws on malformed input, and
+// little-endian scalar helpers.
 #pragma once
 
 #include <bit>
 #include <cstdint>
 #include <span>
 #include <stdexcept>
+#include <string>
 #include <vector>
 
 namespace vtp::compress {
@@ -54,58 +53,5 @@ inline void PutFloatLe(std::vector<std::uint8_t>& out, float f) {
 inline float GetFloatLe(std::span<const std::uint8_t> d, std::size_t* pos) {
   return std::bit_cast<float>(GetU32Le(d, pos));
 }
-
-/// Accumulates bits MSB-first into an internal byte buffer.
-class BitWriter {
- public:
-  /// Appends the low `count` bits of `value`, most-significant bit first.
-  /// `count` must be in [0, 64].
-  void WriteBits(std::uint64_t value, int count);
-
-  /// Appends a single bit (0 or 1).
-  void WriteBit(bool bit) { WriteBits(bit ? 1 : 0, 1); }
-
-  /// Pads the current byte with zero bits so the stream is byte-aligned.
-  void AlignToByte();
-
-  /// Appends raw bytes; the stream must be byte-aligned when called.
-  void WriteBytes(std::span<const std::uint8_t> bytes);
-
-  /// Number of complete bits written so far.
-  std::size_t bit_count() const { return buffer_.size() * 8 - (8 - used_) % 8; }
-
-  /// Finishes the stream (aligns to a byte boundary) and returns the buffer.
-  std::vector<std::uint8_t> Finish();
-
- private:
-  std::vector<std::uint8_t> buffer_;
-  int used_ = 8;  // bits used in the last byte; 8 means "no open byte"
-};
-
-/// Reads bits MSB-first from a caller-owned byte span.
-class BitReader {
- public:
-  explicit BitReader(std::span<const std::uint8_t> data) : data_(data) {}
-
-  /// Reads `count` bits (<= 64) and returns them right-aligned.
-  /// Throws CorruptStream if the input is exhausted.
-  std::uint64_t ReadBits(int count);
-
-  /// Reads a single bit.
-  bool ReadBit() { return ReadBits(1) != 0; }
-
-  /// Skips to the next byte boundary.
-  void AlignToByte();
-
-  /// Reads `count` raw bytes into `out`; requires byte alignment.
-  void ReadBytes(std::span<std::uint8_t> out);
-
-  /// Bits remaining in the stream.
-  std::size_t bits_remaining() const { return data_.size() * 8 - bit_pos_; }
-
- private:
-  std::span<const std::uint8_t> data_;
-  std::size_t bit_pos_ = 0;
-};
 
 }  // namespace vtp::compress

@@ -11,24 +11,6 @@ namespace vtp::compress {
 
 namespace {
 
-/// Shared encoder for the free-function wrappers: keeps the match-finder
-/// arena warm across ad-hoc calls. Encoders embedded in codecs have their
-/// own instances; this one only serves the wrappers on this thread.
-LzrEncoder& WrapperEncoder() {
-  thread_local LzrEncoder encoder;
-  return encoder;
-}
-
-}  // namespace
-
-std::vector<std::uint8_t> LzrCompress(std::span<const std::uint8_t> data, const LzParams& params) {
-  std::vector<std::uint8_t> out;
-  WrapperEncoder().CompressInto(data, out, params);
-  return out;
-}
-
-namespace {
-
 /// The token decode loop. The output is sized once, literals write in place
 /// and matches block-copy (LzCopyMatch handles overlapping RLE-style ones).
 void DecodeTokens(RangeDecoder& rc, std::uint64_t original_size, std::vector<std::uint8_t>& out) {
@@ -78,16 +60,6 @@ void LzrDecompressInto(std::span<const std::uint8_t> data, std::vector<std::uint
 
   RangeDecoder rc(data.subspan(pos));
   DecodeTokens(rc, original_size, out);
-}
-
-std::vector<std::uint8_t> LzrDecompress(std::span<const std::uint8_t> data) {
-  std::vector<std::uint8_t> out;
-  LzrDecompressInto(data, out);
-  return out;
-}
-
-std::size_t LzrCompressedSize(std::span<const std::uint8_t> data) {
-  return WrapperEncoder().CompressedSize(data);
 }
 
 }  // namespace vtp::compress

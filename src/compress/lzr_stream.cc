@@ -24,28 +24,4 @@ void LzrEncoder::CompressInto(std::span<const std::uint8_t> data, std::vector<st
   io_.bytes_out += out.size() - out_before;
 }
 
-std::span<const std::uint8_t> LzrEncoder::Compress(std::span<const std::uint8_t> data,
-                                                   const LzParams& params) {
-  scratch_.clear();
-  CompressInto(data, scratch_, params);
-  return scratch_;
-}
-
-std::size_t LzrEncoder::CompressedSize(std::span<const std::uint8_t> data,
-                                       const LzParams& params) {
-  ++frames_;
-  const std::size_t header = detail::kLzrMagic.size() + Uleb128Length(data.size());
-  if (data.empty()) return header;
-
-  std::uint64_t discard_lit = 0, discard_match = 0;  // sizing probe: not real output
-  RangeEncoder rc;  // counting sink: nothing is stored
-  detail::LzrModels m;
-  {
-    RangeEncoder::Hot hot(rc);
-    LzParse(finder_, data, params, detail::LzrTokenCoder{hot, m, &discard_lit, &discard_match});
-  }
-  rc.Flush();
-  return header + rc.bytes_emitted();
-}
-
 }  // namespace vtp::compress

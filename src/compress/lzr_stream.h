@@ -1,17 +1,15 @@
 // Streaming "lzr" encoder: the per-frame compression hot path.
 //
 // LzrEncoder fuses LZ77 parsing and range coding: MatchFinder emits each
-// token straight into the adaptive range encoder through a sink, so the
-// intermediate std::vector<LzToken> of the free-function path never exists.
-// The encoder owns its match-finder arena and output scratch for its whole
-// lifetime — in steady state (same-sized frames, warm buffers) a Compress
-// call performs **zero heap allocations**. Per-frame callers
-// (SemanticEncoder, the vca pipelines, benches) hold one of these; the
-// LzrCompress free functions remain as thin wrappers for tests and tools.
+// token straight into the adaptive range encoder through a sink, so no
+// token vector ever exists. The encoder owns its match-finder arena for its
+// whole lifetime — in steady state (same-sized frames, a warm output
+// buffer) a CompressInto call performs **zero heap allocations**. Per-frame
+// callers (SemanticEncoder, the vca pipelines, benches) hold one of these.
 //
-// Output is bit-identical to LzrCompress for the same data and params: the
-// LZR1 container (magic | uleb128 size | range-coded tokens) and the
-// adaptive models reset per frame, so streams stay self-contained.
+// Each stream is an LZR1 container (magic | uleb128 size | range-coded
+// tokens) and the adaptive models reset per frame, so streams stay
+// self-contained; LzrDecompressInto (lzr.h) decodes them.
 #pragma once
 
 #include <array>
@@ -88,23 +86,12 @@ class LzrEncoder {
   void CompressInto(std::span<const std::uint8_t> data, std::vector<std::uint8_t>& out,
                     const LzParams& params = {});
 
-  /// Compresses into the internal scratch buffer; the returned view is valid
-  /// until the next call on this encoder.
-  std::span<const std::uint8_t> Compress(std::span<const std::uint8_t> data,
-                                         const LzParams& params = {});
-
-  /// Compressed size in bytes without storing a single output byte: the
-  /// range coder runs in counting-sink mode (satellite of the same model
-  /// adaptation, so the count is exact).
-  std::size_t CompressedSize(std::span<const std::uint8_t> data, const LzParams& params = {});
-
-  /// Frames compressed by this encoder (CompressInto/Compress calls).
+  /// Frames compressed by this encoder (CompressInto calls).
   std::uint64_t frames() const { return frames_; }
 
-  /// Cumulative I/O and token tallies for the real compress paths
-  /// (CompressedSize's counting-sink satellite is excluded). The match
-  /// hit rate — matches / (matches + literals) — is the fraction of parse
-  /// decisions the match finder converted into back-references.
+  /// Cumulative I/O and token tallies. The match hit rate — matches /
+  /// (matches + literals) — is the fraction of parse decisions the match
+  /// finder converted into back-references.
   struct IoStats {
     std::uint64_t bytes_in = 0;
     std::uint64_t bytes_out = 0;
@@ -116,12 +103,8 @@ class LzrEncoder {
   /// Match-finder arena behaviour — arena_grows stops moving once warm.
   const MatchFinder::Stats& finder_stats() const { return finder_.stats(); }
 
-  /// Capacity of the internal scratch buffer used by Compress().
-  std::size_t scratch_capacity() const { return scratch_.capacity(); }
-
  private:
   MatchFinder finder_;
-  std::vector<std::uint8_t> scratch_;
   std::uint64_t frames_ = 0;
   IoStats io_;
 };

@@ -33,18 +33,9 @@ struct BitModel {
   std::uint16_t prob = kTotal / 2;
 };
 
-/// Carry-aware range encoder producing a byte stream.
-///
-/// Two sink modes: bound to a byte vector it appends output bytes; default-
-/// constructed it runs as a *counting sink* — models adapt and bytes_emitted()
-/// advances exactly as in the writing mode, but nothing is stored. Size-only
-/// probes (LzrCompressedSize, bench ratio sweeps) use the counting mode to
-/// measure compressed sizes without materializing a buffer.
+/// Carry-aware range encoder appending its byte stream to a vector.
 class RangeEncoder {
  public:
-  /// Counting sink: encodes into the void, tracking bytes_emitted() only.
-  RangeEncoder() : out_(nullptr) {}
-
   explicit RangeEncoder(std::vector<std::uint8_t>* out) : out_(out) {}
 
   /// Register-resident encoding session. The coder state an EncodeBit call
@@ -127,9 +118,6 @@ class RangeEncoder {
     for (int i = 0; i < 5; ++i) ShiftLow();
   }
 
-  /// Bytes written (or, in counting mode, that would have been written).
-  std::size_t bytes_emitted() const { return bytes_emitted_; }
-
  private:
   static constexpr std::uint32_t kTopValue = 1u << 24;
 
@@ -152,17 +140,13 @@ class RangeEncoder {
 
   void ShiftLow() { low_ = ShiftLowSlow(low_); }
 
-  void Emit(std::uint8_t byte) {
-    if (out_ != nullptr) out_->push_back(byte);
-    ++bytes_emitted_;
-  }
+  void Emit(std::uint8_t byte) { out_->push_back(byte); }
 
   std::vector<std::uint8_t>* out_;
   std::uint64_t low_ = 0;
   std::uint32_t range_ = 0xFFFFFFFFu;
   std::uint8_t cache_ = 0;
   std::uint64_t cache_size_ = 1;
-  std::size_t bytes_emitted_ = 0;
 };
 
 /// Decoder matching RangeEncoder's byte stream.

@@ -16,16 +16,6 @@ void PutUleb128(std::vector<std::uint8_t>& out, std::uint64_t value);
 /// Throws CorruptStream on truncation or >64-bit values.
 std::uint64_t GetUleb128(std::span<const std::uint8_t> data, std::size_t* pos);
 
-/// Bytes PutUleb128 would append for `value`, without writing anything.
-constexpr std::size_t Uleb128Length(std::uint64_t value) {
-  std::size_t n = 1;
-  while (value >= 128) {
-    value >>= 7;
-    ++n;
-  }
-  return n;
-}
-
 /// Maps a signed value into an unsigned one with small absolute values first.
 constexpr std::uint64_t ZigZagEncode(std::int64_t v) {
   return (static_cast<std::uint64_t>(v) << 1) ^ static_cast<std::uint64_t>(v >> 63);

@@ -37,7 +37,7 @@ float GetFloat(std::span<const std::uint8_t> d, std::size_t* pos) {
   return f;
 }
 
-/// Entropy-codes positions + connectivity into `rc` (write or counting sink).
+/// Entropy-codes positions + connectivity into `rc`.
 void EncodeMeshBody(const TriangleMesh& mesh, MeshCodecConfig config, const Aabb& box,
                     compress::RangeEncoder& rc) {
   const std::uint32_t grid = (1u << config.position_bits) - 1;
@@ -111,19 +111,6 @@ std::vector<std::uint8_t> EncodeMesh(const TriangleMesh& mesh, MeshCodecConfig c
   std::vector<std::uint8_t> out;
   EncodeMeshInto(mesh, config, out);
   return out;
-}
-
-std::size_t EncodedMeshSize(const TriangleMesh& mesh, MeshCodecConfig config) {
-  if (config.position_bits < 1 || config.position_bits > 21) {
-    throw std::invalid_argument("position_bits out of range");
-  }
-  const std::size_t header = kMagic.size() + 1 + compress::Uleb128Length(mesh.vertex_count()) +
-                             compress::Uleb128Length(mesh.triangle_count()) + 6 * 4;
-  if (mesh.vertex_count() == 0) return header;
-
-  compress::RangeEncoder rc;  // counting sink
-  EncodeMeshBody(mesh, config, mesh.Bounds(), rc);
-  return header + rc.bytes_emitted();
 }
 
 TriangleMesh DecodeMesh(std::span<const std::uint8_t> data) {

@@ -35,12 +35,6 @@ std::vector<std::uint8_t> EncodeMesh(const TriangleMesh& mesh, MeshCodecConfig c
 void EncodeMeshInto(const TriangleMesh& mesh, MeshCodecConfig config,
                     std::vector<std::uint8_t>& out);
 
-/// Exact EncodeMesh output size without materializing the buffer: the range
-/// coder runs in counting-sink mode (the 90 FPS bandwidth benches only need
-/// bytes-per-frame, which at 70-90 K triangles otherwise costs a ~100 KB
-/// allocation per probe).
-std::size_t EncodedMeshSize(const TriangleMesh& mesh, MeshCodecConfig config = {});
-
 /// Decompresses a buffer produced by EncodeMesh.
 /// Throws compress::CorruptStream on malformed input.
 TriangleMesh DecodeMesh(std::span<const std::uint8_t> data);

@@ -4,7 +4,6 @@
 #include <random>
 
 #include "compress/bitstream.h"
-#include "compress/crc32.h"
 #include "compress/entropy.h"
 #include "compress/lz77.h"
 #include "compress/lzr.h"
@@ -15,66 +14,6 @@
 
 namespace vtp::compress {
 namespace {
-
-// --- bitstream -------------------------------------------------------------
-
-TEST(Bitstream, RoundTripsMixedWidths) {
-  BitWriter w;
-  w.WriteBits(0b101, 3);
-  w.WriteBits(0xDEADBEEF, 32);
-  w.WriteBit(true);
-  w.WriteBits(0x3FF, 10);
-  const auto bytes = w.Finish();
-
-  BitReader r(bytes);
-  EXPECT_EQ(r.ReadBits(3), 0b101u);
-  EXPECT_EQ(r.ReadBits(32), 0xDEADBEEFu);
-  EXPECT_TRUE(r.ReadBit());
-  EXPECT_EQ(r.ReadBits(10), 0x3FFu);
-}
-
-TEST(Bitstream, AlignAndBytes) {
-  BitWriter w;
-  w.WriteBits(1, 1);
-  w.AlignToByte();
-  const std::vector<std::uint8_t> payload = {1, 2, 3};
-  w.WriteBytes(payload);
-  const auto bytes = w.Finish();
-  ASSERT_EQ(bytes.size(), 4u);
-
-  BitReader r(bytes);
-  EXPECT_EQ(r.ReadBits(1), 1u);
-  r.AlignToByte();
-  std::vector<std::uint8_t> out(3);
-  r.ReadBytes(out);
-  EXPECT_EQ(out, payload);
-}
-
-TEST(Bitstream, TruncatedReadThrows) {
-  const std::vector<std::uint8_t> one = {0xAB};
-  BitReader r(one);
-  EXPECT_EQ(r.ReadBits(8), 0xABu);
-  EXPECT_THROW(r.ReadBits(1), CorruptStream);
-}
-
-TEST(Bitstream, RandomRoundTrip) {
-  std::mt19937_64 rng(7);
-  for (int trial = 0; trial < 50; ++trial) {
-    std::vector<std::pair<std::uint64_t, int>> items;
-    BitWriter w;
-    for (int i = 0; i < 200; ++i) {
-      const int bits = static_cast<int>(rng() % 64) + 1;
-      const std::uint64_t value = rng() & ((bits == 64) ? ~0ull : ((1ull << bits) - 1));
-      items.emplace_back(value, bits);
-      w.WriteBits(value, bits);
-    }
-    const auto bytes = w.Finish();
-    BitReader r(bytes);
-    for (const auto& [value, bits] : items) {
-      EXPECT_EQ(r.ReadBits(bits), value);
-    }
-  }
-}
 
 // --- varint / zigzag --------------------------------------------------------
 
@@ -355,21 +294,6 @@ TEST(Lzr, TruncatedBodyThrows) {
   auto compressed = Compress(data);
   compressed.resize(compressed.size() / 2);
   EXPECT_ANY_THROW(Decompress(compressed));
-}
-
-// --- crc32 --------------------------------------------------------------------
-
-TEST(Crc32, MatchesKnownVector) {
-  const std::string s = "123456789";
-  const std::vector<std::uint8_t> data(s.begin(), s.end());
-  EXPECT_EQ(Crc32(data), 0xCBF43926u);  // canonical CRC-32 check value
-}
-
-TEST(Crc32, DetectsSingleBitFlip) {
-  std::vector<std::uint8_t> data(100, 0xAA);
-  const std::uint32_t before = Crc32(data);
-  data[50] ^= 0x01;
-  EXPECT_NE(Crc32(data), before);
 }
 
 }  // namespace

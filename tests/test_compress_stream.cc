@@ -1,5 +1,5 @@
 // Tests for the streaming compression hot path: LzrEncoder / MatchFinder /
-// counting-sink sizes / the shared CodecEngine. The core contract under test
+// the shared CodecEngine. The core contract under test
 // is byte-identity: the fused streaming encoder must reproduce the seed
 // tokenize-then-encode compressor's streams (pinned as goldens), and every
 // stream must round-trip exactly.
@@ -11,7 +11,6 @@
 
 #include "alloc_counter.h"
 #include "compress/codec_engine.h"
-#include "compress/crc32.h"
 #include "compress/lz77.h"
 #include "compress/lzr.h"
 #include "compress/lzr_stream.h"
@@ -80,8 +79,8 @@ std::uint64_t Fnv1a(std::span<const std::uint8_t> data) {
 }
 
 // FNV-1a of the greedy LZR1 stream for each AllCorpora() input, recorded
-// from the seed's tokenize-then-encode compressor. The streaming encoder and
-// the free-function wrapper must both reproduce every stream byte for byte.
+// from the seed's tokenize-then-encode compressor. The streaming encoder must
+// reproduce every stream byte for byte.
 constexpr std::uint64_t kAllCorporaStreamFnv[] = {
     0x3DED3FC1B0790104ull, 0xB5D4326143EBC8E8ull, 0x2A3D904E72A7EA1Cull,
     0xC95AB7DF3B5A83D1ull, 0x94428FC21176ACACull, 0x6F1E5B5EC3A676C5ull,
@@ -98,8 +97,7 @@ TEST(LzrStream, GreedyStreamsMatchSeedGoldens) {
   for (std::size_t i = 0; i < corpora.size(); ++i) {
     out.clear();
     encoder.CompressInto(corpora[i], out, Greedy());
-    EXPECT_EQ(Fnv1a(out), kAllCorporaStreamFnv[i]) << "encoder, corpus " << i;
-    EXPECT_EQ(Fnv1a(LzrCompress(corpora[i])), kAllCorporaStreamFnv[i]) << "wrapper, corpus " << i;
+    EXPECT_EQ(Fnv1a(out), kAllCorporaStreamFnv[i]) << "corpus " << i;
   }
 }
 
@@ -179,20 +177,6 @@ TEST(MatchFinder, FindBestHonoursProbeAndWindowLimits) {
   const auto m = finder.FindBest(512, params);
   ASSERT_GE(m.length, LzParams::kMinMatch);
   EXPECT_LE(m.distance, params.window_size);
-}
-
-// ---- counting-sink sizes ----------------------------------------------------
-
-TEST(LzrStream, CompressedSizeIsExact) {
-  LzrEncoder encoder;
-  for (const auto& data : AllCorpora()) {
-    EXPECT_EQ(encoder.CompressedSize(data), encoder.Compress(data).size());
-  }
-}
-
-TEST(LzrStream, LzrCompressedSizeMatchesWrapper) {
-  const auto data = RepetitiveCorpus(4096, 23);
-  EXPECT_EQ(LzrCompressedSize(data), LzrCompress(data).size());
 }
 
 // ---- steady-state allocations ----------------------------------------------
