@@ -1,28 +1,11 @@
 #include "netsim/trace_io.h"
 
-#include <istream>
 #include <ostream>
-#include <sstream>
-
-#include "compress/bitstream.h"
 
 namespace vtp::net {
 
-namespace {
-
-constexpr char kHeader[] = "time_ns,src,dst,src_port,dst_port,wire_bytes,prefix_hex";
-
-int HexDigit(char c) {
-  if (c >= '0' && c <= '9') return c - '0';
-  if (c >= 'a' && c <= 'f') return c - 'a' + 10;
-  if (c >= 'A' && c <= 'F') return c - 'A' + 10;
-  throw compress::CorruptStream("trace: bad hex digit");
-}
-
-}  // namespace
-
 void WriteCaptureCsv(const Capture& capture, std::ostream& os) {
-  os << kHeader << '\n';
+  os << "time_ns,src,dst,src_port,dst_port,wire_bytes,prefix_hex\n";
   static constexpr char kHex[] = "0123456789abcdef";
   for (const CaptureRecord& r : capture.records()) {
     os << r.time << ',' << r.src << ',' << r.dst << ',' << r.src_port << ',' << r.dst_port
@@ -32,51 +15,6 @@ void WriteCaptureCsv(const Capture& capture, std::ostream& os) {
     }
     os << '\n';
   }
-}
-
-std::vector<CaptureRecord> ReadCaptureCsv(std::istream& is) {
-  std::vector<CaptureRecord> records;
-  std::string line;
-  if (!std::getline(is, line) || line != kHeader) {
-    throw compress::CorruptStream("trace: missing or wrong CSV header");
-  }
-  while (std::getline(is, line)) {
-    if (line.empty()) continue;
-    std::istringstream row(line);
-    CaptureRecord r;
-    char comma = 0;
-    std::uint32_t src = 0, dst = 0, sport = 0, dport = 0;
-    if (!(row >> r.time >> comma >> src >> comma >> dst >> comma >> sport >> comma >> dport >>
-          comma >> r.wire_bytes >> comma)) {
-      throw compress::CorruptStream("trace: malformed row");
-    }
-    r.src = src;
-    r.dst = dst;
-    r.src_port = static_cast<std::uint16_t>(sport);
-    r.dst_port = static_cast<std::uint16_t>(dport);
-    std::string hex;
-    row >> hex;
-    if (hex.size() % 2 != 0 || hex.size() / 2 > r.prefix.size()) {
-      throw compress::CorruptStream("trace: bad prefix hex");
-    }
-    r.prefix_len = static_cast<std::uint8_t>(hex.size() / 2);
-    for (std::size_t i = 0; i < r.prefix_len; ++i) {
-      r.prefix[i] =
-          static_cast<std::uint8_t>((HexDigit(hex[2 * i]) << 4) | HexDigit(hex[2 * i + 1]));
-    }
-    records.push_back(r);
-  }
-  return records;
-}
-
-double TraceMeanThroughputBps(const std::vector<CaptureRecord>& records,
-                              const Capture::Filter& filter, SimTime from, SimTime to) {
-  if (to <= from) return 0.0;
-  std::uint64_t bytes = 0;
-  for (const CaptureRecord& r : records) {
-    if (r.time >= from && r.time < to && (!filter || filter(r))) bytes += r.wire_bytes;
-  }
-  return static_cast<double>(bytes) * 8.0 / ToSeconds(to - from);
 }
 
 }  // namespace vtp::net

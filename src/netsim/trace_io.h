@@ -1,15 +1,12 @@
-// Capture trace export/import.
+// Capture trace export.
 //
 // The paper promises to release its collected traces; this module defines
 // the interchange format: a CSV with one row per captured packet
-// (timestamp, addressing, wire size, payload-prefix hex). Saved traces
-// reload into plain CaptureRecord vectors so every analyzer (throughput,
-// flows, protocol classification) runs identically on live and recorded
-// data.
+// (timestamp, addressing, wire size, payload-prefix hex). `vtp run
+// --dump-trace` writes it.
 #pragma once
 
 #include <iosfwd>
-#include <vector>
 
 #include "netsim/capture.h"
 
@@ -17,14 +14,5 @@ namespace vtp::net {
 
 /// Writes `capture`'s records as CSV (header row included).
 void WriteCaptureCsv(const Capture& capture, std::ostream& os);
-
-/// Parses a CSV produced by WriteCaptureCsv.
-/// Throws compress::CorruptStream on malformed rows.
-std::vector<CaptureRecord> ReadCaptureCsv(std::istream& is);
-
-/// Re-runs the throughput analysis over recorded records (same semantics
-/// as Capture::MeanThroughputBps, but source-agnostic).
-double TraceMeanThroughputBps(const std::vector<CaptureRecord>& records,
-                              const Capture::Filter& filter, SimTime from, SimTime to);
 
 }  // namespace vtp::net
