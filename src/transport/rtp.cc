@@ -117,12 +117,6 @@ std::uint32_t GetU32Be(std::span<const std::uint8_t> data, std::size_t at) {
 
 }  // namespace
 
-std::vector<std::uint8_t> RtcpSenderReport::Serialize() const {
-  std::vector<std::uint8_t> out;
-  SerializeTo(out);
-  return out;
-}
-
 void RtcpSenderReport::SerializeTo(std::vector<std::uint8_t>& out) const {
   const std::size_t base = out.size();
   out.push_back(0x80);  // version 2, no report blocks
@@ -142,12 +136,6 @@ std::optional<RtcpSenderReport> RtcpSenderReport::Parse(std::span<const std::uin
   r.ntp_ms = GetU32Be(data, 8);
   r.rtp_timestamp = GetU32Be(data, 12);
   return r;
-}
-
-std::vector<std::uint8_t> RtcpReceiverReport::Serialize() const {
-  std::vector<std::uint8_t> out;
-  SerializeTo(out);
-  return out;
 }
 
 void RtcpReceiverReport::SerializeTo(std::vector<std::uint8_t>& out) const {
@@ -198,8 +186,6 @@ void RtpReceiver::OnPacket(const net::Packet& p) {
   last_pt_ = header->payload_type;
 
   StreamState& s = streams_[header->ssrc];
-  ++s.stats.packets_received;
-  s.stats.payload_bytes_received += p.payload.size() - RtpHeader::kSize;
   ++s.interval_received;
 
   // Loss estimate from 16-bit sequence gaps.
@@ -207,7 +193,6 @@ void RtpReceiver::OnPacket(const net::Packet& p) {
     const std::uint16_t expected = static_cast<std::uint16_t>(s.last_seq + 1);
     const std::uint16_t gap = static_cast<std::uint16_t>(header->sequence - expected);
     if (gap != 0 && gap < 0x8000) {
-      s.stats.packets_lost += gap;
       packets_lost_->Inc(gap);
       s.interval_lost += gap;
       s.frame_gap = true;
@@ -221,8 +206,8 @@ void RtpReceiver::OnPacket(const net::Packet& p) {
   const double transit = arrival_rtp - static_cast<double>(header->timestamp);
   if (s.last_transit) {
     const double d = std::abs(transit - *s.last_transit);
-    s.stats.jitter_rtp_units += (d - s.stats.jitter_rtp_units) / 16.0;
-    jitter_rtp_units_->Set(s.stats.jitter_rtp_units);
+    s.jitter_rtp_units += (d - s.jitter_rtp_units) / 16.0;
+    jitter_rtp_units_->Set(s.jitter_rtp_units);
   }
   s.last_transit = transit;
 
@@ -242,10 +227,8 @@ void RtpReceiver::OnPacket(const net::Packet& p) {
 void RtpReceiver::FlushFrame(std::uint32_t ssrc, StreamState& s, net::SimTime arrival) {
   if (!s.frame_timestamp) return;
   if (s.frame_gap) {
-    ++s.stats.frames_damaged;
     frames_damaged_->Inc();
   } else {
-    ++s.stats.frames_delivered;
     frames_delivered_->Inc();
     if (on_frame_) on_frame_(ssrc, std::move(s.frame_buffer), *s.frame_timestamp, arrival);
   }
@@ -259,11 +242,6 @@ std::vector<std::uint32_t> RtpReceiver::KnownSsrcs() const {
   out.reserve(streams_.size());
   for (const auto& [ssrc, state] : streams_) out.push_back(ssrc);
   return out;
-}
-
-RtpReceiverStats RtpReceiver::StatsForSsrc(std::uint32_t ssrc) const {
-  const auto it = streams_.find(ssrc);
-  return it == streams_.end() ? RtpReceiverStats{} : it->second.stats;
 }
 
 std::pair<std::uint32_t, std::uint32_t> RtpReceiver::SenderReportEcho(

@@ -47,7 +47,6 @@ struct RtcpSenderReport {
   std::uint32_t ntp_ms = 0;  ///< sender clock, milliseconds (truncated NTP)
   std::uint32_t rtp_timestamp = 0;
 
-  std::vector<std::uint8_t> Serialize() const;
   /// Appends the 28 serialized bytes to `out` — callers on a periodic report
   /// path reuse one scratch vector instead of allocating per report.
   void SerializeTo(std::vector<std::uint8_t>& out) const;
@@ -63,7 +62,6 @@ struct RtcpReceiverReport {
   std::uint32_t lsr_ms = 0;   ///< ntp_ms of the last SR seen from the source
   std::uint32_t dlsr_ms = 0;  ///< delay between receiving that SR and this RR
 
-  std::vector<std::uint8_t> Serialize() const;
   /// Appends the 32 serialized bytes to `out` (see RtcpSenderReport).
   void SerializeTo(std::vector<std::uint8_t>& out) const;
   static std::optional<RtcpReceiverReport> Parse(std::span<const std::uint8_t> data);
@@ -112,8 +110,7 @@ class RtpSender {
 };
 
 /// Counters kept by the receiver (loss from sequence gaps, RFC 3550
-/// jitter). The aggregate accessor is a value snapshot over registry handles
-/// (scope "rtp.rx<N>.") since the obs refactor; per-SSRC stats stay inline.
+/// jitter): a value snapshot over registry handles (scope "rtp.rx<N>.").
 struct RtpReceiverStats {
   std::uint64_t packets_received = 0;
   std::uint64_t payload_bytes_received = 0;
@@ -147,9 +144,6 @@ class RtpReceiver {
             frames_damaged_->value(),   jitter_rtp_units_->value()};
   }
 
-  /// Counters for one sender (zeros if never seen).
-  RtpReceiverStats StatsForSsrc(std::uint32_t ssrc) const;
-
   /// SSRCs observed so far.
   std::vector<std::uint32_t> KnownSsrcs() const;
 
@@ -171,7 +165,7 @@ class RtpReceiver {
 
  private:
   struct StreamState {
-    RtpReceiverStats stats;
+    double jitter_rtp_units = 0.0;  ///< RFC 3550 interarrival jitter
     bool have_last_seq = false;
     std::uint16_t last_seq = 0;
     std::optional<std::uint32_t> frame_timestamp;

@@ -495,7 +495,9 @@ TEST(Sfu, RtcpRoutedOnlyToTheReportedSource) {
     rr.reporter_ssrc = 7;
     rr.source_ssrc = 42;
     rr.fraction_lost = 0.1;
-    network.SendUdp(b, 6000, s, 5000, rr.Serialize());
+    std::vector<std::uint8_t> bytes;
+    rr.SerializeTo(bytes);
+    network.SendUdp(b, 6000, s, 5000, std::move(bytes));
   });
   sim.Run();
   EXPECT_EQ(a_rtcp, 1);
