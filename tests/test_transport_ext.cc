@@ -411,12 +411,9 @@ TEST_F(AckHarness, PreHandshakeQueueCapDropsOldest) {
 // One deterministic datagram session under loss (a pre-handshake datagram,
 // then 120 growing ones); every wire and application-edge observable is
 // pinned. The values were recorded with the reliable-stream stack still in
-// the transport, so they prove the datagram path did not move when it went.
-// Before that, the session also carried two reliable streams; its values
-// were first recorded while the legacy std::vector/std::map transport still
-// ran beside the pooled path and re-recorded when the PTO before the first
-// RTT sample became RFC 9002's 999 ms. At 15% loss a lost handshake packet
-// waits a full PTO, so only the 64 newest pre-handshake datagrams go out.
+// the transport, so they show the datagram path did not move when it went.
+// At 15% loss a lost handshake packet waits a full 999 ms PTO, so only the
+// 64 newest pre-handshake datagrams go out.
 
 std::uint64_t Fnv1a(std::uint64_t h, std::span<const std::uint8_t> data) {
   for (const std::uint8_t b : data) {
