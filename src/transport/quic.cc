@@ -185,8 +185,8 @@ void QuicConnection::SendDatagram(std::span<const std::uint8_t> data) {
   FinishPacket(std::move(w), /*ack_eliciting=*/true);
 }
 
-void QuicConnection::MaybeSendPending() {
-  if (!established_ || closed_) return;
+void QuicConnection::FlushQueuedDatagrams() {
+  if (closed_) return;
   while (!datagram_queue_.empty()) {
     auto d = std::move(datagram_queue_.front());
     datagram_queue_.pop_front();
@@ -293,8 +293,10 @@ void QuicConnection::OnDatagramReceived(std::span<const std::uint8_t> payload) {
       FinishPacket(std::move(w), /*ack_eliciting=*/true);
       established_ = true;
     }
-    if (!was_established && established_ && on_established_) on_established_();
-    if (established_) MaybeSendPending();
+    if (!was_established && established_) {
+      if (on_established_) on_established_();
+      FlushQueuedDatagrams();
+    }
     // Delayed-ACK policy: immediate ACK after every kAckElicitingThreshold
     // ack-eliciting packets, otherwise a timer fires within kMaxAckDelay.
     if (ack_pending_) {
@@ -410,7 +412,6 @@ void QuicConnection::HandleAckFrame(std::span<const std::uint8_t> payload, std::
   if (!any_acked_ || largest > largest_acked_) largest_acked_ = largest;
   any_acked_ = true;
   DetectLosses();
-  MaybeSendPending();
 }
 
 void QuicConnection::AckRange(std::uint64_t lo, std::uint64_t hi) {

@@ -49,8 +49,7 @@ std::uint64_t GetQuicVarint(std::span<const std::uint8_t> data, std::size_t* pos
 
 /// Connection-level counters. Since the obs refactor this is a value
 /// snapshot assembled from the connection's registry handles (same names
-/// under the connection's "quic.conn<N>." scope); the field set is unchanged
-/// for back-compat.
+/// under the connection's "quic.conn<N>." scope).
 struct QuicStats {
   std::uint64_t packets_sent = 0;
   std::uint64_t packets_received = 0;
@@ -169,7 +168,7 @@ class QuicConnection {
   void AckRange(std::uint64_t lo, std::uint64_t hi);
   void DetectLosses();
   void RetireSettled(std::uint64_t limit);
-  void MaybeSendPending();
+  void FlushQueuedDatagrams();  ///< sends the pre-handshake queue once established
   QuicPacketWriter BeginPacket(bool long_header, std::uint8_t long_type,
                                std::size_t capacity = kMaxPacketSize);
   void FinishPacket(QuicPacketWriter&& w, bool ack_eliciting, bool pad_initial = false);
