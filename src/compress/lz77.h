@@ -23,9 +23,10 @@ struct LzParams {
 };
 
 /// The lzr decoder's match copy: writes the `length` bytes of a match at
-/// out[wr..wr+length) from distance `distance` back. Non-overlapping ranges block-copy; overlapping (RLE-like) matches
-/// replicate their period, doubling the copied span each pass. The caller
-/// must have validated 1 <= distance <= wr and that the destination fits.
+/// out[wr..wr+length) from distance `distance` back. Non-overlapping ranges
+/// block-copy; overlapping (RLE-like) matches replicate their period,
+/// doubling the copied span each pass. The caller must have validated
+/// 1 <= distance <= wr and that the destination fits.
 inline void LzCopyMatch(std::uint8_t* out, std::size_t wr, std::uint32_t length,
                         std::uint32_t distance) {
   std::uint8_t* dst = out + wr;

@@ -1,5 +1,6 @@
-// Tests for the transport extensions: FEC, QUIC connection close, ACK-range edge cases, the QUIC wire goldens, the
-// allocation-free SFU forward path, and the armed frame tracer's cost on it.
+// Tests for the transport extensions: FEC, QUIC connection close, ACK-range
+// edge cases, the QUIC wire goldens, the allocation-free SFU forward path,
+// and the armed frame tracer's cost on it.
 #include <gtest/gtest.h>
 
 #include <time.h>
